@@ -2,7 +2,7 @@
 
 from pathlib import Path
 
-from streamcc import parse_csv_log, replay, replicate_stream
+from streamcc import parse_csv_log, replay, replicate_events
 
 log_path = Path(__file__).resolve().parents[1] / "data" / "sample_stream.csv"
 log = parse_csv_log(log_path)
@@ -15,6 +15,6 @@ for event in replay(log):
 print()
 
 print("replicated twice (second copy gets fresh case ids):")
-for event in replicate_stream(log, 2):
+for event in replicate_events(list(replay(log)), 2):
     marker = "*" if "~r" in event.case_id else " "
     print(f" {marker}#{event.arrival_index}: case {event.case_id} did {event.activity}")

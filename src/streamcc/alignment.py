@@ -219,14 +219,13 @@ def shortest_path_prefix_alignment(
     trace: Sequence[tuple[ActivityLabel, EventRef | None] | ActivityLabel],
     cost_model: CostModel = DEFAULT_COST_MODEL,
     *,
-    use_heuristic: bool = True,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> PrefixAlignment:
     """Minimum-cost prefix-alignment of ``trace`` starting from ``start``.
 
-    Uniform-cost search over the synchronous-product state space
-    (marking, trace position), optionally guided by the admissible
-    heuristic h = remaining events x min(sync_cost, log_cost). The result
+    A* search over the synchronous-product state space (marking, trace
+    position) with the admissible heuristic h = remaining events x
+    min(sync_cost, log_cost). The result
     explains every trace event; its model projection is firable from
     ``start``. Ties are broken by move preference (sync > silent > model
     > log), then by transition id, then by discovery order, so identical
@@ -238,7 +237,7 @@ def shortest_path_prefix_alignment(
     if not events:
         raise ValueError("trace must be non-empty")
     total = len(events)
-    h_unit = min(cost_model.sync_cost, cost_model.log_cost) if use_heuristic else 0.0
+    h_unit = min(cost_model.sync_cost, cost_model.log_cost)
 
     # closed: (marking, pos) -> (parent key, state reached from parent) for
     # path reconstruction; None marks the start node.

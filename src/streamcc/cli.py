@@ -10,9 +10,9 @@ search budget exhausted.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-import time
 from collections import Counter
 from pathlib import Path
 from typing import Sequence
@@ -22,7 +22,7 @@ from .errors import ParseError, SearchBudgetExceeded, StreamccError, ValidationE
 from .evaluation import ExperimentConfig, config_echo, run_experiment, write_results
 from .petri import Marking, PetriNet
 from .pnml import load_model
-from .policies import ConformanceEngine, Policy, PolicyConfig
+from .policies import ConformanceEngine, EventOutcome, Policy, PolicyConfig
 from .streams import CsvColumns, EventLog, parse_csv_log, parse_xes_log, replay
 
 EXIT_OK = 0
@@ -114,23 +114,23 @@ def _cmd_check(args: argparse.Namespace) -> int:
     log = _load_log(args)
     engine = ConformanceEngine(net, config, search_budget=args.budget)
 
-    final_cost: dict[str, float] = {}
+    last_outcome: dict[str, EventOutcome] = {}
     events_per_case: Counter[str] = Counter()
     methods_per_case: dict[str, Counter] = {}
     for outcome in engine.process_stream(replay(log)):
-        final_cost[outcome.case_id] = outcome.effective_cost
+        last_outcome[outcome.case_id] = outcome
         events_per_case[outcome.case_id] += 1
         methods_per_case.setdefault(outcome.case_id, Counter())[outcome.method.value] += 1
 
     rows = []
-    for case_id in sorted(final_cost):
+    for case_id in sorted(last_outcome):
         methods = methods_per_case[case_id]
         rows.append(
             {
                 "case_id": case_id,
                 "events": events_per_case[case_id],
-                "effective_cost": final_cost[case_id],
-                "conformant": final_cost[case_id] == 0,
+                "effective_cost": last_outcome[case_id].effective_cost,
+                "conformant": last_outcome[case_id].conformant,
                 "residual_cost": engine.residual_cost(case_id),
                 "model_semantics": methods["model-semantics"],
                 "shortest_path": methods["shortest-path"],
@@ -160,9 +160,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.seed is not None:
         if config.synthetic is None:
             raise ValueError("--seed applies only to configs with a synthetic stream")
-        config = ExperimentConfig(
-            **{**_config_kwargs(config), "synthetic_seed": args.seed}
-        )
+        config = dataclasses.replace(config, synthetic_seed=args.seed)
     result = run_experiment(config, jobs=max(1, args.jobs))
     paths = write_results(result, config.output_dir, config_echo(config))
     for run in result.runs:
@@ -172,32 +170,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _config_kwargs(config: ExperimentConfig) -> dict:
-    return {
-        "model_path": config.model_path,
-        "policies": config.policies,
-        "log_path": config.log_path,
-        "synthetic": config.synthetic,
-        "synthetic_seed": config.synthetic_seed,
-        "final_marking": config.final_marking,
-        "window_size": config.window_size,
-        "replication": config.replication,
-        "output_dir": config.output_dir,
-        "search_budget": config.search_budget,
-    }
-
-
 def _cmd_replay(args: argparse.Namespace) -> int:
     log = _load_log(args)
-    ordered = sorted(enumerate(log.events), key=lambda item: (item[1].timestamp, item[0]))
-    previous = None
-    for index, (_, event) in enumerate(ordered):
-        if args.paced and previous is not None:
-            gap = (event.timestamp - previous).total_seconds() * 1e-3
-            if gap > 0:
-                time.sleep(min(gap, 0.25))
-        previous = event.timestamp
-        print(f"{index}\t{event.case_id}\t{event.activity}\t{event.timestamp.isoformat()}")
+    for event in replay(log, pace=1e-3 if args.paced else None):
+        print(f"{event.arrival_index}\t{event.case_id}\t{event.activity}\t{event.timestamp.isoformat()}")
     return EXIT_OK
 
 
@@ -213,13 +189,10 @@ def _cmd_validate_model(args: argparse.Namespace) -> int:
     if silent:
         print(f"silent transitions: {', '.join(silent)}")
 
-    by_label: dict[str, list[str]] = {}
-    for t in sorted(net.transitions):
-        label = net.label(t)
-        if label is not None:
-            by_label.setdefault(label, []).append(t)
-    duplicates = {label: ts for label, ts in by_label.items() if len(ts) > 1}
-    for label, ts in sorted(duplicates.items()):
+    for label in sorted(set(net.labels.values())):
+        ts = net.transitions_labeled(label)
+        if len(ts) < 2:
+            continue
         print(f"duplicate label {label!r}: transitions {', '.join(ts)}")
         shared = set(net.preset(ts[0]))
         for t in ts[1:]:

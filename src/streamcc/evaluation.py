@@ -14,8 +14,9 @@ import math
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -23,13 +24,7 @@ from .alignment import DEFAULT_COST_MODEL, DEFAULT_SEARCH_BUDGET, CostModel
 from .errors import EmptyWindow, ParseError, SearchBudgetExceeded
 from .petri import PetriNet
 from .pnml import load_model
-from .policies import (
-    CaseRecord,
-    CaseStore,
-    ConformanceEngine,
-    Policy,
-    PolicyConfig,
-)
+from .policies import ConformanceEngine, Policy, PolicyConfig
 from .streams import StreamEvent, parse_csv_log, parse_xes_log, replay, replicate_events
 from .synthetic import StreamSpec, generate_log
 
@@ -64,19 +59,6 @@ def f1(pairs: Iterable[tuple[bool, bool]]) -> float:
     if denominator == 0:
         return 1.0
     return 2 * tp / denominator
-
-
-def classify_case(record: CaseRecord) -> bool:
-    """True when the case is conformant, i.e. its effective cost is zero."""
-    return record.effective_cost == 0
-
-
-def avg_states_per_case(store: CaseStore) -> float:
-    """Mean number of non-summary states over the multi-state cases."""
-    counts = [len(r.prefix_alignment.states) for r in store.records()]
-    if not counts:
-        return 0.0
-    return sum(counts) / len(counts)
 
 
 @dataclass(frozen=True)
@@ -132,92 +114,78 @@ def _measured_pass(
     search_budget: int,
     replication: int,
 ) -> PolicyRun:
+    """Replay the k-fold replicated stream once, in one engine.
+
+    Windows, stored-state peaks and search/extension counts come from the
+    first copy; each window's APTE is the mean per-event processing time
+    over every copy of that window.
+    """
     engine = ConformanceEngine(net, config, search_budget=search_budget)
-    windows: list[WindowStats] = []
+    length = len(events)
+    # per window of the first copy: (events, peak stored states, rmse, f1)
+    closed: list[tuple[int, int, float, float]] = []
+    window_ns: list[int] = []  # processing time per window, summed over all copies
+    window_timed: list[int] = []  # events timed per window, over all copies
     window_start = 0
     peak_states = 0
     elapsed_ns = 0
     last_in_window: dict[str, tuple[int, float]] = {}
+    counts: tuple[int, int] | None = None
     error: str | None = None
 
     def close_window(end: int) -> None:
         nonlocal window_start, peak_states, elapsed_ns, last_in_window
         count = end - window_start
         pairs = [(cost, ref_costs[idx]) for idx, cost in last_in_window.values()]
-        windows.append(
-            WindowStats(
-                window_index=len(windows),
-                events_in_window=count,
-                max_stored_states=peak_states,
-                rmse_fitness=rmse(pairs),
-                f1_classification=f1([(p > 0, b > 0) for p, b in pairs]),
-                apte_us=elapsed_ns / count / 1000.0,
-            )
-        )
+        closed.append((count, peak_states, rmse(pairs), f1([(p > 0, b > 0) for p, b in pairs])))
+        window_ns.append(elapsed_ns)
+        window_timed.append(count)
         window_start = end
         peak_states = 0
         elapsed_ns = 0
         last_in_window = {}
 
     try:
+        # the first copy of the replicated stream keeps the original case ids
         for index, event in enumerate(events):
             started = time.perf_counter_ns()
             outcome = engine.process(event.case_id, event.activity, index)
             elapsed_ns += time.perf_counter_ns() - started
             peak_states = max(peak_states, engine.stored_state_count)
             last_in_window[event.case_id] = (index, outcome.effective_cost)
-            if (index + 1) % window_size == 0 or index + 1 == len(events):
+            if (index + 1) % window_size == 0 or index + 1 == length:
                 close_window(index + 1)
+        counts = (engine.search_count, engine.extension_count)
+        if replication > 1:
+            copies = islice(replicate_events(events, replication), length, None)
+            for index, event in enumerate(copies, start=length):
+                window = (index % length) // window_size
+                started = time.perf_counter_ns()
+                engine.process(event.case_id, event.activity, index)
+                window_ns[window] += time.perf_counter_ns() - started
+                window_timed[window] += 1
     except SearchBudgetExceeded as exc:
         error = str(exc)
 
-    run = PolicyRun(
+    search_count, extension_count = counts or (engine.search_count, engine.extension_count)
+    return PolicyRun(
         config=config,
         label=config.label,
-        windows=tuple(windows),
-        search_count=engine.search_count,
-        extension_count=engine.extension_count,
+        windows=tuple(
+            WindowStats(
+                window_index=i,
+                events_in_window=count,
+                max_stored_states=peak,
+                rmse_fitness=rmse_value,
+                f1_classification=f1_value,
+                apte_us=window_ns[i] / window_timed[i] / 1000.0,
+            )
+            for i, (count, peak, rmse_value, f1_value) in enumerate(closed)
+        ),
+        search_count=search_count,
+        extension_count=extension_count,
         error=error,
     )
-    if replication > 1 and error is None:
-        means = measure_apte(net, config, events, replication, window_size, search_budget)
-        run = replace(
-            run,
-            windows=tuple(
-                replace(w, apte_us=means[i]) if i < len(means) else w
-                for i, w in enumerate(run.windows)
-            ),
-        )
-    return run
-
-
-def measure_apte(
-    net: PetriNet,
-    config: PolicyConfig,
-    events: Sequence[StreamEvent],
-    k: int,
-    window_size: int,
-    search_budget: int = DEFAULT_SEARCH_BUDGET,
-) -> list[float]:
-    """Mean per-event processing time (microseconds) per window, over k replications.
-
-    One engine processes the k-fold replicated stream back to back; each
-    replication contributes its own timing of every window of the
-    original stream, and the mean over replications is reported.
-    """
-    if k < 1:
-        raise ValueError("replication count must be >= 1")
-    base_length = len(events)
-    engine = ConformanceEngine(net, config, search_budget=search_budget)
-    sums: dict[int, int] = {}
-    counts: dict[int, int] = {}
-    for index, event in enumerate(replicate_events(events, k)):
-        window = (index % base_length) // window_size
-        started = time.perf_counter_ns()
-        engine.process(event.case_id, event.activity, index)
-        sums[window] = sums.get(window, 0) + time.perf_counter_ns() - started
-        counts[window] = counts.get(window, 0) + 1
-    return [sums[w] / counts[w] / 1000.0 for w in sorted(sums)]
 
 
 def evaluate_policies(
@@ -241,6 +209,8 @@ def evaluate_policies(
     """
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
+    if replication < 1:
+        raise ValueError("replication must be >= 1")
     events = list(events)
     if not events:
         raise ValueError("empty stream")

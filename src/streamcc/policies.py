@@ -91,10 +91,6 @@ class CaseRecord:
     last_update: int
     event_count: int = 0
 
-    @property
-    def effective_cost(self) -> float:
-        return self.prefix_alignment.fitness_cost
-
 
 class CaseStore:
     """Multi-state case storage (the policies' D_C), optionally capacity-bounded."""
@@ -167,11 +163,6 @@ class EventOutcome:
     conformant: bool
     method: Method
     residual_cost: float
-
-
-def effective_cost(record: CaseRecord) -> float:
-    """Carried cost of the forgotten prefix plus the retained states' cost."""
-    return record.prefix_alignment.fitness_cost
 
 
 def stored_state_count(store: CaseStore, repo: SummaryRepository | None = None) -> int:
@@ -262,11 +253,10 @@ class ConformanceEngine:
     Engines for different configurations are independent; all produced
     values are plain immutable data.
 
-    With ``use_forgetting_index`` (the default) the engine keeps an
-    incremental index of forgetting preferences so eviction does not
-    rescan the whole store on every orphan event; it selects exactly the
-    case :func:`select_forget_victim` would. Disable it to route every
-    eviction through the plain single-pass scan instead.
+    Bounded-cases engines keep an incremental index of forgetting
+    preferences so eviction does not rescan the whole store on every
+    orphan event; it selects exactly the case
+    :func:`select_forget_victim` would.
     """
 
     def __init__(
@@ -275,18 +265,16 @@ class ConformanceEngine:
         config: PolicyConfig | None = None,
         *,
         search_budget: int = DEFAULT_SEARCH_BUDGET,
-        use_forgetting_index: bool = True,
     ) -> None:
         self.net = net
         self.config = config or PolicyConfig(Policy.BASELINE)
         self.search_budget = search_budget
-        bounded_cases = self.config.policy in (Policy.BOUNDED_CASES, Policy.COMBINED)
-        self.store = CaseStore(capacity=self.config.n if bounded_cases else None)
+        self._bounded_cases = self.config.policy in (Policy.BOUNDED_CASES, Policy.COMBINED)
+        self.store = CaseStore(capacity=self.config.n if self._bounded_cases else None)
         self.repo = SummaryRepository()
         self.events_processed = 0
         self.search_count = 0
         self.extension_count = 0
-        self._indexing = bounded_cases and use_forgetting_index
         # index state: monuples in admission order; per-class heaps of
         # (last_update, case_id) with lazy invalidation via _index_state
         self._monuples: dict[str, None] = {}
@@ -317,7 +305,7 @@ class ConformanceEngine:
     ) -> EventOutcome:
         index = self.events_processed
         policy = self.config.policy
-        bounded_cases = policy in (Policy.BOUNDED_CASES, Policy.COMBINED)
+        bounded_cases = self._bounded_cases
 
         record = self.store.get(case_id)
         if record is None:
@@ -338,7 +326,7 @@ class ConformanceEngine:
         record.prefix_alignment = pa
         record.last_update = index
         record.event_count += 1
-        if self._indexing:
+        if bounded_cases:
             self._index_record(record)
         self.events_processed = index + 1
 
@@ -388,10 +376,9 @@ class ConformanceEngine:
         return fresh, Method.SHORTEST_PATH
 
     def _evict_one(self) -> None:
-        victim_id = self._pick_victim() if self._indexing else select_forget_victim(self.store)
+        victim_id = self._pick_victim()
         victim = self.store.pop(victim_id)
-        if self._indexing:
-            self._unindex(victim_id)
+        self._unindex(victim_id)
         pa = victim.prefix_alignment
         self.repo.put(
             victim_id,

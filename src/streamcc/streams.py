@@ -32,11 +32,16 @@ class Event:
 
 @dataclass(frozen=True)
 class StreamEvent:
-    """One stream observation: activity ``activity`` happened in case ``case_id``."""
+    """One stream observation: activity ``activity`` happened in case ``case_id``.
+
+    ``timestamp`` is the logged time of the event when the stream was
+    replayed from a log.
+    """
 
     case_id: str
     activity: ActivityLabel
     arrival_index: int
+    timestamp: datetime | None = None
 
 
 @dataclass(frozen=True)
@@ -181,7 +186,7 @@ def replay(log: EventLog, *, pace: float | None = None) -> Iterator[StreamEvent]
             if gap > 0:
                 time.sleep(min(gap, 0.25))
         previous = event.timestamp
-        yield StreamEvent(event.case_id, event.activity, index)
+        yield StreamEvent(event.case_id, event.activity, index, event.timestamp)
 
 
 def replicate_events(events: Sequence[StreamEvent], k: int) -> Iterator[StreamEvent]:
@@ -192,10 +197,5 @@ def replicate_events(events: Sequence[StreamEvent], k: int) -> Iterator[StreamEv
     for copy in range(1, k + 1):
         for event in events:
             case_id = event.case_id if copy == 1 else f"{event.case_id}~r{copy}"
-            yield StreamEvent(case_id, event.activity, index)
+            yield StreamEvent(case_id, event.activity, index, event.timestamp)
             index += 1
-
-
-def replicate_stream(log: EventLog, k: int) -> Iterator[StreamEvent]:
-    """k sequential replays of the log with disjoint case ids per copy."""
-    return replicate_events(list(replay(log)), k)

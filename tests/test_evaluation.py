@@ -6,25 +6,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from streamcc import (
-    CaseRecord,
-    CaseStore,
+    ConformanceEngine,
+    CostModel,
     EmptyWindow,
     ExperimentConfig,
-    Marking,
-    Move,
     ParseError,
     Policy,
     PolicyConfig,
-    PrefixAlignment,
     StreamSpec,
-    SummaryState,
-    avg_states_per_case,
-    classify_case,
     cyclic_sequence_net,
     evaluate_policies,
     f1,
     generate_log,
-    measure_apte,
     replay,
     rmse,
     run_experiment,
@@ -79,38 +72,29 @@ class TestF1:
 
 
 class TestClassifyCase:
-    def record(self, cost: float, summary_only: bool = False) -> CaseRecord:
-        marking = Marking.of({"p": 1})
-        if summary_only:
-            pa = PrefixAlignment.from_summary(SummaryState(cost, marking))
-        else:
-            pa = PrefixAlignment(base_marking=marking).append(Move.log("X"), cost, marking)
-        return CaseRecord("c", pa, last_update=0, event_count=1)
+    """A case is classified by its last outcome's ``conformant`` flag."""
 
-    def test_zero_cost_is_conformant(self):
-        assert classify_case(self.record(0.0)) is True
+    def test_zero_cost_is_conformant(self, seq_abc):
+        outcome = ConformanceEngine(seq_abc).process("c", "A")
+        assert outcome.effective_cost == 0.0
+        assert outcome.conformant is True
 
-    def test_positive_cost_is_not(self):
-        assert classify_case(self.record(0.5)) is False
+    def test_positive_cost_is_not(self, seq_abc):
+        config = PolicyConfig(Policy.BASELINE, cost_model=CostModel(log_cost=0.5))
+        outcome = ConformanceEngine(seq_abc, config).process("c", "X")
+        assert outcome.effective_cost == 0.5
+        assert outcome.conformant is False
 
-    def test_summary_only_residual(self):
-        assert classify_case(self.record(1.0, summary_only=True)) is False
-
-
-class TestAvgStatesPerCase:
-    def test_empty_store(self):
-        assert avg_states_per_case(CaseStore()) == 0.0
-
-    def test_mean_ignores_summaries(self):
-        marking = Marking.of({"p": 1})
-        store = CaseStore()
-        one = PrefixAlignment(base_marking=marking).append(Move.log("X"), 1.0, marking)
-        three = PrefixAlignment.from_summary(SummaryState(0.0, marking))
-        for i in range(3):
-            three = three.append(Move.log(f"Y{i}"), 1.0, marking)
-        store.add(CaseRecord("a", one, last_update=0, event_count=1))
-        store.add(CaseRecord("b", three, last_update=1, event_count=3))
-        assert avg_states_per_case(store) == 2.0
+    def test_summary_only_residual(self, seq_abc):
+        # c deviates, is forgotten when d arrives (n=1), then resumes from
+        # its summary with a synchronous move: only the carried cost remains
+        engine = ConformanceEngine(seq_abc, PolicyConfig(Policy.BOUNDED_CASES, n=1))
+        engine.process("c", "X")
+        engine.process("d", "A")
+        resumed = engine.process("c", "A")
+        assert resumed.residual_cost == 1.0
+        assert resumed.effective_cost == 1.0
+        assert resumed.conformant is False
 
 
 def small_stream(seed=1, cases=25, noise=0.4):
@@ -223,15 +207,20 @@ class TestMeasureApte:
     def test_reports_one_mean_per_window(self):
         net = cyclic_sequence_net(10)
         events = small_stream(seed=17)
-        means = measure_apte(net, PolicyConfig(Policy.BASELINE), events, 2, 50)
-        expected_windows = (len(events) + 49) // 50
-        assert len(means) == expected_windows
-        assert all(m > 0 for m in means)
+        result = evaluate_policies(
+            net, events, [PolicyConfig(Policy.BASELINE)], window_size=50, replication=2
+        )
+        windows = result.runs[0].windows
+        assert len(windows) == (len(events) + 49) // 50
+        assert all(w.apte_us > 0 for w in windows)
 
     def test_rejects_bad_k(self):
         net = cyclic_sequence_net(10)
-        with pytest.raises(ValueError):
-            measure_apte(net, PolicyConfig(Policy.BASELINE), small_stream(), 0, 50)
+        for k in (0, -2):
+            with pytest.raises(ValueError, match="replication"):
+                evaluate_policies(
+                    net, small_stream(), [PolicyConfig(Policy.BASELINE)], replication=k
+                )
 
     def test_replicated_apte_feeds_window_stats(self):
         net = cyclic_sequence_net(10)
@@ -248,15 +237,23 @@ class TestMeasureApte:
             assert all(w.apte_us > 0 for w in run.windows)
             # non-timing columns stay identical to a replication-free run
         single = evaluate_policies(
-            net, events, [PolicyConfig(Policy.BASELINE)], window_size=60
+            net,
+            events,
+            [PolicyConfig(Policy.BASELINE), PolicyConfig(Policy.BOUNDED_STATES, w=3)],
+            window_size=60,
         )
-        for a, b in zip(result.runs[0].windows, single.runs[0].windows):
-            assert (a.events_in_window, a.max_stored_states, a.rmse_fitness, a.f1_classification) == (
-                b.events_in_window,
-                b.max_stored_states,
-                b.rmse_fitness,
-                b.f1_classification,
-            )
+        for replicated, plain in zip(result.runs, single.runs):
+            assert len(replicated.windows) == len(plain.windows)
+            for a, b in zip(replicated.windows, plain.windows):
+                assert (a.events_in_window, a.max_stored_states, a.rmse_fitness, a.f1_classification) == (
+                    b.events_in_window,
+                    b.max_stored_states,
+                    b.rmse_fitness,
+                    b.f1_classification,
+                )
+            # counts come from the first copy, not from all k copies
+            assert replicated.search_count == plain.search_count
+            assert replicated.extension_count == plain.extension_count
 
 
 class TestExperimentConfig:

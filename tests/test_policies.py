@@ -17,7 +17,6 @@ from streamcc import (
     StreamSpec,
     SummaryState,
     cyclic_sequence_net,
-    effective_cost,
     generate_log,
     replay,
     select_forget_victim,
@@ -376,25 +375,13 @@ class TestAccessors:
         pa = PrefixAlignment.empty(seq_abc.initial_marking)
         pa = pa.append(Move.log("X"), 0.0, seq_abc.initial_marking)
         pa = pa.append(Move.log("Y"), 1.0, seq_abc.initial_marking)
-        record = CaseRecord("1", pa, last_update=0, event_count=2)
-        assert effective_cost(record) == 1.0
+        assert pa.fitness_cost == 1.0
 
-        summary_only = CaseRecord(
-            "2",
-            PrefixAlignment.from_summary(SummaryState(2.0, seq_abc.initial_marking)),
-            last_update=0,
-        )
-        assert effective_cost(summary_only) == 2.0
+        summary_only = PrefixAlignment.from_summary(SummaryState(2.0, seq_abc.initial_marking))
+        assert summary_only.fitness_cost == 2.0
 
-        with_state = CaseRecord(
-            "3",
-            PrefixAlignment.from_summary(SummaryState(2.0, seq_abc.initial_marking)).append(
-                Move.log("X"), 1.0, seq_abc.initial_marking
-            ),
-            last_update=0,
-            event_count=1,
-        )
-        assert effective_cost(with_state) == 3.0
+        with_state = summary_only.append(Move.log("X"), 1.0, seq_abc.initial_marking)
+        assert with_state.fitness_cost == 3.0
 
     def test_stored_state_count(self, seq_abc):
         from streamcc import SummaryRepository

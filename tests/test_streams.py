@@ -17,7 +17,6 @@ from streamcc import (
     parse_xes_log,
     replay,
     replicate_events,
-    replicate_stream,
 )
 
 XES_TWO_TRACES = b"""<?xml version="1.0" encoding="UTF-8"?>
@@ -214,24 +213,26 @@ class TestPacedReplay:
 class TestReplicate:
     def test_k1_identical_to_replay(self, data_dir):
         log = parse_csv_log(data_dir / "sample_stream.csv")
-        assert list(replicate_stream(log, 1)) == list(replay(log))
+        assert list(replicate_events(list(replay(log)), 1)) == list(replay(log))
 
     def test_k2_renames_second_copy(self):
         events = tuple(
             Event(i + 1, "c1", f"A{i}", datetime(2021, 1, 1, i)) for i in range(3)
         )
         log = EventLog(events)
-        stream = list(replicate_stream(log, 2))
+        stream = list(replicate_events(list(replay(log)), 2))
         assert len(stream) == 6
         assert [e.case_id for e in stream[:3]] == ["c1"] * 3
         assert [e.case_id for e in stream[3:]] == ["c1~r2"] * 3
         assert [e.arrival_index for e in stream] == list(range(6))
+        # replay carries the logged time; every copy keeps it
+        assert [e.timestamp for e in stream] == [e.timestamp for e in events] * 2
 
     def test_k_copies_per_event(self):
         events = tuple(
             Event(i + 1, f"c{i}", "A", datetime(2021, 1, 1 + i)) for i in range(4)
         )
-        stream = list(replicate_stream(EventLog(events), 3))
+        stream = list(replicate_events(list(replay(EventLog(events))), 3))
         counts = Counter(e.activity for e in stream)
         assert counts == {"A": 12}
         case_ids = {e.case_id for e in stream}
