@@ -95,15 +95,6 @@ class CostModel:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
-    def of(self, kind: MoveKind) -> float:
-        if kind is MoveKind.SYNCHRONOUS:
-            return self.sync_cost
-        if kind is MoveKind.LOG:
-            return self.log_cost
-        if kind is MoveKind.MODEL:
-            return self.model_cost
-        return self.silent_model_cost
-
 
 DEFAULT_COST_MODEL = CostModel()
 
@@ -126,12 +117,11 @@ class SummaryState:
 
 @dataclass(frozen=True)
 class AlignmentState:
-    """A move stored with its cost, the marking it reaches and its position."""
+    """A move stored with its cost and the marking it reaches."""
 
     move: Move
     move_cost: float
     marking_after: Marking
-    index: int
 
 
 @dataclass(frozen=True)
@@ -181,7 +171,7 @@ class PrefixAlignment:
         )
 
     def append(self, move: Move, move_cost: float, marking_after: Marking) -> "PrefixAlignment":
-        state = AlignmentState(move, move_cost, marking_after, index=len(self.states) + 1)
+        state = AlignmentState(move, move_cost, marking_after)
         return replace(self, states=self.states + (state,))
 
     def with_summary(self, summary: SummaryState | None) -> "PrefixAlignment":
@@ -268,7 +258,7 @@ def shortest_path_prefix_alignment(
                 return
             ng = g + step
             nf = ng + h_unit * (total - next_pos)
-            state = AlignmentState(move, step, next_marking, index=0)
+            state = AlignmentState(move, step, next_marking)
             heapq.heappush(
                 frontier, (nf, _KIND_RANK[move.kind], next(ticket), ng, next_key, (key, state))
             )
@@ -313,8 +303,4 @@ def _reconstruct(
         states.append(state)
         key = parent
     states.reverse()
-    indexed = tuple(
-        AlignmentState(s.move, s.move_cost, s.marking_after, i + 1)
-        for i, s in enumerate(states)
-    )
-    return PrefixAlignment(base_marking=start, states=indexed)
+    return PrefixAlignment(base_marking=start, states=tuple(states))

@@ -197,7 +197,6 @@ def evaluate_policies(
     replication: int = 1,
     search_budget: int = DEFAULT_SEARCH_BUDGET,
     reference_search_budget: int | None = None,
-    reference_cost_model: CostModel = DEFAULT_COST_MODEL,
     jobs: int = 1,
 ) -> ExperimentResult:
     """Run every policy over the stream and compare it to the baseline.
@@ -214,12 +213,9 @@ def evaluate_policies(
     events = list(events)
     if not events:
         raise ValueError("empty stream")
-    refs = reference_costs(
-        net,
-        events,
-        reference_cost_model,
-        search_budget if reference_search_budget is None else reference_search_budget,
-    )
+    if reference_search_budget is None:
+        reference_search_budget = search_budget
+    refs = reference_costs(net, events, search_budget=reference_search_budget)
     if jobs > 1 and len(policies) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [

@@ -63,9 +63,6 @@ class Marking:
                 return c
         return 0
 
-    def places(self) -> tuple[str, ...]:
-        return tuple(p for p, _ in self.entries)
-
     def total_tokens(self) -> int:
         return sum(c for _, c in self.entries)
 

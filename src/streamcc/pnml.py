@@ -43,8 +43,6 @@ def _parse_root(source: str | Path | bytes | IO[bytes]) -> ET.Element:
     try:
         if isinstance(source, bytes):
             return ET.fromstring(source)
-        if isinstance(source, (str, Path)):
-            return ET.parse(source).getroot()
         return ET.parse(source).getroot()
     except ET.ParseError as exc:
         line, column = exc.position
@@ -133,9 +131,9 @@ def load_pnml(
             if not source_id or not target_id:
                 raise ValidationError("<arc> without source/target")
             weight = _text_of(el, "inscription")
-            if weight and weight.isdigit() and int(weight) != 1:
+            if weight is not None and weight != "1":
                 raise ValidationError(
-                    f"arc {source_id!r}->{target_id!r} has weight {weight}; only weight-1 arcs are supported"
+                    f"arc {source_id!r}->{target_id!r} has weight {weight!r}; only weight-1 arcs are supported"
                 )
             if (source_id, target_id) in arcs:
                 raise ValidationError(f"duplicate arc {source_id!r}->{target_id!r}")

@@ -11,13 +11,11 @@ position instead of being penalized for the missing prefix.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
 from .alignment import (
-    AlignmentState,
     DEFAULT_COST_MODEL,
     DEFAULT_SEARCH_BUDGET,
     CostModel,
@@ -123,9 +121,6 @@ class CaseStore:
         """Records in admission order (the forgetting scan order)."""
         return iter(self._records.values())
 
-    def case_ids(self) -> tuple[str, ...]:
-        return tuple(self._records)
-
 
 class SummaryRepository:
     """Single-state summaries of forgotten cases (the policies' R_C)."""
@@ -189,38 +184,32 @@ def truncate_states(pa: PrefixAlignment, w: int) -> PrefixAlignment:
     if len(pa.states) <= keep:
         return pa
     dropped = pa.states[:-keep]
-    survivors = pa.states[-keep:]
     carried = pa.summary.kappa_o if pa.summary is not None else 0.0
     summary = SummaryState(
         kappa_o=carried + sum(s.move_cost for s in dropped),
         carry_marking=dropped[-1].marking_after,
     )
-    renumbered = tuple(
-        AlignmentState(s.move, s.move_cost, s.marking_after, i + 1)
-        for i, s in enumerate(survivors)
-    )
     return PrefixAlignment(
-        base_marking=summary.carry_marking, states=renumbered, summary=summary
+        base_marking=summary.carry_marking, states=pa.states[-keep:], summary=summary
     )
 
 
-def _forgetting_class(record: CaseRecord) -> tuple[bool, int]:
-    """(is compliant monuple, preference class 2..4) for one record."""
+def _forgetting_rank(record: CaseRecord) -> int:
+    """Forgetting preference 1..4 of one record; 1 is a compliant monuple."""
     pa = record.prefix_alignment
     summary = pa.summary
-    monuple = (
+    if (
         record.event_count == 1
         and summary is None
         and len(pa.states) == 1
         and pa.states[0].move.kind is MoveKind.SYNCHRONOUS
-    )
+    ):
+        return 1
     if summary is not None and summary.kappa_o > 0:
-        preference = 2
-    elif pa.fitness_cost == 0:
-        preference = 3
-    else:
-        preference = 4
-    return monuple, preference
+        return 2
+    if pa.fitness_cost == 0:
+        return 3
+    return 4
 
 
 def select_forget_victim(store: CaseStore) -> str:
@@ -237,12 +226,12 @@ def select_forget_victim(store: CaseStore) -> str:
         raise ValueError("cannot select a victim from an empty store")
     best: tuple[int, int, str] | None = None
     for record in store.records():
-        monuple, preference = _forgetting_class(record)
-        if monuple:
+        rank = _forgetting_rank(record)
+        if rank == 1:
             return record.case_id
-        rank = (preference, record.last_update, record.case_id)
-        if best is None or rank < best:
-            best = rank
+        key = (rank, record.last_update, record.case_id)
+        if best is None or key < best:
+            best = key
     assert best is not None
     return best[2]
 
@@ -253,10 +242,13 @@ class ConformanceEngine:
     Engines for different configurations are independent; all produced
     values are plain immutable data.
 
-    Bounded-cases engines keep an incremental index of forgetting
-    preferences so eviction does not rescan the whole store on every
-    orphan event; it selects exactly the case
-    :func:`select_forget_victim` would.
+    Engines with a case limit keep an incremental forgetting index so
+    eviction does not rescan the whole store on every orphan event: one
+    insertion-ordered bucket of case ids per preference rank, and each
+    case's rank. Every successful event moves its case to the end of its
+    bucket, so each bucket is in ``last_update`` order and the first case
+    of the first non-empty bucket is exactly the case
+    :func:`select_forget_victim` would pick.
     """
 
     def __init__(
@@ -269,17 +261,13 @@ class ConformanceEngine:
         self.net = net
         self.config = config or PolicyConfig(Policy.BASELINE)
         self.search_budget = search_budget
-        self._bounded_cases = self.config.policy in (Policy.BOUNDED_CASES, Policy.COMBINED)
-        self.store = CaseStore(capacity=self.config.n if self._bounded_cases else None)
+        self.store = CaseStore(capacity=self.config.n)
         self.repo = SummaryRepository()
         self.events_processed = 0
         self.search_count = 0
         self.extension_count = 0
-        # index state: monuples in admission order; per-class heaps of
-        # (last_update, case_id) with lazy invalidation via _index_state
-        self._monuples: dict[str, None] = {}
-        self._class_heaps: dict[int, list[tuple[int, str]]] = {2: [], 3: [], 4: []}
-        self._index_state: dict[str, tuple[int, int]] = {}
+        self._buckets: dict[int, dict[str, None]] = {rank: {} for rank in (1, 2, 3, 4)}
+        self._ranks: dict[str, int] = {}
 
     @property
     def stored_state_count(self) -> int:
@@ -303,30 +291,39 @@ class ConformanceEngine:
     def process(
         self, case_id: str, activity: ActivityLabel, event_ref: EventRef | None = None
     ) -> EventOutcome:
+        """Align one event of ``case_id`` and report the case's new cost.
+
+        A raised :class:`SearchBudgetExceeded` leaves the engine unchanged:
+        the new alignment is computed and truncated before the store, the
+        summary repository or the forgetting index is touched.
+        """
         index = self.events_processed
-        policy = self.config.policy
-        bounded_cases = self._bounded_cases
+        w, n = self.config.w, self.config.n
 
         record = self.store.get(case_id)
-        if record is None:
-            summary = self.repo.pop(case_id) if bounded_cases else None
-            if bounded_cases and len(self.store) >= self.config.n:
-                self._evict_one()
+        if record is not None:
+            pa = record.prefix_alignment
+        else:
+            summary = self.repo.get(case_id)
             pa = (
                 PrefixAlignment.from_summary(summary)
                 if summary is not None
                 else PrefixAlignment.empty(self.net.initial_marking)
             )
+        pa, method = self._compute(pa, case_id, activity, event_ref)
+        if w is not None:
+            pa = truncate_states(pa, w)
+
+        if record is None:
+            self.repo.pop(case_id)
+            if n is not None and len(self.store) >= n:
+                self._evict_one()
             record = CaseRecord(case_id, pa, last_update=index)
             self.store.add(record)
-
-        pa, method = self._compute(record.prefix_alignment, case_id, activity, event_ref)
-        if policy in (Policy.BOUNDED_STATES, Policy.COMBINED):
-            pa = truncate_states(pa, self.config.w)
         record.prefix_alignment = pa
         record.last_update = index
         record.event_count += 1
-        if bounded_cases:
+        if n is not None:
             self._index_record(record)
         self.events_processed = index + 1
 
@@ -388,35 +385,21 @@ class ConformanceEngine:
     # -- forgetting index --------------------------------------------------
 
     def _index_record(self, record: CaseRecord) -> None:
-        monuple, preference = _forgetting_class(record)
+        """Move the case to the end of the bucket of its current rank."""
         case_id = record.case_id
-        if monuple:
-            self._monuples[case_id] = None
-        else:
-            self._monuples.pop(case_id, None)
-        self._index_state[case_id] = (preference, record.last_update)
-        heapq.heappush(self._class_heaps[preference], (record.last_update, case_id))
+        previous = self._ranks.get(case_id)
+        if previous is not None:
+            del self._buckets[previous][case_id]
+        rank = _forgetting_rank(record)
+        self._ranks[case_id] = rank
+        self._buckets[rank][case_id] = None
 
     def _unindex(self, case_id: str) -> None:
-        self._monuples.pop(case_id, None)
-        self._index_state.pop(case_id, None)
+        del self._buckets[self._ranks.pop(case_id)][case_id]
 
     def _pick_victim(self) -> str:
-        """Same choice as :func:`select_forget_victim`, via the index.
-
-        Monuples are kept in admission order (their status is decided when
-        their single event is processed, immediately after admission), so
-        the first one matches the scan's early stop. Otherwise the lowest
-        non-empty preference class yields its least recently updated case;
-        stale heap entries are discarded lazily.
-        """
-        if self._monuples:
-            return next(iter(self._monuples))
-        for preference in (2, 3, 4):
-            heap = self._class_heaps[preference]
-            while heap:
-                last_update, case_id = heap[0]
-                if self._index_state.get(case_id) == (preference, last_update):
-                    return case_id
-                heapq.heappop(heap)
-        raise RuntimeError("forgetting index out of sync with a non-empty store")
+        """The first case of the first non-empty bucket, as :func:`select_forget_victim` picks."""
+        for bucket in self._buckets.values():
+            if bucket:
+                return next(iter(bucket))
+        raise RuntimeError("no case to forget: the forgetting index is empty")

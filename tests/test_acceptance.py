@@ -16,10 +16,12 @@ from streamcc import (
     CaseRecord,
     CaseStore,
     ConformanceEngine,
+    DEFAULT_SEARCH_BUDGET,
     Move,
     Policy,
     PolicyConfig,
     PrefixAlignment,
+    SearchBudgetExceeded,
     StreamEvent,
     StreamSpec,
     SummaryState,
@@ -366,13 +368,16 @@ class TestCriterion6ForgettingCriteria:
                 )
             )
         )
-        for config in (
-            PolicyConfig(Policy.BOUNDED_CASES, n=5),
-            PolicyConfig(Policy.COMBINED, w=2, n=7),
+        # (config, search budget, least number of checked evictions)
+        for config, budget, min_checked in (
+            (PolicyConfig(Policy.BOUNDED_CASES, n=5), DEFAULT_SEARCH_BUDGET, 475),
+            (PolicyConfig(Policy.COMBINED, w=2, n=7), DEFAULT_SEARCH_BUDGET, 405),
+            (PolicyConfig(Policy.BOUNDED_CASES, n=5), 5, 1),
         ):
-            engine = ConformanceEngine(net, config)
+            engine = ConformanceEngine(net, config, search_budget=budget)
             evict = engine._evict_one
             checked = 0
+            failed = 0
 
             def checked_evict():
                 nonlocal checked
@@ -382,8 +387,18 @@ class TestCriterion6ForgettingCriteria:
 
             engine._evict_one = checked_evict
             for e in events:
-                engine.process(e.case_id, e.activity, e.arrival_index)
-            assert checked > 0
+                try:
+                    engine.process(e.case_id, e.activity, e.arrival_index)
+                except SearchBudgetExceeded:
+                    failed += 1
+                # exactly one index entry per stored case, in the bucket of its rank
+                entries = sorted(c for bucket in engine._buckets.values() for c in bucket)
+                assert entries == sorted(r.case_id for r in engine.store.records())
+                assert engine._ranks == {
+                    c: rank for rank, bucket in engine._buckets.items() for c in bucket
+                }
+            assert checked >= min_checked
+            assert (failed > 0) == (budget < DEFAULT_SEARCH_BUDGET)
 
     def test_report(self):
         report("ACCEPTANCE 6 forgetting-criteria: PASS (all conditions, early stop, LRU)")

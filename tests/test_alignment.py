@@ -205,10 +205,6 @@ class TestAlignmentAccessors:
         assert pa.states[-1].move.kind is MoveKind.LOG
         assert pa.states[-1].marking_after == pa.states[-2].marking_after
 
-    def test_state_indices_are_positional(self, seq_abc):
-        pa = shortest_path_prefix_alignment(seq_abc, seq_abc.initial_marking, ["A", "X", "B"])
-        assert [s.index for s in pa.states] == list(range(1, len(pa.states) + 1))
-
 
 class TestSearchProperties:
     def test_matches_brute_force_on_random_nets(self):

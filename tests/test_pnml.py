@@ -72,12 +72,15 @@ class TestLoadPnml:
         assert net.is_silent("B")
 
     def test_weighted_arc_rejected(self):
-        doc = SEQ_ABC_PNML.replace(
-            b'<arc id="a1" source="s" target="A"/>',
-            b'<arc id="a1" source="s" target="A"><inscription><text>2</text></inscription></arc>',
-        )
-        with pytest.raises(ValidationError):
-            load_pnml(doc)
+        for weight in (b"2", b"-2", b"2.0", b"x"):
+            doc = SEQ_ABC_PNML.replace(
+                b'<arc id="a1" source="s" target="A"/>',
+                b'<arc id="a1" source="s" target="A"><inscription><text>'
+                + weight
+                + b"</text></inscription></arc>",
+            )
+            with pytest.raises(ValidationError, match="'s'->'A'"):
+                load_pnml(doc)
 
     def test_malformed_xml_parse_error_carries_position(self):
         with pytest.raises(ParseError) as excinfo:

@@ -14,6 +14,7 @@ from streamcc import (
     Policy,
     PolicyConfig,
     PrefixAlignment,
+    SearchBudgetExceeded,
     StreamSpec,
     SummaryState,
     cyclic_sequence_net,
@@ -138,7 +139,7 @@ class TestTruncateStates:
     def test_indices_renumbered(self):
         net = cyclic_sequence_net(6)
         truncated = truncate_states(make_pa(net, ["A0", "A1", "A2", "A3", "A4"]), 3)
-        assert [s.index for s in truncated.states] == [1, 2]
+        assert [s.move.activity for s in truncated.states] == ["A3", "A4"]
 
 
 class TestBoundedStates:
@@ -325,6 +326,45 @@ class TestBoundedCases:
         outcome = engine.process("bad", "A", 2)  # restored; A syncs from the carry marking
         assert outcome.effective_cost == 1.0
         assert outcome.residual_cost == 1.0
+
+    def test_failed_first_event_admits_nothing(self, seq_abc):
+        engine = ConformanceEngine(
+            seq_abc, PolicyConfig(Policy.BOUNDED_CASES, n=1), search_budget=0
+        )
+        with pytest.raises(SearchBudgetExceeded):
+            engine.process("a", "X", 0)  # alien: needs a search
+        outcome = engine.process("b", "A", 0)
+        assert outcome.effective_cost == 0.0
+        assert [r.case_id for r in engine.store.records()] == ["b"]
+        assert len(engine.repo) == 0
+
+    def test_failed_event_leaves_engine_unchanged(self, seq_abc):
+        engine = ConformanceEngine(
+            seq_abc, PolicyConfig(Policy.BOUNDED_CASES, n=1), search_budget=0
+        )
+        engine.process("a", "A", 0)
+        engine.process("b", "A", 1)  # evicts a into the repository
+
+        def snapshot():
+            records = [
+                (r.case_id, r.prefix_alignment, r.last_update, r.event_count)
+                for r in engine.store.records()
+            ]
+            return (
+                records,
+                list(engine.repo.items()),
+                engine.stored_state_count,
+                engine._pick_victim(),
+                engine.events_processed,
+            )
+
+        before = snapshot()
+        # a new case, the stored case, and a case resumed from its summary
+        for case_id, activity in (("c", "X"), ("b", "C"), ("a", "X")):
+            with pytest.raises(SearchBudgetExceeded):
+                engine.process(case_id, activity, 2)
+            assert snapshot() == before
+        assert "a" in engine.repo
 
     def test_huge_n_equals_baseline(self):
         net = cyclic_sequence_net(10)
