@@ -10,9 +10,8 @@ explained"; the model part does not have to reach the final marking.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from itertools import count
 from typing import Sequence
 
@@ -130,12 +129,23 @@ class PrefixAlignment:
 
     ``base_marking`` is the marking from which the first state proceeds:
     the net's initial marking for fresh cases, or the carry-forward
-    marking when a summary is present.
+    marking when a summary is present. ``moves_cost`` is the sum of the
+    states' move costs, added left to right; it is computed from
+    ``states`` when omitted, and :meth:`append` and :meth:`with_summary`
+    carry it forward instead of summing again.
     """
 
     base_marking: Marking
     states: tuple[AlignmentState, ...] = ()
     summary: SummaryState | None = None
+    moves_cost: float = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        if self.moves_cost is None:
+            total = 0
+            for s in self.states:
+                total += s.move_cost
+            object.__setattr__(self, "moves_cost", total)
 
     @classmethod
     def empty(cls, start: Marking) -> "PrefixAlignment":
@@ -145,15 +155,11 @@ class PrefixAlignment:
     def from_summary(cls, summary: SummaryState) -> "PrefixAlignment":
         return cls(base_marking=summary.carry_marking, summary=summary)
 
-    @cached_property
+    @property
     def fitness_cost(self) -> float:
-        """Sum of all move costs, including the summary's carried cost.
-
-        Cached: alignments are immutable and the forgetting scan reads
-        this for every stored case.
-        """
+        """Sum of all move costs, including the summary's carried cost."""
         carried = self.summary.kappa_o if self.summary is not None else 0.0
-        return carried + sum(s.move_cost for s in self.states)
+        return carried + self.moves_cost
 
     @property
     def current_marking(self) -> Marking:
@@ -172,10 +178,12 @@ class PrefixAlignment:
 
     def append(self, move: Move, move_cost: float, marking_after: Marking) -> "PrefixAlignment":
         state = AlignmentState(move, move_cost, marking_after)
-        return replace(self, states=self.states + (state,))
+        return PrefixAlignment(
+            self.base_marking, self.states + (state,), self.summary, self.moves_cost + move_cost
+        )
 
     def with_summary(self, summary: SummaryState | None) -> "PrefixAlignment":
-        return replace(self, summary=summary)
+        return PrefixAlignment(self.base_marking, self.states, summary, self.moves_cost)
 
 
 def extend_model_semantics(

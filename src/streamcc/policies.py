@@ -161,7 +161,11 @@ class EventOutcome:
 
 
 def stored_state_count(store: CaseStore, repo: SummaryRepository | None = None) -> int:
-    """Total states held in memory; summaries count one state each."""
+    """Total states held in memory; summaries count one state each.
+
+    A full scan: the reference that :attr:`ConformanceEngine.stored_state_count`
+    keeps up to date incrementally.
+    """
     total = sum(r.prefix_alignment.state_count for r in store.records())
     if repo is not None:
         total += len(repo)
@@ -242,6 +246,12 @@ class ConformanceEngine:
     Engines for different configurations are independent; all produced
     values are plain immutable data.
 
+    :attr:`stored_state_count` is a gauge the engine updates as it
+    admits, updates, evicts and resumes cases, so reading it is O(1).
+    It counts only what the engine did: a caller who changes ``store``
+    or ``repo`` directly must not rely on it. The module-level
+    :func:`stored_state_count` is the reference scan it must equal.
+
     Engines with a case limit keep an incremental forgetting index so
     eviction does not rescan the whole store on every orphan event: one
     insertion-ordered bucket of case ids per preference rank, and each
@@ -268,10 +278,12 @@ class ConformanceEngine:
         self.extension_count = 0
         self._buckets: dict[int, dict[str, None]] = {rank: {} for rank in (1, 2, 3, 4)}
         self._ranks: dict[str, int] = {}
+        self._stored_slots = 0
 
     @property
     def stored_state_count(self) -> int:
-        return stored_state_count(self.store, self.repo)
+        """State slots held: stored states plus one per summary."""
+        return self._stored_slots
 
     def residual_cost(self, case_id: str) -> float:
         """Carried cost of the case's forgotten prefix (0 when nothing was forgotten)."""
@@ -285,6 +297,15 @@ class ConformanceEngine:
         return summary.kappa_o
 
     def process_stream(self, events: Iterable[StreamEvent]) -> Iterator[EventOutcome]:
+        """Yield the outcome of each event in turn.
+
+        The first :class:`SearchBudgetExceeded` propagates out of the
+        generator and closes it, so the rest of ``events`` is not
+        processed, although the failed event left the engine unchanged.
+        A caller who wants to go on past a failed event loops over
+        :meth:`process` itself, or calls this method again on the
+        remaining events.
+        """
         for event in events:
             yield self.process(event.case_id, event.activity, event.arrival_index)
 
@@ -295,7 +316,8 @@ class ConformanceEngine:
 
         A raised :class:`SearchBudgetExceeded` leaves the engine unchanged:
         the new alignment is computed and truncated before the store, the
-        summary repository or the forgetting index is touched.
+        summary repository, the forgetting index or the slot gauge is
+        touched.
         """
         index = self.events_processed
         w, n = self.config.w, self.config.n
@@ -315,12 +337,16 @@ class ConformanceEngine:
             pa = truncate_states(pa, w)
 
         if record is None:
-            self.repo.pop(case_id)
+            if self.repo.pop(case_id) is not None:
+                self._stored_slots -= 1
             if n is not None and len(self.store) >= n:
                 self._evict_one()
             record = CaseRecord(case_id, pa, last_update=index)
             self.store.add(record)
-        record.prefix_alignment = pa
+            self._stored_slots += pa.state_count
+        else:
+            self._stored_slots += pa.state_count - record.prefix_alignment.state_count
+            record.prefix_alignment = pa
         record.last_update = index
         record.event_count += 1
         if n is not None:
@@ -377,6 +403,7 @@ class ConformanceEngine:
         victim = self.store.pop(victim_id)
         self._unindex(victim_id)
         pa = victim.prefix_alignment
+        self._stored_slots += 1 - pa.state_count
         self.repo.put(
             victim_id,
             SummaryState(kappa_o=pa.fitness_cost, carry_marking=pa.current_marking),

@@ -26,7 +26,10 @@ ALPHABET = ["A", "B", "C", "D", "E", "F", "G", "H", "K"]
 
 
 def checked_replay(engine: ConformanceEngine, events: list[StreamEvent]) -> list[EventOutcome]:
-    """Process a stream, asserting the engine's memory bounds after every event."""
+    """Process a stream, asserting the engine's memory bounds after every event.
+
+    Also checks the engine's slot gauge against the reference scan.
+    """
     w = engine.config.w
     n = engine.config.n
     outcomes = []
@@ -44,6 +47,7 @@ def checked_replay(engine: ConformanceEngine, events: list[StreamEvent]) -> list
             assert stored_state_count(engine.store, engine.repo) <= limit
         for case_id, _ in engine.repo.items():
             assert case_id not in engine.store, f"case {case_id} in both stores"
+        assert engine.stored_state_count == stored_state_count(engine.store, engine.repo)
     return outcomes
 
 

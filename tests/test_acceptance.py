@@ -34,6 +34,7 @@ from streamcc import (
     replicate_events,
     select_forget_victim,
     shortest_path_prefix_alignment,
+    stored_state_count,
 )
 
 from oracles import brute_force_min_cost, checked_replay, random_net, random_trace
@@ -373,6 +374,7 @@ class TestCriterion6ForgettingCriteria:
             (PolicyConfig(Policy.BOUNDED_CASES, n=5), DEFAULT_SEARCH_BUDGET, 475),
             (PolicyConfig(Policy.COMBINED, w=2, n=7), DEFAULT_SEARCH_BUDGET, 405),
             (PolicyConfig(Policy.BOUNDED_CASES, n=5), 5, 1),
+            (PolicyConfig(Policy.COMBINED, w=1, n=1), DEFAULT_SEARCH_BUDGET, 593),
         ):
             engine = ConformanceEngine(net, config, search_budget=budget)
             evict = engine._evict_one
@@ -397,6 +399,7 @@ class TestCriterion6ForgettingCriteria:
                 assert engine._ranks == {
                     c: rank for rank, bucket in engine._buckets.items() for c in bucket
                 }
+                assert engine.stored_state_count == stored_state_count(engine.store, engine.repo)
             assert checked >= min_checked
             assert (failed > 0) == (budget < DEFAULT_SEARCH_BUDGET)
 

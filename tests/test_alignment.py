@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from streamcc import (
     CostModel,
@@ -15,6 +16,7 @@ from streamcc import (
     SummaryState,
     extend_model_semantics,
     shortest_path_prefix_alignment,
+    truncate_states,
 )
 
 from oracles import brute_force_min_cost, random_net, random_trace
@@ -204,6 +206,46 @@ class TestAlignmentAccessors:
         pa = shortest_path_prefix_alignment(seq_abc, seq_abc.initial_marking, ["A", "X"])
         assert pa.states[-1].move.kind is MoveKind.LOG
         assert pa.states[-1].marking_after == pa.states[-2].marking_after
+
+
+FRACTIONAL_COSTS = CostModel(sync_cost=0.05, log_cost=0.1, model_cost=0.3, silent_model_cost=0.01)
+
+_OPERATIONS = st.one_of(
+    st.tuples(st.just("append"), st.sampled_from(["A", "B", "C", "D", "Z"])),
+    st.tuples(st.just("summary"), st.floats(min_value=0.0, max_value=10.0)),
+    st.tuples(st.just("truncate"), st.integers(min_value=1, max_value=4)),
+    st.tuples(st.just("search"), st.sampled_from(["A", "B", "C", "D", "Z"])),
+)
+
+
+def _left_to_right(costs) -> float:
+    # the order in which builtin sum() adds floats up to Python 3.11
+    total = 0
+    for cost in costs:
+        total += cost
+    return total
+
+
+class TestRunningCost:
+    @given(seed=st.integers(min_value=0, max_value=50), operations=st.lists(_OPERATIONS, max_size=25))
+    def test_carried_sum_is_bit_exact(self, seed, operations):
+        net = random_net(random.Random(seed))
+        cm = FRACTIONAL_COSTS
+        pa = PrefixAlignment.empty(net.initial_marking)
+        for op, arg in operations:
+            if op == "append":
+                extended = extend_model_semantics(net, pa, arg, None, cm)
+                pa = extended or pa.append(Move.log(arg), cm.log_cost, pa.current_marking)
+            elif op == "summary":
+                pa = pa.with_summary(SummaryState(kappa_o=arg, carry_marking=pa.base_marking))
+            elif op == "truncate":
+                pa = truncate_states(pa, arg)
+            else:  # recompute as the engine does: from the base marking, keep the summary
+                trace = pa.log_projection() + ((arg, None),)
+                fresh = shortest_path_prefix_alignment(net, pa.base_marking, trace, cm)
+                pa = fresh.with_summary(pa.summary)
+            carried = pa.summary.kappa_o if pa.summary is not None else 0.0
+            assert pa.fitness_cost == carried + _left_to_right(s.move_cost for s in pa.states)
 
 
 class TestSearchProperties:

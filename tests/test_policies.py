@@ -15,6 +15,7 @@ from streamcc import (
     PolicyConfig,
     PrefixAlignment,
     SearchBudgetExceeded,
+    StreamEvent,
     StreamSpec,
     SummaryState,
     cyclic_sequence_net,
@@ -87,6 +88,22 @@ class TestBaseline:
         assert [o.effective_cost for o in outcomes] == [0, 1, 1]
         assert outcomes[1].method is Method.SHORTEST_PATH
         assert outcomes[2].method is Method.MODEL_SEMANTICS
+
+    def test_process_stream_can_be_called_again_after_a_failed_event(self, seq_abc):
+        engine = ConformanceEngine(seq_abc, search_budget=0)
+        events = [StreamEvent("a", "X", 0), StreamEvent("b", "A", 1)]
+
+        def snapshot():
+            records = [(r.case_id, r.prefix_alignment) for r in engine.store.records()]
+            return records, list(engine.repo.items()), engine.stored_state_count, engine.events_processed
+
+        before = snapshot()
+        with pytest.raises(SearchBudgetExceeded):
+            list(engine.process_stream(events))  # "X" needs a search
+        assert snapshot() == before
+        (outcome,) = engine.process_stream(events[1:])
+        assert (outcome.case_id, outcome.effective_cost) == ("b", 0.0)
+        assert engine.stored_state_count == 1
 
 
 class TestTruncateStates:
@@ -443,6 +460,7 @@ class TestAccessors:
             for i in range(6):
                 engine.process(case, f"A{i}", 0)
         assert stored_state_count(engine.store, engine.repo) == 3 * 3
+        assert engine.stored_state_count == 3 * 3
 
 
 class TestPolicyProperties:
