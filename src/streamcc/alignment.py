@@ -32,12 +32,9 @@ class MoveKind(Enum):
 
 
 # Expansion preference for equal-cost paths: sync > silent > model > log.
-_KIND_RANK = {
-    MoveKind.SYNCHRONOUS: 0,
-    MoveKind.SILENT_MODEL: 1,
-    MoveKind.MODEL: 2,
-    MoveKind.LOG: 3,
-}
+# A kind's rank in the search is its index here.
+_KINDS_BY_RANK = (MoveKind.SYNCHRONOUS, MoveKind.SILENT_MODEL, MoveKind.MODEL, MoveKind.LOG)
+_SYNC, _SILENT, _MODEL, _LOG = range(4)
 
 
 @dataclass(frozen=True)
@@ -201,14 +198,11 @@ def extend_model_semantics(
     lowest transition id fires.
     """
     marking = pa.current_marking
-    candidates = [
-        t for t in net.transitions_labeled(activity) if net.is_enabled(marking, t)
-    ]
-    if not candidates:
-        return None
-    transition = min(candidates)
-    move = Move.sync(activity, transition, event_ref)
-    return pa.append(move, cost_model.sync_cost, net.fire(marking, transition))
+    for transition in net.transitions_labeled(activity):
+        if net.is_enabled(marking, transition):
+            move = Move.sync(activity, transition, event_ref)
+            return pa.append(move, cost_model.sync_cost, net.fire(marking, transition))
+    return None
 
 
 def shortest_path_prefix_alignment(
@@ -236,51 +230,54 @@ def shortest_path_prefix_alignment(
         raise ValueError("trace must be non-empty")
     total = len(events)
     h_unit = min(cost_model.sync_cost, cost_model.log_cost)
+    step_costs = (  # by kind rank
+        cost_model.sync_cost, cost_model.silent_model_cost, cost_model.model_cost, cost_model.log_cost
+    )
 
-    # closed: (marking, pos) -> (parent key, state reached from parent) for
-    # path reconstruction; None marks the start node.
-    closed: dict[tuple[Marking, int], tuple[tuple[Marking, int], AlignmentState] | None] = {}
+    # Entries are (f, kind rank, ticket, g, key, parent key, transition,
+    # move cost); closed maps each expanded key to the entry that reached it,
+    # and only _reconstruct turns the returned path into moves.
+    closed: dict[tuple[Marking, int], tuple] = {}
     ticket = count()
     start_key = (start, 0)
-    frontier: list[tuple] = [(h_unit * total, 0, next(ticket), 0.0, start_key, None)]
+    frontier: list[tuple] = [(h_unit * total, 0, next(ticket), 0.0, start_key, None, None, 0.0)]
     expansions = 0
 
     while frontier:
-        _, _, _, g, key, via = heapq.heappop(frontier)
+        entry = heapq.heappop(frontier)
+        key = entry[4]
         if key in closed:
             continue
-        closed[key] = via
+        closed[key] = entry
         marking, pos = key
         if pos == total:
-            return _reconstruct(start, start_key, key, closed)
+            return _reconstruct(start, start_key, key, closed, events)
         expansions += 1
         if expansions > budget:
             raise SearchBudgetExceeded(budget)
 
-        activity, ref = events[pos]
-        enabled = sorted(net.enabled_transitions(marking))
+        activity = events[pos][0]
+        edges = []
+        for t in net.enabled_transitions(marking):
+            fired = net.fire(marking, t)
+            label = net.label(t)
+            if label is None:
+                edges.append((_SILENT, t, fired, pos))
+                continue
+            if label == activity:
+                edges.append((_SYNC, t, fired, pos + 1))
+            edges.append((_MODEL, t, fired, pos))
+        edges.append((_LOG, None, marking, pos + 1))
 
-        def push(move: Move, step: float, next_marking: Marking, next_pos: int) -> None:
+        g = entry[3]
+        for rank, t, next_marking, next_pos in edges:
             next_key = (next_marking, next_pos)
             if next_key in closed:
-                return
+                continue
+            step = step_costs[rank]
             ng = g + step
             nf = ng + h_unit * (total - next_pos)
-            state = AlignmentState(move, step, next_marking)
-            heapq.heappush(
-                frontier, (nf, _KIND_RANK[move.kind], next(ticket), ng, next_key, (key, state))
-            )
-
-        for t in enabled:
-            if net.label(t) == activity:
-                push(Move.sync(activity, t, ref), cost_model.sync_cost, net.fire(marking, t), pos + 1)
-        for t in enabled:
-            if net.is_silent(t):
-                push(Move.silent(t), cost_model.silent_model_cost, net.fire(marking, t), pos)
-        for t in enabled:
-            if not net.is_silent(t):
-                push(Move.model(t), cost_model.model_cost, net.fire(marking, t), pos)
-        push(Move.log(activity, ref), cost_model.log_cost, marking, pos + 1)
+            heapq.heappush(frontier, (nf, rank, next(ticket), ng, next_key, key, t, step))
 
     raise SearchBudgetExceeded(budget)  # unreachable: the all-log path always exists
 
@@ -290,11 +287,8 @@ def _normalize_trace(
 ) -> tuple[tuple[ActivityLabel, EventRef | None], ...]:
     events = []
     for item in trace:
-        if isinstance(item, str):
-            events.append((item, None))
-        else:
-            activity, ref = item
-            events.append((activity, ref))
+        activity, ref = (item, None) if isinstance(item, str) else item
+        events.append((activity, ref))
     return tuple(events)
 
 
@@ -303,12 +297,18 @@ def _reconstruct(
     start_key: tuple[Marking, int],
     goal_key: tuple[Marking, int],
     closed: dict,
+    events: tuple[tuple[ActivityLabel, EventRef | None], ...],
 ) -> PrefixAlignment:
     states: list[AlignmentState] = []
     key = goal_key
     while key != start_key:
-        parent, state = closed[key]
-        states.append(state)
+        _, rank, _, _, _, parent, transition, step = closed[key]
+        marking, pos = key
+        parent_pos = parent[1]
+        # a move that advances the position consumes the event it passed
+        activity, ref = events[parent_pos] if pos > parent_pos else (None, None)
+        move = Move(_KINDS_BY_RANK[rank], activity, transition, ref)
+        states.append(AlignmentState(move, step, marking))
         key = parent
     states.reverse()
     return PrefixAlignment(base_marking=start, states=tuple(states))

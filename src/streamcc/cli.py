@@ -3,8 +3,8 @@
 Subcommands: ``check`` (replay a log through one policy and report
 per-case conformance), ``experiment`` (run a policy-comparison config),
 ``replay`` (print the ordered stream) and ``validate-model`` (PNML
-diagnostics). Exit codes: 0 success, 2 parse/validation problems, 3
-search budget exhausted.
+diagnostics). Exit codes: 0 success, 2 unreadable, unparsable or
+invalid input, 3 search budget exhausted.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .alignment import DEFAULT_SEARCH_BUDGET
-from .errors import ParseError, SearchBudgetExceeded, StreamccError, ValidationError
+from .errors import SearchBudgetExceeded, StreamccError
 from .evaluation import ExperimentConfig, config_echo, run_experiment, write_results
 from .petri import Marking, PetriNet
 from .pnml import load_model
@@ -40,10 +40,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SearchBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ParseError, ValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except StreamccError as exc:
+    except (StreamccError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -98,8 +95,6 @@ def _policy_config(args: argparse.Namespace) -> PolicyConfig:
 
 def _load_log(args: argparse.Namespace) -> EventLog:
     path = Path(args.log)
-    if not path.exists():
-        raise ParseError(f"log file not found: {path}")
     if path.suffix.lower() == ".xes":
         return parse_xes_log(path)
     columns = CsvColumns(
@@ -117,7 +112,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     last_outcome: dict[str, EventOutcome] = {}
     events_per_case: Counter[str] = Counter()
     methods_per_case: dict[str, Counter] = {}
-    for outcome in engine.process_stream(replay(log)):
+    for event in replay(log):
+        outcome = engine.process(event.case_id, event.activity, event.arrival_index)
         last_outcome[outcome.case_id] = outcome
         events_per_case[outcome.case_id] += 1
         methods_per_case.setdefault(outcome.case_id, Counter())[outcome.method.value] += 1
@@ -221,7 +217,7 @@ def _final_marking_reachable(net: PetriNet, limit: int) -> tuple[bool | None, in
         marking = frontier.pop(0)
         if net.is_final(marking):
             return True, len(seen)
-        for t in sorted(net.enabled_transitions(marking)):
+        for t in net.enabled_transitions(marking):
             nxt = net.fire(marking, t)
             if nxt not in seen:
                 if len(seen) >= limit:

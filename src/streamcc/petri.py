@@ -106,7 +106,8 @@ class PetriNet:
 
     def __post_init__(self) -> None:
         self._validate()
-        pre: dict[str, list[str]] = {t: [] for t in self.transitions}
+        # _preset lists the transitions in id order; enabled_transitions keeps it
+        pre: dict[str, list[str]] = {t: [] for t in sorted(self.transitions)}
         post: dict[str, list[str]] = {t: [] for t in self.transitions}
         for source, target in sorted(self.arcs):
             if source in self.places:
@@ -192,9 +193,11 @@ class PetriNet:
                 return False
         return True
 
-    def enabled_transitions(self, marking: Marking) -> set[str]:
-        """Transitions with at least one token on every input place."""
-        return {t for t in self.transitions if self.is_enabled(marking, t)}
+    def enabled_transitions(self, marking: Marking) -> tuple[str, ...]:
+        """Transitions with at least one token on every input place, in id order."""
+        # from a list: tuple() of a generator is slower, and the tuples it
+        # shrinks pile up in CPython's free lists, where tracemalloc counts them
+        return tuple([t for t in self._preset if self.is_enabled(marking, t)])
 
     def fire(self, marking: Marking, transition: str) -> Marking:
         """Fire an enabled transition, consuming and producing one token per arc."""

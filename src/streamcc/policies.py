@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .alignment import (
     DEFAULT_COST_MODEL,
@@ -28,7 +28,6 @@ from .alignment import (
 )
 from .errors import SearchBudgetExceeded
 from .petri import ActivityLabel, PetriNet
-from .streams import StreamEvent
 
 
 class Policy(Enum):
@@ -295,19 +294,6 @@ class ConformanceEngine:
         if summary is None:
             raise KeyError(case_id)
         return summary.kappa_o
-
-    def process_stream(self, events: Iterable[StreamEvent]) -> Iterator[EventOutcome]:
-        """Yield the outcome of each event in turn.
-
-        The first :class:`SearchBudgetExceeded` propagates out of the
-        generator and closes it, so the rest of ``events`` is not
-        processed, although the failed event left the engine unchanged.
-        A caller who wants to go on past a failed event loops over
-        :meth:`process` itself, or calls this method again on the
-        remaining events.
-        """
-        for event in events:
-            yield self.process(event.case_id, event.activity, event.arrival_index)
 
     def process(
         self, case_id: str, activity: ActivityLabel, event_ref: EventRef | None = None

@@ -25,6 +25,11 @@ from streamcc import (
 ALPHABET = ["A", "B", "C", "D", "E", "F", "G", "H", "K"]
 
 
+def replay_outcomes(engine: ConformanceEngine, events) -> list[EventOutcome]:
+    """Process a stream of :class:`StreamEvent` in order; returns the outcomes."""
+    return [engine.process(e.case_id, e.activity, e.arrival_index) for e in events]
+
+
 def checked_replay(engine: ConformanceEngine, events: list[StreamEvent]) -> list[EventOutcome]:
     """Process a stream, asserting the engine's memory bounds after every event.
 

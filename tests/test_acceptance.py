@@ -37,7 +37,7 @@ from streamcc import (
     stored_state_count,
 )
 
-from oracles import brute_force_min_cost, checked_replay, random_net, random_trace
+from oracles import brute_force_min_cost, checked_replay, random_net, random_trace, replay_outcomes
 
 
 def report(line: str) -> None:
@@ -166,22 +166,22 @@ def test_criterion_2_degenerate_limit_equivalence(net):
         events = list(replay(log))
         assert len(events) <= 500
         base = [
-            o.effective_cost for o in ConformanceEngine(net).process_stream(events)
+            o.effective_cost for o in replay_outcomes(ConformanceEngine(net), events)
         ]
         for config in degenerate:
             engine = ConformanceEngine(net, config)
-            costs = [o.effective_cost for o in engine.process_stream(events)]
+            costs = [o.effective_cost for o in replay_outcomes(engine, events)]
             assert costs == base, (seed, config.label)
         checked += 1
     for seed in range(25):
         rnet, events = _interleaved_random_net_stream(seed + 10_000)
         assert len(events) <= 500
         base = [
-            o.effective_cost for o in ConformanceEngine(rnet).process_stream(events)
+            o.effective_cost for o in replay_outcomes(ConformanceEngine(rnet), events)
         ]
         for config in degenerate:
             engine = ConformanceEngine(rnet, config)
-            costs = [o.effective_cost for o in engine.process_stream(events)]
+            costs = [o.effective_cost for o in replay_outcomes(engine, events)]
             assert costs == base, (seed, config.label)
         checked += 1
     elapsed = time.monotonic() - started

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from streamcc import (
+    AlignmentState,
     CostModel,
     Marking,
     Move,
@@ -14,6 +15,7 @@ from streamcc import (
     PrefixAlignment,
     SearchBudgetExceeded,
     SummaryState,
+    cyclic_sequence_net,
     extend_model_semantics,
     shortest_path_prefix_alignment,
     truncate_states,
@@ -295,3 +297,39 @@ class TestSearchProperties:
             first = shortest_path_prefix_alignment(net, net.initial_marking, trace)
             second = shortest_path_prefix_alignment(net, net.initial_marking, trace)
             assert first == second
+
+
+class TestSearchBuildsOnlyTheResult:
+    """The search builds one AlignmentState per state of the returned alignment."""
+
+    @staticmethod
+    def _search_counting_states(monkeypatch, net, trace):
+        built = 0
+        init = AlignmentState.__init__
+
+        def counting_init(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AlignmentState, "__init__", counting_init)
+        result = shortest_path_prefix_alignment(net, net.initial_marking, trace)
+        return result, built
+
+    def test_noisy_cycle10_trace(self, monkeypatch):
+        net = cyclic_sequence_net(10)
+        trace = [f"A{i % 10}" for i in range(30)]
+        trace[4] = "X"  # alien
+        del trace[12]  # skipped
+        trace.insert(20, trace[19])  # duplicated
+        result, built = self._search_counting_states(monkeypatch, net, trace)
+        assert result.fitness_cost > 0
+        assert built == len(result.states)
+
+    def test_random_net_with_silent_transitions(self, monkeypatch):
+        rng = random.Random(8)
+        net = random_net(rng)
+        trace = random_trace(net, rng, max_len=8)
+        result, built = self._search_counting_states(monkeypatch, net, trace)
+        assert {s.move.kind for s in result.states} == set(MoveKind)
+        assert built == len(result.states)

@@ -53,7 +53,8 @@ class TestCheck:
         log = parse_csv_log(sample_log)
         engine = ConformanceEngine(net, PolicyConfig(Policy.BOUNDED_STATES, w=3))
         expected = {}
-        for outcome in engine.process_stream(replay(log)):
+        for event in replay(log):
+            outcome = engine.process(event.case_id, event.activity, event.arrival_index)
             expected[outcome.case_id] = outcome.effective_cost
         assert {row["case_id"]: row["effective_cost"] for row in report["cases"]} == expected
 
@@ -71,6 +72,13 @@ class TestCheck:
         code = main(["check", "--model", branching_model, "--log", "nope.csv", "--policy", "baseline"])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_missing_model_exit_2(self, sample_log, tmp_path, capsys):
+        model = tmp_path / "missing.pnml"
+        code = main(["check", "--model", str(model), "--log", sample_log, "--policy", "baseline"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.pnml" in err
 
     def test_invalid_flag_combination_before_reading_files(self, capsys):
         # bounded-states without --w fails even though the files do not exist
@@ -228,6 +236,22 @@ class TestExperimentCommand:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         assert main(["experiment", "--config", str(path), "--seed", "9"]) == 2
+
+    @pytest.mark.parametrize("missing", ["model", "log"])
+    def test_missing_input_file_exit_2(self, missing, data_dir, tmp_path, capsys):
+        config = {
+            "model": str(data_dir / "cycle10.pnml"),
+            "log": str(data_dir / "sample_stream.csv"),
+            "policies": [{"policy": "baseline"}],
+            "window_size": 5,
+            "output_dir": str(tmp_path / "out"),
+        }
+        config[missing] = str(tmp_path / f"absent-{missing}")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["experiment", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"absent-{missing}" in err
 
     def test_w_zero_config_rejected(self, data_dir, tmp_path, capsys):
         config = {

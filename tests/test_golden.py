@@ -3,20 +3,26 @@
 ``streamcc check`` output for every policy and format is compared byte for
 byte with the files under ``tests/golden/``. Each policy's full
 ``EventOutcome`` sequence on one seeded cycle10 stream is compared by its
-SHA-256. To record new values after an intended change of behaviour, write
-the ``check`` output to the golden files and copy the digests that the
-failing assertions print.
+SHA-256, and so are the alignments ``shortest_path_prefix_alignment``
+returns for the oracle's random nets and traces: costs alone would not show
+a different choice among optimal alignments, which changes later extensions
+and truncation summaries. To record new values after an intended change of
+behaviour, write the ``check`` output to the golden files and copy the
+digests that the failing assertions print (``pytest -vv`` prints them whole).
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
 
 from streamcc import (
+    DEFAULT_COST_MODEL,
     ConformanceEngine,
+    CostModel,
     Policy,
     PolicyConfig,
     StreamSpec,
@@ -24,8 +30,11 @@ from streamcc import (
     generate_log,
     policies,
     replay,
+    shortest_path_prefix_alignment,
 )
 from streamcc.cli import main
+
+from oracles import random_net, random_trace
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -44,6 +53,19 @@ OUTCOME_DIGESTS = {
     "bounded-states-w2": "0d2642be7b0f8b65c954173442406cb59af700fdd9f81a413c13da468fe71546",
     "bounded-cases-n5": "6416dafc5071d16af4ac3cd1a28265fc063202b7caaa6de69add397304da3d41",
     "combined-w2-n5": "69718d69d917605633c96b7202bccf922d0b9e22eea99491da008914b4e0fda4",
+}
+
+SEARCH_COST_MODELS = {
+    "default": DEFAULT_COST_MODEL,
+    "fractional": CostModel(0.05, 0.1, 0.3, 0.01),
+    # silent moves cost as much as model moves, so their preference decides ties
+    "unit-silent": CostModel(0.0, 1.0, 1.0, 1.0),
+}
+SEARCH_SEEDS = range(200)
+SEARCH_DIGESTS = {
+    "default": "9358b90e6297656af28da199bb013cb1a303909afed3d51c45f76a95f0f36445",
+    "fractional": "ee2844b5b053bfc5d18f2d3bed6d258fed1a0f8f08380f7cceb675206765e87d",
+    "unit-silent": "dc4af0e84d4954103b432264ea786ec24a89ac73f540d7399b048adc42a01dd0",
 }
 
 CONFIGS = (
@@ -93,10 +115,24 @@ def test_outcome_sequence_digest(config, monkeypatch):
 
     engine._evict_one = counting_evict
     digest = hashlib.sha256()
-    for outcome in engine.process_stream(replay(generate_log(STREAM_SPEC, seed=STREAM_SEED))):
+    for event in replay(generate_log(STREAM_SPEC, seed=STREAM_SEED)):
+        outcome = engine.process(event.case_id, event.activity, event.arrival_index)
         digest.update((repr(outcome) + "\n").encode())
 
     assert engine.search_count > 0
     assert (truncations > 0) == (config.w is not None)
     assert (evictions > 0) == (config.n is not None)
     assert digest.hexdigest() == OUTCOME_DIGESTS[config.label]
+
+
+@pytest.mark.parametrize("cost_name", sorted(SEARCH_COST_MODELS))
+def test_search_result_digest(cost_name):
+    cost_model = SEARCH_COST_MODELS[cost_name]
+    digest = hashlib.sha256()
+    for seed in SEARCH_SEEDS:
+        rng = random.Random(seed)
+        net = random_net(rng)
+        trace = [(activity, i) for i, activity in enumerate(random_trace(net, rng))]
+        result = shortest_path_prefix_alignment(net, net.initial_marking, trace, cost_model)
+        digest.update((repr((result.base_marking, result.states)) + "\n").encode())
+    assert digest.hexdigest() == SEARCH_DIGESTS[cost_name]

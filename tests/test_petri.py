@@ -41,16 +41,24 @@ class TestMarking:
 
 class TestEnabledAndFire:
     def test_only_entry_enabled_initially(self, branching_net):
-        assert branching_net.enabled_transitions(branching_net.initial_marking) == {"t1"}
+        assert branching_net.enabled_transitions(branching_net.initial_marking) == ("t1",)
 
     def test_empty_marking_enables_nothing(self, seq_abc):
-        assert seq_abc.enabled_transitions(Marking.empty()) == set()
+        assert seq_abc.enabled_transitions(Marking.empty()) == ()
 
     def test_zero_input_transition_always_enabled(self):
         net = PetriNet.build(
             places=["p"], transitions={"t": "T"}, arcs=[("t", "p")], initial={}, final={"p": 1}
         )
-        assert net.enabled_transitions(Marking.empty()) == {"t"}
+        assert net.enabled_transitions(Marking.empty()) == ("t",)
+
+    def test_enabled_in_transition_id_order(self):
+        ids = ["t2", "t10", "a", "t1"]
+        net = PetriNet.build(
+            places=["p"], transitions={t: t.upper() for t in ids},
+            arcs=[(t, "p") for t in ids], initial={}, final={"p": 1},
+        )
+        assert net.enabled_transitions(Marking.empty()) == ("a", "t1", "t10", "t2")
 
     def test_seq_abc_enabled_at_q1(self, seq_abc):
         # independent enumeration of the three transitions' input places
@@ -61,7 +69,7 @@ class TestEnabledAndFire:
             if all(marking.count(p) >= 1 for p in inputs):
                 expected.add(t)
         assert expected == {"B"}
-        assert seq_abc.enabled_transitions(marking) == {"B"}
+        assert seq_abc.enabled_transitions(marking) == ("B",)
 
     def test_fire_entry(self, branching_net):
         after = branching_net.fire(branching_net.initial_marking, "t1")
@@ -83,7 +91,7 @@ class TestEnabledAndFire:
         marking = branching_net.fire(branching_net.initial_marking, "t1")
         marking = branching_net.fire(marking, "t5")
         assert marking == Marking.of({"p4": 1, "p5": 1})
-        assert branching_net.enabled_transitions(marking) == {"t6", "t7"}
+        assert branching_net.enabled_transitions(marking) == ("t6", "t7")
 
     def test_fire_seq_abc(self, seq_abc):
         assert seq_abc.fire(seq_abc.initial_marking, "A") == Marking.of({"q1": 1})
@@ -154,8 +162,8 @@ class TestFiringProperties:
                     break
                 t = rng.choice(enabled)
                 after = net.fire(marking, t)
-                before_set = net.enabled_transitions(marking)
-                after_set = net.enabled_transitions(after)  # must not raise
+                before_set = set(net.enabled_transitions(marking))
+                after_set = set(net.enabled_transitions(after))  # must not raise
                 touched = set(net.preset(t)) | set(net.postset(t))
                 neighbors = {
                     other

@@ -15,7 +15,6 @@ from streamcc import (
     PolicyConfig,
     PrefixAlignment,
     SearchBudgetExceeded,
-    StreamEvent,
     StreamSpec,
     SummaryState,
     cyclic_sequence_net,
@@ -26,7 +25,7 @@ from streamcc import (
     truncate_states,
 )
 
-from oracles import brute_force_min_cost, checked_replay
+from oracles import brute_force_min_cost, checked_replay, replay_outcomes
 
 
 def run_stream(engine, pairs):
@@ -89,9 +88,8 @@ class TestBaseline:
         assert outcomes[1].method is Method.SHORTEST_PATH
         assert outcomes[2].method is Method.MODEL_SEMANTICS
 
-    def test_process_stream_can_be_called_again_after_a_failed_event(self, seq_abc):
+    def test_process_goes_on_after_a_failed_event(self, seq_abc):
         engine = ConformanceEngine(seq_abc, search_budget=0)
-        events = [StreamEvent("a", "X", 0), StreamEvent("b", "A", 1)]
 
         def snapshot():
             records = [(r.case_id, r.prefix_alignment) for r in engine.store.records()]
@@ -99,9 +97,9 @@ class TestBaseline:
 
         before = snapshot()
         with pytest.raises(SearchBudgetExceeded):
-            list(engine.process_stream(events))  # "X" needs a search
+            engine.process("a", "X", 0)  # "X" needs a search
         assert snapshot() == before
-        (outcome,) = engine.process_stream(events[1:])
+        outcome = engine.process("b", "A", 1)
         assert (outcome.case_id, outcome.effective_cost) == ("b", 0.0)
         assert engine.stored_state_count == 1
 
@@ -209,8 +207,8 @@ class TestBoundedStates:
         events = list(replay(log))
         base = ConformanceEngine(net)
         bounded = ConformanceEngine(net, PolicyConfig(Policy.BOUNDED_STATES, w=64))
-        base_costs = [o.effective_cost for o in base.process_stream(events)]
-        bounded_costs = [o.effective_cost for o in bounded.process_stream(events)]
+        base_costs = [o.effective_cost for o in replay_outcomes(base, events)]
+        bounded_costs = [o.effective_cost for o in replay_outcomes(bounded, events)]
         assert base_costs == bounded_costs
 
 
@@ -387,9 +385,9 @@ class TestBoundedCases:
         net = cyclic_sequence_net(10)
         log = generate_log(StreamSpec(cases=30, open_cases=10, noise_probability=0.4), seed=5)
         events = list(replay(log))
-        base = [o.effective_cost for o in ConformanceEngine(net).process_stream(events)]
+        base = [o.effective_cost for o in replay_outcomes(ConformanceEngine(net), events)]
         bounded = ConformanceEngine(net, PolicyConfig(Policy.BOUNDED_CASES, n=10**6))
-        assert [o.effective_cost for o in bounded.process_stream(events)] == base
+        assert [o.effective_cost for o in replay_outcomes(bounded, events)] == base
 
 
 class TestCombined:
@@ -397,18 +395,18 @@ class TestCombined:
         net = cyclic_sequence_net(10)
         log = generate_log(StreamSpec(cases=25, open_cases=8, noise_probability=0.5), seed=9)
         events = list(replay(log))
-        base = [o.effective_cost for o in ConformanceEngine(net).process_stream(events)]
+        base = [o.effective_cost for o in replay_outcomes(ConformanceEngine(net), events)]
         w_only = ConformanceEngine(net, PolicyConfig(Policy.BOUNDED_STATES, w=4))
         n_only = ConformanceEngine(net, PolicyConfig(Policy.BOUNDED_CASES, n=6))
         combo_w = ConformanceEngine(net, PolicyConfig(Policy.COMBINED, w=4, n=10**6))
         combo_n = ConformanceEngine(net, PolicyConfig(Policy.COMBINED, w=64, n=6))
         combo_inf = ConformanceEngine(net, PolicyConfig(Policy.COMBINED, w=64, n=10**6))
         costs = {
-            "w_only": [o.effective_cost for o in w_only.process_stream(events)],
-            "n_only": [o.effective_cost for o in n_only.process_stream(events)],
-            "combo_w": [o.effective_cost for o in combo_w.process_stream(events)],
-            "combo_n": [o.effective_cost for o in combo_n.process_stream(events)],
-            "combo_inf": [o.effective_cost for o in combo_inf.process_stream(events)],
+            "w_only": [o.effective_cost for o in replay_outcomes(w_only, events)],
+            "n_only": [o.effective_cost for o in replay_outcomes(n_only, events)],
+            "combo_w": [o.effective_cost for o in replay_outcomes(combo_w, events)],
+            "combo_n": [o.effective_cost for o in replay_outcomes(combo_n, events)],
+            "combo_inf": [o.effective_cost for o in replay_outcomes(combo_inf, events)],
         }
         assert costs["combo_inf"] == base
         assert costs["combo_w"] == costs["w_only"]
@@ -488,7 +486,7 @@ class TestPolicyProperties:
         ):
             engine = ConformanceEngine(net, config)
             seen: dict[str, float] = {}
-            for outcome in engine.process_stream(events):
+            for outcome in replay_outcomes(engine, events):
                 previous = seen.get(outcome.case_id, 0.0)
                 assert outcome.residual_cost >= previous
                 seen[outcome.case_id] = outcome.residual_cost
@@ -513,7 +511,7 @@ class TestPolicyProperties:
             events = list(replay(log))
             base_engine = ConformanceEngine(net)
             base_final = {}
-            for outcome in base_engine.process_stream(events):
+            for outcome in replay_outcomes(base_engine, events):
                 base_final[outcome.case_id] = outcome.effective_cost
             engine = ConformanceEngine(net, PolicyConfig(Policy.BOUNDED_STATES, w=3))
             truncated: set[str] = set()
@@ -540,8 +538,8 @@ class TestPolicyProperties:
         )
         base = ConformanceEngine(net)
         bounded = ConformanceEngine(net, PolicyConfig(Policy.BOUNDED_STATES, w=longest))
-        base_conformant = {o.case_id: o.conformant for o in base.process_stream(events)}
-        bounded_conformant = {o.case_id: o.conformant for o in bounded.process_stream(events)}
+        base_conformant = {o.case_id: o.conformant for o in replay_outcomes(base, events)}
+        bounded_conformant = {o.case_id: o.conformant for o in replay_outcomes(bounded, events)}
         assert base_conformant == bounded_conformant
 
     def test_bounded_search_result_is_locally_optimal(self):

@@ -11,6 +11,8 @@ from streamcc import (
     replay,
 )
 
+from oracles import replay_outcomes
+
 
 class TestCyclicSequenceNet:
     def test_structure(self):
@@ -46,7 +48,7 @@ class TestGenerateLog:
         log = generate_log(spec, seed=1)
         net = cyclic_sequence_net(10)
         engine = ConformanceEngine(net)
-        outcomes = list(engine.process_stream(replay(log)))
+        outcomes = list(replay_outcomes(engine, replay(log)))
         assert all(o.effective_cost == 0 for o in outcomes)
         assert engine.search_count == 0
 
@@ -55,7 +57,7 @@ class TestGenerateLog:
         log = generate_log(spec, seed=2)
         net = cyclic_sequence_net(10)
         engine = ConformanceEngine(net)
-        outcomes = list(engine.process_stream(replay(log)))
+        outcomes = list(replay_outcomes(engine, replay(log)))
         assert any(o.effective_cost > 0 for o in outcomes)
 
     def test_open_case_pool_is_respected(self):
