@@ -37,7 +37,7 @@ _KINDS_BY_RANK = (MoveKind.SYNCHRONOUS, MoveKind.SILENT_MODEL, MoveKind.MODEL, M
 _SYNC, _SILENT, _MODEL, _LOG = range(4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Move:
     """One alignment move; field presence depends on the kind."""
 
@@ -65,14 +65,6 @@ class Move:
     def log(cls, activity: ActivityLabel, event_ref: EventRef | None = None) -> "Move":
         return cls(MoveKind.LOG, activity, None, event_ref)
 
-    @classmethod
-    def model(cls, transition: str) -> "Move":
-        return cls(MoveKind.MODEL, None, transition)
-
-    @classmethod
-    def silent(cls, transition: str) -> "Move":
-        return cls(MoveKind.SILENT_MODEL, None, transition)
-
     def consumes_event(self) -> bool:
         return self.kind in (MoveKind.SYNCHRONOUS, MoveKind.LOG)
 
@@ -95,7 +87,7 @@ class CostModel:
 DEFAULT_COST_MODEL = CostModel()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SummaryState:
     """Single special state standing in for a forgotten prefix.
 
@@ -111,7 +103,7 @@ class SummaryState:
             raise ValueError("kappa_o must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlignmentState:
     """A move stored with its cost and the marking it reaches."""
 
@@ -120,7 +112,7 @@ class AlignmentState:
     marking_after: Marking
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrefixAlignment:
     """Ordered alignment states, optionally led by a summary state.
 
@@ -260,7 +252,7 @@ def shortest_path_prefix_alignment(
         edges = []
         for t in net.enabled_transitions(marking):
             fired = net.fire(marking, t)
-            label = net.label(t)
+            label = net.labels.get(t)
             if label is None:
                 edges.append((_SILENT, t, fired, pos))
                 continue

@@ -13,7 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from collections import Counter
+from collections import Counter, deque
 from pathlib import Path
 from typing import Sequence
 
@@ -212,9 +212,9 @@ def _cmd_validate_model(args: argparse.Namespace) -> int:
 def _final_marking_reachable(net: PetriNet, limit: int) -> tuple[bool | None, int]:
     """Breadth-first reachability of the final marking, bounded by ``limit`` markings."""
     seen: set[Marking] = {net.initial_marking}
-    frontier = [net.initial_marking]
+    frontier = deque([net.initial_marking])
     while frontier:
-        marking = frontier.pop(0)
+        marking = frontier.popleft()
         if net.is_final(marking):
             return True, len(seen)
         for t in net.enabled_transitions(marking):

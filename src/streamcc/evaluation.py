@@ -259,6 +259,11 @@ class ExperimentConfig:
             raise ValueError("exactly one of 'log' and 'synthetic' must be given")
         if not self.policies:
             raise ValueError("at least one policy is required")
+        labels: set[str] = set()
+        for config in self.policies:
+            if config.label in labels:
+                raise ValueError(f"policy {config.label!r} is listed twice; it writes one CSV")
+            labels.add(config.label)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
@@ -278,7 +283,7 @@ class ExperimentConfig:
             seed = 0
             if synthetic is not None:
                 synthetic = dict(synthetic)
-                seed = int(synthetic.pop("seed", 0))
+                seed = _json_int(synthetic.pop("seed", 0), "seed")
                 if "kinds" in synthetic:
                     synthetic["kinds"] = tuple(synthetic["kinds"])
                 spec = StreamSpec(**synthetic)
@@ -289,15 +294,19 @@ class ExperimentConfig:
                 log_path=(base / payload["log"]) if "log" in payload else None,
                 synthetic=spec,
                 synthetic_seed=seed,
-                final_marking=tuple(sorted((str(k), int(v)) for k, v in final.items()))
+                final_marking=tuple(
+                    sorted((str(k), _json_int(v, f"final_marking.{k}")) for k, v in final.items())
+                )
                 if final
                 else None,
-                window_size=int(payload.get("window_size", 1000)),
-                replication=int(payload.get("replication", 1)),
+                window_size=_json_int(payload.get("window_size", 1000), "window_size"),
+                replication=_json_int(payload.get("replication", 1), "replication"),
                 # input paths resolve against the config file; outputs
                 # land relative to the invoking directory
                 output_dir=Path(payload.get("output_dir", "streamcc-out")),
-                search_budget=int(payload.get("search_budget", DEFAULT_SEARCH_BUDGET)),
+                search_budget=_json_int(
+                    payload.get("search_budget", DEFAULT_SEARCH_BUDGET), "search_budget"
+                ),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"invalid experiment config {path}: {exc}") from exc
@@ -311,7 +320,18 @@ def _policy_from_json(entry: dict) -> PolicyConfig:
         raise ValueError(f"unknown policy {entry.get('policy')!r}") from exc
     w = entry.get("w")
     n = entry.get("n")
-    return PolicyConfig(policy, w=int(w) if w is not None else None, n=int(n) if n is not None else None)
+    return PolicyConfig(
+        policy,
+        w=_json_int(w, "w") if w is not None else None,
+        n=_json_int(n, "n") if n is not None else None,
+    )
+
+
+def _json_int(value: object, name: str) -> int:
+    # int() would read 2.5 as 2 and true as 1; bool is a subclass of int
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name!r} must be an integer, not {value!r}")
+    return value
 
 
 def load_experiment_inputs(config: ExperimentConfig) -> tuple[PetriNet, list[StreamEvent]]:

@@ -17,7 +17,7 @@ from .errors import FiringNotEnabled, ValidationError
 ActivityLabel = str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Marking:
     """Multiset of tokens over place ids, in canonical form.
 
@@ -56,15 +56,6 @@ class Marking:
     @classmethod
     def empty(cls) -> "Marking":
         return cls(())
-
-    def count(self, place: str) -> int:
-        for p, c in self.entries:
-            if p == place:
-                return c
-        return 0
-
-    def total_tokens(self) -> int:
-        return sum(c for _, c in self.entries)
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.entries)
@@ -167,44 +158,37 @@ class PetriNet:
 
     # -- semantics ---------------------------------------------------------
 
-    def label(self, transition: str) -> ActivityLabel | None:
-        return self.labels.get(transition)
-
     def is_silent(self, transition: str) -> bool:
         return transition not in self.labels
 
     def preset(self, transition: str) -> tuple[str, ...]:
         return self._preset[transition]
 
-    def postset(self, transition: str) -> tuple[str, ...]:
-        return self._postset[transition]
-
     def transitions_labeled(self, activity: ActivityLabel) -> tuple[str, ...]:
         """All transitions carrying this label, in id order."""
         return self._by_label.get(activity, ())
 
     def is_enabled(self, marking: Marking, transition: str) -> bool:
-        entries = marking.entries
-        for p in self._preset[transition]:
-            for place, _ in entries:
-                if place == p:
-                    break
-            else:
-                return False
-        return True
+        """Whether every input place of ``transition`` holds a token."""
+        return {p for p, _ in marking.entries}.issuperset(self._preset[transition])
 
     def enabled_transitions(self, marking: Marking) -> tuple[str, ...]:
         """Transitions with at least one token on every input place, in id order."""
+        marked = {p for p, _ in marking.entries}
         # from a list: tuple() of a generator is slower, and the tuples it
         # shrinks pile up in CPython's free lists, where tracemalloc counts them
-        return tuple([t for t in self._preset if self.is_enabled(marking, t)])
+        return tuple([t for t, pre in self._preset.items() if marked.issuperset(pre)])
 
     def fire(self, marking: Marking, transition: str) -> Marking:
-        """Fire an enabled transition, consuming and producing one token per arc."""
-        if not self.is_enabled(marking, transition):
-            raise FiringNotEnabled(transition, marking)
+        """Fire an enabled transition, consuming and producing one token per arc.
+
+        Raises :class:`FiringNotEnabled` when an input place holds no token.
+        """
         counts = marking.as_dict()
         for p in self._preset[transition]:
+            # markings store no zero counts, and a place feeds a transition at most once
+            if p not in counts:
+                raise FiringNotEnabled(transition, marking)
             counts[p] -= 1
         for p in self._postset[transition]:
             counts[p] = counts.get(p, 0) + 1

@@ -215,8 +215,9 @@ def to_pnml(net: PetriNet) -> str:
         f"  <net id={quoteattr(net.name or 'net1')} type=\"http://www.pnml.org/version-2009/grammar/ptnet\">",
         "    <page id=\"page1\">",
     ]
+    initial = net.initial_marking.as_dict()
     for pid in sorted(net.places):
-        count = net.initial_marking.count(pid)
+        count = initial.get(pid, 0)
         if count:
             lines.append(f"      <place id={quoteattr(pid)}>")
             lines.append(f"        <initialMarking><text>{count}</text></initialMarking>")
@@ -224,7 +225,7 @@ def to_pnml(net: PetriNet) -> str:
         else:
             lines.append(f"      <place id={quoteattr(pid)}/>")
     for tid in sorted(net.transitions):
-        label = net.label(tid)
+        label = net.labels.get(tid)
         if label is None:
             lines.append(f"      <transition id={quoteattr(tid)}/>")
         else:

@@ -74,7 +74,7 @@ class PolicyConfig:
         return f"combined-w{self.w}-n{self.n}"
 
 
-@dataclass
+@dataclass(slots=True)
 class CaseRecord:
     """A case tracked in the multi-state store.
 
@@ -146,7 +146,7 @@ class SummaryRepository:
         return iter(self._summaries.items())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventOutcome:
     """Per-event result reported by an engine."""
 

@@ -20,7 +20,7 @@ from .errors import ParseError, TimestampError
 from .petri import ActivityLabel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One logged activity execution. Every event is distinct via event_id."""
 
@@ -30,7 +30,7 @@ class Event:
     timestamp: datetime
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StreamEvent:
     """One stream observation: activity ``activity`` happened in case ``case_id``.
 

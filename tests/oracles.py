@@ -86,7 +86,7 @@ def brute_force_min_cost(
         explore(marking, pos + 1, cost + cost_model.log_cost, on_path)
         for t in sorted(net.enabled_transitions(marking)):
             fired = net.fire(marking, t)
-            label = net.label(t)
+            label = net.labels.get(t)
             if label == activity:
                 explore(fired, pos + 1, cost + cost_model.sync_cost, on_path)
             if label is None:
@@ -154,7 +154,7 @@ def random_trace(net: PetriNet, rng: random.Random, max_len: int = 6) -> list[st
             break
         t = rng.choice(enabled)
         marking = net.fire(marking, t)
-        label = net.label(t)
+        label = net.labels.get(t)
         if label is not None:
             walk.append(label)
     trace = walk[: rng.randint(1, max_len)]

@@ -264,6 +264,28 @@ class TestExperimentCommand:
         path.write_text(json.dumps(config))
         assert main(["experiment", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "policies",
+        [
+            [{"policy": "bounded-states", "w": 2.5}],
+            [{"policy": "bounded-states", "w": True}],
+            [{"policy": "baseline"}, {"policy": "baseline"}],
+        ],
+        ids=["fractional-w", "boolean-w", "duplicate"],
+    )
+    def test_bad_policy_list_exit_2_and_writes_nothing(self, policies, data_dir, tmp_path, capsys):
+        config = {
+            "model": str(data_dir / "cycle10.pnml"),
+            "synthetic": {"cases": 5, "open_cases": 2},
+            "policies": policies,
+            "output_dir": str(tmp_path / "out"),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["experiment", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid experiment config")
+        assert not (tmp_path / "out").exists()
+
     def test_parallel_jobs_match_sequential(self, data_dir, tmp_path):
         config = {
             "model": str(data_dir / "cycle10.pnml"),

@@ -303,6 +303,25 @@ class TestExperimentConfig:
         with pytest.raises(ParseError):
             ExperimentConfig.from_json(path)
 
+    @pytest.mark.parametrize("key", ["w", "n"])
+    @pytest.mark.parametrize("value", [2.5, True, "2"])
+    def test_non_integer_limit_rejected(self, tmp_path, key, value):
+        path = self.config_payload(tmp_path, policies=[{"policy": "combined", "w": 2, "n": 3, key: value}])
+        with pytest.raises(ParseError, match=f"'{key}' must be an integer"):
+            ExperimentConfig.from_json(path)
+
+    @pytest.mark.parametrize("key", ["window_size", "replication", "search_budget"])
+    def test_non_integer_setting_rejected(self, tmp_path, key):
+        path = self.config_payload(tmp_path, **{key: 20.5})
+        with pytest.raises(ParseError, match=f"'{key}' must be an integer"):
+            ExperimentConfig.from_json(path)
+
+    def test_duplicate_policy_rejected(self, tmp_path):
+        entry = {"policy": "bounded-states", "w": 2}
+        path = self.config_payload(tmp_path, policies=[{"policy": "baseline"}, entry, dict(entry)])
+        with pytest.raises(ParseError, match="bounded-states-w2"):
+            ExperimentConfig.from_json(path)
+
     def test_log_and_synthetic_mutually_exclusive(self, tmp_path):
         path = self.config_payload(tmp_path, log="whatever.csv")
         with pytest.raises(ParseError):

@@ -10,6 +10,10 @@ from streamcc import FiringNotEnabled, Marking, PetriNet, ValidationError
 from oracles import random_net
 
 
+def _tokens(marking: Marking) -> int:
+    return sum(count for _, count in marking.entries)
+
+
 class TestMarking:
     def test_canonical_form_drops_zero_counts(self):
         assert Marking.of({"a": 1, "b": 0}) == Marking.of({"a": 1})
@@ -34,9 +38,10 @@ class TestMarking:
     @given(st.dictionaries(st.sampled_from("abcde"), st.integers(0, 4)))
     def test_count_roundtrip(self, counts):
         marking = Marking.of(counts)
+        stored = marking.as_dict()
         for place, count in counts.items():
-            assert marking.count(place) == count
-        assert marking.total_tokens() == sum(counts.values())
+            assert stored.get(place, 0) == count
+        assert _tokens(marking) == sum(counts.values())
 
 
 class TestEnabledAndFire:
@@ -66,7 +71,7 @@ class TestEnabledAndFire:
         marking = Marking.of({"q1": 1})
         for t in seq_abc.transitions:
             inputs = [src for src, dst in seq_abc.arcs if dst == t]
-            if all(marking.count(p) >= 1 for p in inputs):
+            if all(marking.as_dict().get(p, 0) >= 1 for p in inputs):
                 expected.add(t)
         assert expected == {"B"}
         assert seq_abc.enabled_transitions(marking) == ("B",)
@@ -147,8 +152,9 @@ class TestFiringProperties:
                     break
                 t = rng.choice(enabled)
                 after = net.fire(marking, t)
-                delta = len(net.postset(t)) - len(net.preset(t))
-                assert after.total_tokens() - marking.total_tokens() == delta
+                outputs = sum(1 for source, _ in net.arcs if source == t)
+                inputs = sum(1 for _, target in net.arcs if target == t)
+                assert _tokens(after) - _tokens(marking) == outputs - inputs
                 marking = after
 
     def test_firing_changes_enabledness_only_near_fired_transition(self):
@@ -164,7 +170,7 @@ class TestFiringProperties:
                 after = net.fire(marking, t)
                 before_set = set(net.enabled_transitions(marking))
                 after_set = set(net.enabled_transitions(after))  # must not raise
-                touched = set(net.preset(t)) | set(net.postset(t))
+                touched = {p for p, q in net.arcs if q == t} | {q for p, q in net.arcs if p == t}
                 neighbors = {
                     other
                     for other in net.transitions
@@ -172,3 +178,29 @@ class TestFiringProperties:
                 }
                 assert (before_set ^ after_set) <= neighbors
                 marking = after
+
+
+class TestSemanticsMatchArcs:
+    def test_enabled_is_enabled_and_fire_follow_the_input_arcs(self):
+        partly_marked = 0
+        for seed in range(40):
+            rng = random.Random(seed + 200)
+            net = random_net(rng)
+            inputs = {t: {p for p, q in net.arcs if q == t} for t in net.transitions}
+            marking = net.initial_marking
+            for _ in range(15):
+                marked = {p for p, _ in marking.entries}
+                expected = tuple(sorted(t for t in net.transitions if inputs[t] <= marked))
+                enabled = net.enabled_transitions(marking)
+                assert enabled == expected
+                for t in sorted(net.transitions):
+                    assert net.is_enabled(marking, t) == (t in enabled)
+                    if t in enabled:
+                        net.fire(marking, t)
+                        continue
+                    partly_marked += bool(inputs[t] & marked)
+                    with pytest.raises(FiringNotEnabled):
+                        net.fire(marking, t)
+                marking = net.fire(marking, rng.choice(enabled))
+        # the join t7 with only one of its two input places marked
+        assert partly_marked > 0

@@ -19,7 +19,7 @@ class TestCyclicSequenceNet:
         net = cyclic_sequence_net(4)
         assert len(net.places) == 4
         assert len(net.transitions) == 4
-        assert net.label("t2") == "A2"
+        assert net.labels["t2"] == "A2"
         assert net.initial_marking == net.final_marking
 
     def test_conformant_laps(self):
