@@ -1,121 +1,47 @@
-"""Memory-bounded online conformance checking of event streams."""
+"""Memory-bounded online conformance checking of event streams.
+
+The names below are the quick-start API; everything else is imported
+from its own module (``streamcc.petri``, ``streamcc.streams``, ...).
+"""
 
 from .alignment import (
     DEFAULT_COST_MODEL,
-    DEFAULT_SEARCH_BUDGET,
-    AlignmentState,
     CostModel,
-    Move,
-    MoveKind,
     PrefixAlignment,
-    SummaryState,
     extend_model_semantics,
     shortest_path_prefix_alignment,
 )
-from .errors import (
-    EmptyWindow,
-    FiringNotEnabled,
-    ParseError,
-    SearchBudgetExceeded,
-    StreamccError,
-    TimestampError,
-    ValidationError,
-)
-from .evaluation import (
-    ExperimentConfig,
-    ExperimentResult,
-    PolicyRun,
-    WindowStats,
-    evaluate_policies,
-    f1,
-    rmse,
-    run_experiment,
-    write_results,
-)
-from .petri import ActivityLabel, Marking, PetriNet
-from .pnml import load_final_marking_sidecar, load_model, load_pnml, to_pnml
-from .policies import (
-    CaseRecord,
-    CaseStore,
-    ConformanceEngine,
-    EventOutcome,
-    Method,
-    Policy,
-    PolicyConfig,
-    SummaryRepository,
-    select_forget_victim,
-    stored_state_count,
-    truncate_states,
-)
-from .streams import (
-    CsvColumns,
-    Event,
-    EventLog,
-    StreamEvent,
-    parse_csv_log,
-    parse_xes_log,
-    replay,
-    replicate_events,
-)
-from .synthetic import StreamSpec, cyclic_sequence_net, generate_log, peak_concurrent_cases
+from .errors import ParseError, SearchBudgetExceeded, StreamccError, ValidationError
+from .evaluation import evaluate_policies
+from .petri import PetriNet
+from .pnml import load_model
+from .policies import ConformanceEngine, Policy, PolicyConfig, stored_state_count
+from .streams import parse_csv_log, replay, replicate_events
+from .synthetic import StreamSpec, cyclic_sequence_net, generate_log
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivityLabel",
-    "AlignmentState",
-    "CaseRecord",
-    "CaseStore",
     "ConformanceEngine",
     "CostModel",
-    "CsvColumns",
     "DEFAULT_COST_MODEL",
-    "DEFAULT_SEARCH_BUDGET",
-    "EmptyWindow",
-    "Event",
-    "EventLog",
-    "EventOutcome",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "FiringNotEnabled",
-    "Marking",
-    "Method",
-    "Move",
-    "MoveKind",
     "ParseError",
     "PetriNet",
     "Policy",
     "PolicyConfig",
-    "PolicyRun",
     "PrefixAlignment",
     "SearchBudgetExceeded",
-    "StreamEvent",
     "StreamSpec",
     "StreamccError",
-    "SummaryRepository",
-    "SummaryState",
-    "TimestampError",
     "ValidationError",
-    "WindowStats",
     "cyclic_sequence_net",
     "evaluate_policies",
     "extend_model_semantics",
-    "f1",
     "generate_log",
-    "load_final_marking_sidecar",
     "load_model",
-    "load_pnml",
     "parse_csv_log",
-    "parse_xes_log",
-    "peak_concurrent_cases",
     "replay",
     "replicate_events",
-    "rmse",
-    "run_experiment",
-    "select_forget_victim",
     "shortest_path_prefix_alignment",
     "stored_state_count",
-    "to_pnml",
-    "truncate_states",
-    "write_results",
 ]

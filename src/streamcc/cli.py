@@ -23,13 +23,11 @@ from .evaluation import ExperimentConfig, config_echo, run_experiment, write_res
 from .petri import Marking, PetriNet
 from .pnml import load_model
 from .policies import ConformanceEngine, EventOutcome, Policy, PolicyConfig
-from .streams import CsvColumns, EventLog, parse_csv_log, parse_xes_log, replay
+from .streams import CsvColumns, read_log, replay
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
-
-_POLICY_NAMES = ("baseline", "bounded-states", "bounded-cases", "combined")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -55,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="replay a log through one policy")
     check.add_argument("--model", required=True, help="PNML process model")
     check.add_argument("--log", required=True, help="event log (.csv or .xes)")
-    check.add_argument("--policy", required=True, choices=_POLICY_NAMES)
+    check.add_argument("--policy", required=True, choices=[p.value for p in Policy])
     check.add_argument("--w", type=int, default=None, help="state limit per case")
     check.add_argument("--n", type=int, default=None, help="multi-state case limit")
     check.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -88,25 +86,15 @@ def _add_column_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--col-timestamp", default="timestamp", help="CSV timestamp column")
 
 
-def _policy_config(args: argparse.Namespace) -> PolicyConfig:
-    policy = Policy(args.policy.replace("-", "_"))
-    return PolicyConfig(policy, w=args.w, n=args.n)
-
-
-def _load_log(args: argparse.Namespace) -> EventLog:
-    path = Path(args.log)
-    if path.suffix.lower() == ".xes":
-        return parse_xes_log(path)
-    columns = CsvColumns(
-        case_id=args.col_case, activity=args.col_activity, timestamp=args.col_timestamp
-    )
-    return parse_csv_log(path, columns)
+def _columns(args: argparse.Namespace) -> CsvColumns:
+    return CsvColumns(case_id=args.col_case, activity=args.col_activity, timestamp=args.col_timestamp)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    config = _policy_config(args)  # flag validation happens before any file is read
+    # flag validation happens before any file is read
+    config = PolicyConfig(Policy(args.policy), w=args.w, n=args.n)
     net = load_model(args.model)
-    log = _load_log(args)
+    log = read_log(args.log, _columns(args))
     engine = ConformanceEngine(net, config, search_budget=args.budget)
 
     last_outcome: dict[str, EventOutcome] = {}
@@ -157,7 +145,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         if config.synthetic is None:
             raise ValueError("--seed applies only to configs with a synthetic stream")
         config = dataclasses.replace(config, synthetic_seed=args.seed)
-    result = run_experiment(config, jobs=max(1, args.jobs))
+    result = run_experiment(config, jobs=args.jobs)
     paths = write_results(result, config.output_dir, config_echo(config))
     for run in result.runs:
         status = f"FAILED ({run.error})" if run.error else f"{len(run.windows)} windows"
@@ -167,7 +155,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    log = _load_log(args)
+    log = read_log(args.log, _columns(args))
     for event in replay(log, pace=1e-3 if args.paced else None):
         print(f"{event.arrival_index}\t{event.case_id}\t{event.activity}\t{event.timestamp.isoformat()}")
     return EXIT_OK

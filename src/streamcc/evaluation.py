@@ -14,18 +14,18 @@ import math
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .alignment import DEFAULT_COST_MODEL, DEFAULT_SEARCH_BUDGET, CostModel
-from .errors import EmptyWindow, ParseError, SearchBudgetExceeded
+from .errors import EmptyWindow, ParseError, SearchBudgetExceeded, TimestampError
 from .petri import PetriNet
-from .pnml import load_model
+from .pnml import final_marking_from_json, json_int, load_model
 from .policies import ConformanceEngine, Policy, PolicyConfig
-from .streams import StreamEvent, parse_csv_log, parse_xes_log, replay, replicate_events
+from .streams import StreamEvent, parse_timestamp, read_log, replay, replicate_events
 from .synthetic import StreamSpec, generate_log
 
 COMPARISON_NOTE = (
@@ -206,10 +206,7 @@ def evaluate_policies(
     budget failure in the reference pass itself propagates (the
     reference defaults to ``search_budget`` unless given its own).
     """
-    if window_size < 1:
-        raise ValueError("window_size must be >= 1")
-    if replication < 1:
-        raise ValueError("replication must be >= 1")
+    _check_run_settings(policies, window_size=window_size, replication=replication, jobs=jobs)
     events = list(events)
     if not events:
         raise ValueError("empty stream")
@@ -235,6 +232,21 @@ def evaluate_policies(
     )
 
 
+def _check_run_settings(
+    policies: Sequence[PolicyConfig], *, window_size: int, replication: int, jobs: int = 1
+) -> None:
+    for name, value in (("window_size", window_size), ("replication", replication), ("jobs", jobs)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
+    if not policies:
+        raise ValueError("at least one policy is required")
+    labels: set[str] = set()
+    for config in policies:
+        if config.label in labels:
+            raise ValueError(f"policy {config.label!r} is listed twice; it writes one CSV")
+        labels.add(config.label)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Parsed experiment description (see README for the JSON format)."""
@@ -251,19 +263,9 @@ class ExperimentConfig:
     search_budget: int = DEFAULT_SEARCH_BUDGET
 
     def __post_init__(self) -> None:
-        if self.window_size < 1:
-            raise ValueError("window_size must be >= 1")
-        if self.replication < 1:
-            raise ValueError("replication must be >= 1")
         if (self.log_path is None) == (self.synthetic is None):
             raise ValueError("exactly one of 'log' and 'synthetic' must be given")
-        if not self.policies:
-            raise ValueError("at least one policy is required")
-        labels: set[str] = set()
-        for config in self.policies:
-            if config.label in labels:
-                raise ValueError(f"policy {config.label!r} is listed twice; it writes one CSV")
-            labels.add(config.label)
+        _check_run_settings(self.policies, window_size=self.window_size, replication=self.replication)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
@@ -275,63 +277,92 @@ class ExperimentConfig:
         if not isinstance(payload, dict):
             raise ParseError("experiment config must be a JSON object")
         try:
-            policies = tuple(
-                _policy_from_json(entry) for entry in payload.get("policies", [])
-            )
             synthetic = payload.get("synthetic")
-            spec = None
-            seed = 0
-            if synthetic is not None:
-                synthetic = dict(synthetic)
-                seed = _json_int(synthetic.pop("seed", 0), "seed")
-                if "kinds" in synthetic:
-                    synthetic["kinds"] = tuple(synthetic["kinds"])
-                spec = StreamSpec(**synthetic)
+            spec, seed = _stream_spec_from_json(synthetic) if synthetic is not None else (None, 0)
             final = payload.get("final_marking")
             return cls(
                 model_path=base / payload["model"],
-                policies=policies,
+                policies=tuple(_policy_from_json(entry) for entry in payload.get("policies", [])),
                 log_path=(base / payload["log"]) if "log" in payload else None,
                 synthetic=spec,
                 synthetic_seed=seed,
-                final_marking=tuple(
-                    sorted((str(k), _json_int(v, f"final_marking.{k}")) for k, v in final.items())
-                )
-                if final
+                final_marking=tuple(sorted(final_marking_from_json(final).items()))
+                if final is not None
                 else None,
-                window_size=_json_int(payload.get("window_size", 1000), "window_size"),
-                replication=_json_int(payload.get("replication", 1), "replication"),
+                window_size=json_int(payload.get("window_size", 1000), "window_size"),
+                replication=json_int(payload.get("replication", 1), "replication"),
                 # input paths resolve against the config file; outputs
                 # land relative to the invoking directory
                 output_dir=Path(payload.get("output_dir", "streamcc-out")),
-                search_budget=_json_int(
+                search_budget=json_int(
                     payload.get("search_budget", DEFAULT_SEARCH_BUDGET), "search_budget"
                 ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ParseError) as exc:
             raise ParseError(f"invalid experiment config {path}: {exc}") from exc
 
 
-def _policy_from_json(entry: dict) -> PolicyConfig:
-    name = str(entry.get("policy", "")).replace("-", "_")
+def _policy_from_json(entry: object) -> PolicyConfig:
+    if not isinstance(entry, dict):
+        raise ParseError(f"a policy entry must be an object, not {entry!r}")
     try:
-        policy = Policy(name)
+        policy = Policy(entry.get("policy"))
     except ValueError as exc:
-        raise ValueError(f"unknown policy {entry.get('policy')!r}") from exc
+        names = ", ".join(p.value for p in Policy)
+        raise ParseError(f"unknown policy {entry.get('policy')!r}; valid names: {names}") from exc
     w = entry.get("w")
     n = entry.get("n")
     return PolicyConfig(
         policy,
-        w=_json_int(w, "w") if w is not None else None,
-        n=_json_int(n, "n") if n is not None else None,
+        w=json_int(w, "w") if w is not None else None,
+        n=json_int(n, "n") if n is not None else None,
     )
 
 
-def _json_int(value: object, name: str) -> int:
-    # int() would read 2.5 as 2 and true as 1; bool is a subclass of int
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name!r} must be an integer, not {value!r}")
-    return value
+def _stream_spec_from_json(block: object) -> tuple[StreamSpec, int]:
+    """Read the ``synthetic`` block: ``seed`` plus StreamSpec fields, each checked by its type."""
+    if not isinstance(block, dict):
+        raise ParseError(f"'synthetic' must be an object, not {block!r}")
+    values = dict(block)
+    seed = json_int(values.pop("seed", 0), "synthetic.seed")
+    types = {field.name: field.type for field in fields(StreamSpec)}
+    unknown = sorted(values.keys() - types.keys())
+    if unknown:
+        raise ParseError(f"unknown 'synthetic' fields {unknown}")
+    spec = StreamSpec(
+        **{name: _SPEC_READERS[types[name]](value, f"synthetic.{name}") for name, value in values.items()}
+    )
+    return spec, seed
+
+
+def _json_number(value: object, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{name!r} must be a number, not {value!r}")
+    return float(value)
+
+
+def _json_strings(value: object, name: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ParseError(f"{name!r} must be a list of strings, not {value!r}")
+    return tuple(value)
+
+
+def _json_timestamp(value: object, name: str) -> datetime:
+    if isinstance(value, str):
+        try:
+            return parse_timestamp(value)
+        except TimestampError:
+            pass
+    raise ParseError(f"{name!r} must be a log timestamp string, not {value!r}")
+
+
+# JSON reader per StreamSpec field annotation
+_SPEC_READERS = {
+    "int": json_int,
+    "float": _json_number,
+    "tuple[str, ...]": _json_strings,
+    "datetime": _json_timestamp,
+}
 
 
 def load_experiment_inputs(config: ExperimentConfig) -> tuple[PetriNet, list[StreamEvent]]:
@@ -340,10 +371,7 @@ def load_experiment_inputs(config: ExperimentConfig) -> tuple[PetriNet, list[Str
         final_marking=dict(config.final_marking) if config.final_marking else None,
     )
     if config.log_path is not None:
-        if config.log_path.suffix.lower() == ".xes":
-            log = parse_xes_log(config.log_path)
-        else:
-            log = parse_csv_log(config.log_path)
+        log = read_log(config.log_path)
     else:
         log = generate_log(config.synthetic, config.synthetic_seed)
     return net, list(replay(log))

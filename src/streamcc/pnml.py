@@ -4,8 +4,9 @@ Supported: a single ``<net>`` (optionally wrapped in one ``<page>``) with
 place, transition and arc elements, ``<initialMarking>`` token counts and
 transition ``<name>`` labels. PNML has no standard final-marking element,
 so the final marking is taken from (in order of precedence) the
-``final_marking`` argument, a pm4py-style ``<finalmarkings>`` annotation
-inside the net, or a sidecar JSON file ``{"final_marking": {...}}``.
+``final_marking`` argument, a sidecar JSON file ``<name>.final.json``
+holding ``{"final_marking": {place: count}}`` (found by ``load_model``),
+or a pm4py-style ``<finalmarkings>`` annotation inside the net.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .petri import Marking, PetriNet
 
 # Transitions whose label matches this pattern are treated as silent;
 # PNML in the wild encodes taus inconsistently.
-DEFAULT_SILENT_PATTERN = r"(?i)^tau|^τ$"
+_SILENT_LABEL = re.compile(r"(?i)^tau|^τ$")
 
 
 def _local(tag: str) -> str:
@@ -49,26 +50,39 @@ def _parse_root(source: str | Path | bytes | IO[bytes]) -> ET.Element:
         raise ParseError(f"malformed PNML at line {line}, column {column}: {exc.msg}") from exc
 
 
+def json_int(value: object, name: str) -> int:
+    """``value`` if it is a JSON integer; ``2.5``, ``true`` and ``"2"`` raise ParseError."""
+    # bool is a subclass of int
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{name!r} must be an integer, not {value!r}")
+    return value
+
+
+def final_marking_from_json(value: object) -> dict[str, int]:
+    """Read a JSON ``{place: count}`` object whose counts are JSON integers."""
+    if not isinstance(value, dict):
+        raise ParseError(f"'final_marking' must be an object, not {value!r}")
+    return {place: json_int(count, f"final_marking.{place}") for place, count in value.items()}
+
+
 def load_final_marking_sidecar(path: str | Path) -> dict[str, int]:
     """Read ``{"final_marking": {place: count, ...}}`` from a JSON sidecar."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read final-marking sidecar {path}: {exc}") from exc
+    if not isinstance(payload, dict) or "final_marking" not in payload:
+        raise ParseError(f"sidecar {path} has no 'final_marking' key")
     try:
-        final = payload["final_marking"]
-    except (TypeError, KeyError) as exc:
-        raise ParseError(f"sidecar {path} has no 'final_marking' key") from exc
-    if not isinstance(final, dict):
-        raise ParseError(f"sidecar {path}: 'final_marking' must be an object")
-    return {str(p): int(c) for p, c in final.items()}
+        return final_marking_from_json(payload["final_marking"])
+    except ParseError as exc:
+        raise ParseError(f"sidecar {path}: {exc}") from exc
 
 
 def load_pnml(
     source: str | Path | bytes | IO[bytes],
     *,
     final_marking: Mapping[str, int] | None = None,
-    silent_pattern: str = DEFAULT_SILENT_PATTERN,
 ) -> PetriNet:
     """Parse a PNML document into a :class:`PetriNet`.
 
@@ -90,7 +104,6 @@ def load_pnml(
         raise ValidationError("multiple <page> elements are not supported")
     body = pages[0] if pages else net_el
 
-    silent = re.compile(silent_pattern)
     places: list[str] = []
     transitions: dict[str, str | None] = {}
     arcs: list[tuple[str, str]] = []
@@ -122,7 +135,7 @@ def load_pnml(
             if tid in transitions or tid in places:
                 raise ValidationError(f"duplicate id {tid!r}")
             label = _text_of(el, "name")
-            if not label or silent.search(label):
+            if not label or _SILENT_LABEL.search(label):
                 transitions[tid] = None
             else:
                 transitions[tid] = label
@@ -192,7 +205,6 @@ def load_model(
     path: str | Path,
     *,
     final_marking: Mapping[str, int] | None = None,
-    silent_pattern: str = DEFAULT_SILENT_PATTERN,
 ) -> PetriNet:
     """Load a PNML file, discovering a ``<name>.final.json`` sidecar if present.
 
@@ -204,7 +216,7 @@ def load_model(
         sidecar = path.with_suffix(".final.json")
         if sidecar.exists():
             final_marking = load_final_marking_sidecar(sidecar)
-    return load_pnml(path, final_marking=final_marking, silent_pattern=silent_pattern)
+    return load_pnml(path, final_marking=final_marking)
 
 
 def to_pnml(net: PetriNet) -> str:

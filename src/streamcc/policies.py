@@ -31,9 +31,11 @@ from .petri import ActivityLabel, PetriNet
 
 
 class Policy(Enum):
+    """The values are the names typed in ``check --policy`` and experiment configs."""
+
     BASELINE = "baseline"
-    BOUNDED_STATES = "bounded_states"
-    BOUNDED_CASES = "bounded_cases"
+    BOUNDED_STATES = "bounded-states"
+    BOUNDED_CASES = "bounded-cases"
     COMBINED = "combined"
 
 
@@ -65,13 +67,10 @@ class PolicyConfig:
 
     @property
     def label(self) -> str:
-        if self.policy is Policy.BASELINE:
-            return "baseline"
-        if self.policy is Policy.BOUNDED_STATES:
-            return f"bounded-states-w{self.w}"
-        if self.policy is Policy.BOUNDED_CASES:
-            return f"bounded-cases-n{self.n}"
-        return f"combined-w{self.w}-n{self.n}"
+        """``<policy>[-w<w>][-n<n>]``, e.g. ``combined-w3-n10``."""
+        w = f"-w{self.w}" if self.w is not None else ""
+        n = f"-n{self.n}" if self.n is not None else ""
+        return f"{self.policy.value}{w}{n}"
 
 
 @dataclass(slots=True)

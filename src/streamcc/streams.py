@@ -1,8 +1,9 @@
 """Event log parsing and stream replay.
 
-Logs come in as CSV (configurable columns) or a small XES subset; replay
-turns a log into a timestamp-ordered pull stream, with stable ordering
-for equal timestamps. Replication concatenates renamed copies of the
+Logs come in as CSV (configurable columns) or a small XES subset;
+``read_log`` picks the reader from the file name. Replay turns a log into
+a timestamp-ordered pull stream, with stable ordering for equal
+timestamps. Replication concatenates renamed copies of the
 stream to mimic a larger one.
 """
 
@@ -171,16 +172,24 @@ def parse_xes_log(source: str | Path | bytes | IO[bytes]) -> EventLog:
     return EventLog(tuple(events))
 
 
-def replay(log: EventLog, *, pace: float | None = None) -> Iterator[StreamEvent]:
-    """Emit the log as a stream ordered by (timestamp, log position).
+def read_log(path: str | Path, columns: CsvColumns = CsvColumns()) -> EventLog:
+    """Read a log file: XES when its name ends in ``.xes`` (any case), CSV otherwise."""
+    if str(path).lower().endswith(".xes"):
+        return parse_xes_log(path)
+    return parse_csv_log(path, columns)
 
-    The secondary key makes ordering total and deterministic. With
-    ``pace`` set, sleeps ``pace`` wall seconds per log second between
-    events (capped per gap), for demonstration purposes.
+
+def replay(log: EventLog, *, pace: float | None = None) -> Iterator[StreamEvent]:
+    """Emit the log as a stream ordered by timestamp.
+
+    The sort is stable, so events with equal timestamps keep their log
+    order and the ordering is total and deterministic. With ``pace`` set,
+    sleeps ``pace`` wall seconds per log second between events (capped
+    per gap), for demonstration purposes.
     """
-    ordered = sorted(enumerate(log.events), key=lambda item: (item[1].timestamp, item[0]))
+    ordered = sorted(log.events, key=lambda event: event.timestamp)
     previous: datetime | None = None
-    for index, (_, event) in enumerate(ordered):
+    for index, event in enumerate(ordered):
         if pace is not None and previous is not None:
             gap = (event.timestamp - previous).total_seconds() * pace
             if gap > 0:

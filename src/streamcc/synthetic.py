@@ -20,17 +20,22 @@ ALIEN_ACTIVITY = "ZZ"  # never part of a generated model's alphabet
 NOISE_KINDS = ("alien", "skip", "duplicate", "swap")
 
 
-def cyclic_sequence_net(steps: int = 10, label_prefix: str = "A") -> PetriNet:
+def step_label(i: int) -> str:
+    """The activity label of step ``i`` of the cyclic sequence net."""
+    return f"A{i}"
+
+
+def cyclic_sequence_net(steps: int = 10) -> PetriNet:
     """A cycle of ``steps`` uniquely labeled transitions.
 
-    Transition ``t<i>`` (label ``<prefix><i>``) moves the token from place
+    Transition ``t<i>`` (label ``step_label(i)``) moves the token from place
     ``s<i>`` to ``s<i+1 mod steps>``; the initial and final markings both
     put one token on ``s0``, completed laps end where they started.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
     places = [f"s{i}" for i in range(steps)]
-    transitions = {f"t{i}": f"{label_prefix}{i}" for i in range(steps)}
+    transitions = {f"t{i}": step_label(i) for i in range(steps)}
     arcs = []
     for i in range(steps):
         arcs.append((f"s{i}", f"t{i}"))
@@ -76,7 +81,7 @@ def _case_trace(spec: StreamSpec, rng: random.Random) -> list[str]:
         length = max(2, round(rng.gauss(spec.long_length, spec.length_jitter)))
     else:
         length = max(2, round(rng.gauss(spec.base_length, spec.length_jitter / 2)))
-    trace = [f"A{i % spec.model_steps}" for i in range(length)]
+    trace = [step_label(i % spec.model_steps) for i in range(length)]
     if rng.random() >= spec.noise_probability:
         return trace
     edits = rng.randint(1, spec.max_edits)

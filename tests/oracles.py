@@ -11,16 +11,10 @@ from __future__ import annotations
 
 import random
 
-from streamcc import (
-    DEFAULT_COST_MODEL,
-    ConformanceEngine,
-    CostModel,
-    EventOutcome,
-    Marking,
-    PetriNet,
-    StreamEvent,
-    stored_state_count,
-)
+from streamcc import DEFAULT_COST_MODEL, ConformanceEngine, CostModel, PetriNet, stored_state_count
+from streamcc.petri import Marking
+from streamcc.policies import EventOutcome
+from streamcc.streams import StreamEvent
 
 ALPHABET = ["A", "B", "C", "D", "E", "F", "G", "H", "K"]
 

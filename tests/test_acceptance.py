@@ -13,29 +13,25 @@ import time
 import pytest
 
 from streamcc import (
-    CaseRecord,
-    CaseStore,
     ConformanceEngine,
-    DEFAULT_SEARCH_BUDGET,
-    Move,
     Policy,
     PolicyConfig,
     PrefixAlignment,
     SearchBudgetExceeded,
-    StreamEvent,
     StreamSpec,
-    SummaryState,
     cyclic_sequence_net,
     evaluate_policies,
     generate_log,
     parse_csv_log,
-    peak_concurrent_cases,
     replay,
     replicate_events,
-    select_forget_victim,
     shortest_path_prefix_alignment,
     stored_state_count,
 )
+from streamcc.alignment import DEFAULT_SEARCH_BUDGET, Move, SummaryState
+from streamcc.policies import CaseRecord, CaseStore, select_forget_victim
+from streamcc.streams import StreamEvent
+from streamcc.synthetic import peak_concurrent_cases
 
 from oracles import brute_force_min_cost, checked_replay, random_net, random_trace, replay_outcomes
 

@@ -6,20 +6,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from streamcc import (
-    AlignmentState,
     CostModel,
-    Marking,
-    Move,
-    MoveKind,
     PetriNet,
     PrefixAlignment,
     SearchBudgetExceeded,
-    SummaryState,
     cyclic_sequence_net,
     extend_model_semantics,
     shortest_path_prefix_alignment,
-    truncate_states,
 )
+from streamcc.alignment import AlignmentState, Move, MoveKind, SummaryState
+from streamcc.petri import Marking
+from streamcc.policies import truncate_states
 
 from oracles import brute_force_min_cost, random_net, random_trace
 

@@ -1,0 +1,142 @@
+"""``tools/bench_pairs.py`` on canned result lines; no benchmark is run."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+GATES = {"events_per_s": ("higher", 0.2), "wall_s": ("lower", 0.2)}
+
+
+def result(events_per_s, wall_s, *, correct=True, failed=0, workload="churn-evict", extra=None):
+    metrics = {
+        f"{workload}/events_per_s": {"value": events_per_s, "unit": "1/s"},
+        f"{workload}/wall_s": {"value": wall_s, "unit": "s"},
+    }
+    for name, value in (extra or {}).items():
+        metrics[f"{workload}/{name}"] = {"value": value, "unit": "B"}
+    return {"correct": correct, "attempted": 100, "failed": failed, "metrics": metrics}
+
+
+def stdout_of(line: dict) -> str:
+    return "workload churn-evict seed 7\n  events_per_s 1\n" + json.dumps(line) + "\n"
+
+
+class TestCompare:
+    def test_medians_spread_and_wins(self):
+        parent = [result(100, 1.0), result(110, 1.0), result(90, 1.2), result(100, 0.9)]
+        change = [result(120, 1.0), result(100, 0.8), result(95, 1.2), result(130, 1.0)]
+        rows, problems = bench_pairs.compare(parent, change, GATES)
+        assert problems == []
+        by_metric = {row["metric"]: row for row in rows}
+        speed = by_metric["churn-evict/events_per_s"]
+        assert (speed["parent"], speed["change"]) == (100, 110)
+        assert speed["parent_iqr"] == pytest.approx(102.5 - 97.5)
+        assert (speed["change_wins"], speed["parent_wins"]) == (3, 1)
+        wall = by_metric["churn-evict/wall_s"]
+        # lower is better for wall_s; the pairs with equal values count for neither side
+        assert (wall["change_wins"], wall["parent_wins"]) == (1, 1)
+        assert speed["over_bound"] is False and wall["over_bound"] is False
+
+    def test_worse_than_bound_is_flagged(self):
+        rows, _ = bench_pairs.compare([result(100, 1.0)], [result(79, 1.19)], GATES)
+        flags = {row["metric"]: row["over_bound"] for row in rows}
+        assert flags == {"churn-evict/events_per_s": True, "churn-evict/wall_s": False}
+
+    def test_ungated_metric_has_no_wins(self):
+        rows, _ = bench_pairs.compare(
+            [result(100, 1.0, extra={"policies.bytes_per_slot": 300})],
+            [result(100, 1.0, extra={"policies.bytes_per_slot": 250})],
+            GATES,
+        )
+        row = next(r for r in rows if r["metric"].endswith("bytes_per_slot"))
+        assert (row["parent"], row["change"], row["change_wins"], row["over_bound"]) == (300, 250, None, None)
+
+    def test_incorrect_run_and_rise_in_failed_are_problems(self):
+        parent = [result(100, 1.0), result(100, 1.0, failed=2)]
+        change = [result(100, 1.0, correct=False), result(100, 1.0, failed=3)]
+        _, problems = bench_pairs.compare(parent, change, GATES)
+        assert len(problems) == 2
+        assert "correct" in problems[0] and "failed 3 events" in problems[1]
+
+    def test_fewer_failures_are_not_a_problem(self):
+        _, problems = bench_pairs.compare([result(1, 1, failed=3)], [result(1, 1, failed=0)], GATES)
+        assert problems == []
+
+
+def test_last_json_line_skips_trailing_text():
+    line = result(1, 2)
+    assert bench_pairs.last_json_line(stdout_of(line) + "\n") == line
+    with pytest.raises(ValueError):
+        bench_pairs.last_json_line("no result\n")
+
+
+@pytest.fixture
+def checkouts(tmp_path, monkeypatch):
+    parent = tmp_path / "parent"
+    (parent / "bench").mkdir(parents=True)
+    (parent / "bench" / "run.py").write_text("")
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_pairs, "CHANGE", change)
+    monkeypatch.setattr(bench_pairs, "revision", lambda checkout: ("sha-" + checkout.name, "tree-" + checkout.name))
+    return parent, change
+
+
+def fake_runs(monkeypatch, lines):
+    """Serve canned stdout per checkout and record the order of the runs."""
+    calls = []
+
+    def run_bench(checkout, seconds, trace):
+        calls.append((checkout.name, seconds, trace))
+        return stdout_of(lines[checkout.name, trace])
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    return calls
+
+
+def test_main_alternates_sides_and_appends_entries(checkouts, monkeypatch, capsys):
+    parent, change = checkouts
+    (change / "BENCH_churn-evict.json").write_text(json.dumps({"workload": "churn-evict", "how": "x", "entries": [{}]}))
+    calls = fake_runs(monkeypatch, {
+        ("parent", False): result(100, 1.0),
+        ("change", False): result(110, 0.9),
+        ("parent", True): result(1, 1, extra={"policies.bytes_per_slot": 314.4}),
+        ("change", True): result(1, 1, extra={"policies.bytes_per_slot": 300.0}),
+    })
+    code = bench_pairs.main(["--parent", str(parent), "--pairs", "3", "--seconds", "2", "--append"])
+    assert code == 0
+    assert [name for name, _, trace in calls if not trace] == ["parent", "change", "change", "parent", "parent", "change"]
+    assert [(name, seconds) for name, seconds, trace in calls if trace] == [("parent", 5), ("change", 5)]
+    out = capsys.readouterr().out
+    assert "churn-evict/events_per_s" in out and "3/0" in out
+    trajectory = json.loads((change / "BENCH_churn-evict.json").read_text())
+    assert trajectory["how"] == "x"
+    old, parent_entry, change_entry = trajectory["entries"]
+    assert parent_entry["label"] == "parent" and change_entry["label"] == "change"
+    assert parent_entry["git_sha"] == "sha-parent" and parent_entry["child_of"] is None
+    assert change_entry["child_of"] == "sha-parent" and change_entry["src_tree"] == "tree-change"
+    assert (parent_entry["runs"], parent_entry["seconds"]) == (3, 2.0)
+    assert parent_entry["medians"] == {"events_per_s": 100, "wall_s": 1.0}
+    assert change_entry["medians"] == {"events_per_s": 110, "wall_s": 0.9}
+    assert (parent_entry["policies.bytes_per_slot"], change_entry["policies.bytes_per_slot"]) == (314.4, 300.0)
+
+
+def test_main_exits_1_on_a_problem_and_appends_nothing_without_the_flag(checkouts, monkeypatch, capsys):
+    parent, change = checkouts
+    fake_runs(monkeypatch, {
+        ("parent", False): result(100, 1.0),
+        ("change", False): result(100, 1.0, correct=False),
+    })
+    assert bench_pairs.main(["--parent", str(parent), "--pairs", "1"]) == 1
+    assert "PROBLEM" in capsys.readouterr().out
+    assert not list(change.glob("BENCH_*.json"))

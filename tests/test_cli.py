@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,9 +13,9 @@ from streamcc import (
     load_model,
     parse_csv_log,
     replay,
-    to_pnml,
 )
 from streamcc.cli import main
+from streamcc.pnml import to_pnml
 
 
 @pytest.fixture
@@ -86,6 +87,38 @@ class TestCheck:
         assert code == 2
         err = capsys.readouterr().err
         assert "state limit" in err
+
+    @pytest.mark.parametrize("policy", ["bounded-states", "bounded-cases", "combined"])
+    def test_missing_limit_error_names_the_typed_policy(self, policy, capsys):
+        code = main(["check", "--model", "missing.pnml", "--log", "missing.csv", "--policy", policy])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {policy} requires a")
+
+    def test_underscore_policy_spelling_is_not_a_choice(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", "--model", "m.pnml", "--log", "l.csv", "--policy", "bounded_states", "--w", "2"])
+        assert excinfo.value.code == 2
+        assert "'baseline', 'bounded-states', 'bounded-cases', 'combined'" in capsys.readouterr().err
+
+    def test_xes_log(self, branching_model, sample_log, tmp_path, capsys):
+        rows = Path(sample_log).read_text().splitlines()[1:]
+        events = {}
+        for row in rows:
+            case_id, activity, timestamp = row.split(",")
+            events.setdefault(case_id, []).append(
+                f'<event><string key="concept:name" value="{activity}"/>'
+                f'<date key="time:timestamp" value="{timestamp}"/></event>'
+            )
+        traces = "".join(
+            f'<trace><string key="concept:name" value="{case_id}"/>{"".join(evs)}</trace>'
+            for case_id, evs in events.items()
+        )
+        xes = tmp_path / "sample.xes"
+        xes.write_text(f"<log>{traces}</log>")
+        assert main(["check", "--model", branching_model, "--log", sample_log, "--policy", "baseline"]) == 0
+        from_csv = capsys.readouterr().out
+        assert main(["check", "--model", branching_model, "--log", str(xes), "--policy", "baseline"]) == 0
+        assert capsys.readouterr().out == from_csv
 
     def test_baseline_rejects_w(self, branching_model, sample_log, capsys):
         code = main(["check", "--model", branching_model, "--log", sample_log, "--policy", "baseline", "--w", "3"])
@@ -286,6 +319,20 @@ class TestExperimentCommand:
         assert capsys.readouterr().err.startswith("error: invalid experiment config")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2_and_writes_nothing(self, jobs, data_dir, tmp_path, capsys):
+        config = {
+            "model": str(data_dir / "cycle10.pnml"),
+            "synthetic": {"cases": 5, "open_cases": 2},
+            "policies": [{"policy": "baseline"}],
+            "output_dir": str(tmp_path / "out"),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["experiment", "--config", str(path), "--jobs", jobs]) == 2
+        assert capsys.readouterr().err == "error: jobs must be >= 1\n"
+        assert not (tmp_path / "out").exists()
+
     def test_parallel_jobs_match_sequential(self, data_dir, tmp_path):
         config = {
             "model": str(data_dir / "cycle10.pnml"),
@@ -316,7 +363,7 @@ class TestExperimentCommand:
             assert seq_rows == par_rows
 
     def test_bundled_example_config_parses(self, data_dir):
-        from streamcc import ExperimentConfig
+        from streamcc.evaluation import ExperimentConfig
 
         config = ExperimentConfig.from_json(data_dir / "experiment_example.json")
         ws = sorted({p.w for p in config.policies if p.policy is Policy.BOUNDED_STATES})

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
+from datetime import datetime
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,21 +10,19 @@ from hypothesis import given, strategies as st
 from streamcc import (
     ConformanceEngine,
     CostModel,
-    EmptyWindow,
-    ExperimentConfig,
     ParseError,
     Policy,
     PolicyConfig,
     StreamSpec,
     cyclic_sequence_net,
     evaluate_policies,
-    f1,
     generate_log,
     replay,
-    rmse,
-    run_experiment,
-    write_results,
 )
+from streamcc import evaluation
+from streamcc.errors import EmptyWindow
+from streamcc.evaluation import ExperimentConfig, f1, rmse, run_experiment, write_results
+from streamcc.pnml import load_final_marking_sidecar, to_pnml
 
 
 class TestRmse:
@@ -202,6 +202,26 @@ class TestEvaluatePolicies:
         with pytest.raises(ValueError):
             evaluate_policies(net, [], [PolicyConfig(Policy.BASELINE)])
 
+    @pytest.mark.parametrize(
+        "policies, settings, message",
+        [
+            ([PolicyConfig(Policy.BASELINE)] * 2, {}, "'baseline' is listed twice"),
+            ([], {}, "at least one policy"),
+            ([PolicyConfig(Policy.BASELINE)], {"jobs": 0}, "jobs must be >= 1"),
+            ([PolicyConfig(Policy.BASELINE)], {"jobs": -3}, "jobs must be >= 1"),
+            ([PolicyConfig(Policy.BASELINE)], {"window_size": 0}, "window_size must be >= 1"),
+        ],
+        ids=["duplicate", "no-policy", "jobs-0", "jobs-negative", "window-0"],
+    )
+    def test_bad_settings_rejected_before_any_replay(self, monkeypatch, policies, settings, message):
+        def replayed(*args, **kwargs):
+            raise AssertionError("the stream was replayed")
+
+        monkeypatch.setattr(evaluation, "reference_costs", replayed)
+        monkeypatch.setattr(evaluation, "_measured_pass", replayed)
+        with pytest.raises(ValueError, match=message):
+            evaluate_policies(cyclic_sequence_net(10), small_stream(), policies, **settings)
+
 
 class TestMeasureApte:
     def test_reports_one_mean_per_window(self):
@@ -266,8 +286,6 @@ class TestExperimentConfig:
             "output_dir": "out",
         }
         payload.update(overrides)
-        from streamcc import to_pnml
-
         (tmp_path / "cycle.pnml").write_text(to_pnml(cyclic_sequence_net(6)))
         path = tmp_path / "config.json"
         path.write_text(json.dumps(payload))
@@ -326,3 +344,122 @@ class TestExperimentConfig:
         path = self.config_payload(tmp_path, log="whatever.csv")
         with pytest.raises(ParseError):
             ExperimentConfig.from_json(path)
+
+    def test_policy_names_are_the_typed_spellings(self, tmp_path):
+        names = ["baseline", "bounded-states", "bounded-cases", "combined"]
+        assert [p.value for p in Policy] == names
+        path = self.config_payload(
+            tmp_path,
+            policies=[
+                {"policy": "baseline"},
+                {"policy": "bounded-states", "w": 2},
+                {"policy": "bounded-cases", "n": 3},
+                {"policy": "combined", "w": 2, "n": 3},
+            ],
+        )
+        config = ExperimentConfig.from_json(path)
+        assert [p.policy.value for p in config.policies] == names
+        echo = evaluation.config_echo(config)
+        assert [entry["policy"] for entry in echo["policies"]] == names
+
+    @pytest.mark.parametrize("name", ["bounded_states", "bounded_cases", "Baseline", None])
+    def test_other_policy_spellings_rejected_with_the_valid_names(self, tmp_path, name):
+        path = self.config_payload(tmp_path, policies=[{"policy": name, "w": 2, "n": 3}])
+        with pytest.raises(ParseError, match="valid names: baseline, bounded-states, bounded-cases, combined"):
+            ExperimentConfig.from_json(path)
+
+    @pytest.mark.parametrize("entry", ["baseline", ["baseline"]])
+    def test_policy_entry_must_be_an_object(self, tmp_path, entry):
+        path = self.config_payload(tmp_path, policies=[entry])
+        with pytest.raises(ParseError, match="policy entry must be an object"):
+            ExperimentConfig.from_json(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("base_length", 10.5),
+            ("cases", "10"),
+            ("seed", True),
+            ("noise_probability", True),
+            ("long_fraction", "0.5"),
+            ("kinds", "alien"),
+            ("kinds", ["alien", 1]),
+            ("start", 20211001),
+            ("start", "1 October 2021"),
+        ],
+    )
+    def test_bad_synthetic_value_rejected(self, tmp_path, field, value):
+        synthetic = {"cases": 10, "open_cases": 3, "seed": 1, field: value}
+        path = self.config_payload(tmp_path, synthetic=synthetic)
+        with pytest.raises(ParseError, match=f"'synthetic.{field}' must be"):
+            ExperimentConfig.from_json(path)
+
+    @pytest.mark.parametrize("synthetic", [{"cases": 10, "colour": "red"}, [10, 3]])
+    def test_synthetic_block_must_be_an_object_of_stream_spec_fields(self, tmp_path, synthetic):
+        path = self.config_payload(tmp_path, synthetic=synthetic)
+        with pytest.raises(ParseError, match="synthetic"):
+            ExperimentConfig.from_json(path)
+
+    def test_synthetic_start_uses_the_log_timestamp_format(self, tmp_path):
+        synthetic = {"cases": 10, "open_cases": 3, "seed": 1, "start": "2021-10-01 08:00"}
+        config = ExperimentConfig.from_json(self.config_payload(tmp_path, synthetic=synthetic))
+        assert config.synthetic.start == datetime(2021, 10, 1, 8, 0)
+        result = run_experiment(config)
+        assert [run.error for run in result.runs] == [None, None]
+
+    def test_every_stream_spec_field_reads_back_from_json(self, tmp_path):
+        spec = StreamSpec(cases=12, long_fraction=0.25, kinds=("skip",), start=datetime(2022, 1, 2, 3, 4, 5))
+        fields = asdict(spec)
+        fields["start"] = spec.start.isoformat()
+        config = ExperimentConfig.from_json(self.config_payload(tmp_path, synthetic={**fields, "seed": 4}))
+        assert config.synthetic == spec
+        assert config.synthetic_seed == 4
+
+    def test_xes_log_read_by_its_suffix(self, tmp_path):
+        events = "".join(
+            f'<event><string key="concept:name" value="A{i}"/>'
+            f'<date key="time:timestamp" value="2021-10-01T08:0{i}:00"/></event>'
+            for i in range(6)
+        )
+        xes = f'<log><trace><string key="concept:name" value="c1"/>{events}</trace></log>'
+        (tmp_path / "stream.XES").write_text(xes)
+        config = ExperimentConfig.from_json(self.config_payload(tmp_path, synthetic=None, log="stream.XES"))
+        _, stream = evaluation.load_experiment_inputs(config)
+        assert [(e.case_id, e.activity) for e in stream] == [("c1", f"A{i}") for i in range(6)]
+
+
+def _read_sidecar(tmp_path, final):
+    path = tmp_path / "cycle.final.json"
+    path.write_text(json.dumps({"final_marking": final}))
+    return load_final_marking_sidecar(path)
+
+
+def _read_experiment_block(tmp_path, final):
+    (tmp_path / "cycle.pnml").write_text(to_pnml(cyclic_sequence_net(6)))
+    path = tmp_path / "config.json"
+    payload = {
+        "model": "cycle.pnml",
+        "synthetic": {"cases": 5},
+        "policies": [{"policy": "baseline"}],
+        "final_marking": final,
+    }
+    path.write_text(json.dumps(payload))
+    return dict(ExperimentConfig.from_json(path).final_marking)
+
+
+@pytest.mark.parametrize("read", [_read_sidecar, _read_experiment_block], ids=["sidecar", "experiment"])
+class TestFinalMarkingReaders:
+    """The sidecar and the experiment's ``final_marking`` block share one reader."""
+
+    def test_integer_counts_read(self, tmp_path, read):
+        assert read(tmp_path, {"s0": 1, "s3": 2}) == {"s0": 1, "s3": 2}
+
+    @pytest.mark.parametrize("count", [2.5, True, "1"], ids=["fraction", "boolean", "string"])
+    def test_non_integer_count_rejected_naming_the_place(self, tmp_path, read, count):
+        with pytest.raises(ParseError, match=r"'final_marking\.s0' must be an integer"):
+            read(tmp_path, {"s0": count})
+
+    @pytest.mark.parametrize("final", [["s0"], 1, "s0"])
+    def test_non_object_rejected(self, tmp_path, read, final):
+        with pytest.raises(ParseError, match="'final_marking' must be an object"):
+            read(tmp_path, final)

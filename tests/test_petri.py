@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from streamcc import FiringNotEnabled, Marking, PetriNet, ValidationError
+from streamcc import PetriNet, ValidationError
+from streamcc.errors import FiringNotEnabled
+from streamcc.petri import Marking
 
 from oracles import random_net
 

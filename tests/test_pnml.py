@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from streamcc import ParseError, ValidationError, load_final_marking_sidecar, load_model, load_pnml, to_pnml
+from streamcc import ParseError, ValidationError, load_model
+from streamcc.pnml import load_final_marking_sidecar, load_pnml, to_pnml
 
 from oracles import random_net
 

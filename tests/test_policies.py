@@ -4,26 +4,20 @@ from __future__ import annotations
 import pytest
 
 from streamcc import (
-    MoveKind,
-    CaseRecord,
-    CaseStore,
     ConformanceEngine,
-    Marking,
-    Method,
-    Move,
     Policy,
     PolicyConfig,
     PrefixAlignment,
     SearchBudgetExceeded,
     StreamSpec,
-    SummaryState,
     cyclic_sequence_net,
     generate_log,
     replay,
-    select_forget_victim,
     stored_state_count,
-    truncate_states,
 )
+from streamcc.alignment import Move, MoveKind, SummaryState
+from streamcc.petri import Marking
+from streamcc.policies import CaseRecord, CaseStore, Method, select_forget_victim, truncate_states
 
 from oracles import brute_force_min_cost, checked_replay, replay_outcomes
 
@@ -439,7 +433,7 @@ class TestAccessors:
         assert with_state.fitness_cost == 3.0
 
     def test_stored_state_count(self, seq_abc):
-        from streamcc import SummaryRepository
+        from streamcc.policies import SummaryRepository
 
         store = CaseStore()
         repo = SummaryRepository()

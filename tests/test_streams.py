@@ -7,17 +7,9 @@ from datetime import datetime
 import pytest
 from hypothesis import given, strategies as st
 
-from streamcc import (
-    CsvColumns,
-    Event,
-    EventLog,
-    ParseError,
-    TimestampError,
-    parse_csv_log,
-    parse_xes_log,
-    replay,
-    replicate_events,
-)
+from streamcc import ParseError, parse_csv_log, replay, replicate_events
+from streamcc.errors import TimestampError
+from streamcc.streams import CsvColumns, Event, EventLog, parse_xes_log, read_log
 
 XES_TWO_TRACES = b"""<?xml version="1.0" encoding="UTF-8"?>
 <log xes.version="1.0" xmlns="http://www.xes-standard.org/">
@@ -136,6 +128,28 @@ class TestXes:
     def test_malformed_xml(self):
         with pytest.raises(ParseError):
             parse_xes_log(b"<log><trace>")
+
+
+class TestReadLog:
+    @pytest.mark.parametrize("name", ["log.xes", "LOG.XES", "log.Xes"])
+    def test_xes_suffix_in_any_case_reads_xes(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(XES_TWO_TRACES)
+        assert read_log(path) == parse_xes_log(XES_TWO_TRACES)
+        assert read_log(str(path)) == parse_xes_log(XES_TWO_TRACES)
+
+    @pytest.mark.parametrize("name", ["log.csv", "log.txt", "log"])
+    def test_any_other_name_reads_csv_with_the_given_columns(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_text("Case,Task,When\n9,A,2021-01-01 08:00\n")
+        log = read_log(path, CsvColumns(case_id="Case", activity="Task", timestamp="When"))
+        assert [(e.case_id, e.activity) for e in log.events] == [("9", "A")]
+
+    def test_xes_content_under_a_csv_name_is_not_sniffed(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_bytes(XES_TWO_TRACES)
+        with pytest.raises(ParseError):
+            read_log(path)
 
 
 class TestReplay:

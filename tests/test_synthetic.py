@@ -2,14 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from streamcc import (
-    ConformanceEngine,
-    StreamSpec,
-    cyclic_sequence_net,
-    generate_log,
-    peak_concurrent_cases,
-    replay,
-)
+from streamcc import ConformanceEngine, StreamSpec, cyclic_sequence_net, generate_log, replay
+from streamcc.synthetic import ALIEN_ACTIVITY, peak_concurrent_cases, step_label
 
 from oracles import replay_outcomes
 
@@ -35,6 +29,12 @@ class TestCyclicSequenceNet:
 
 
 class TestGenerateLog:
+    def test_activities_are_the_model_labels(self):
+        labels = set(cyclic_sequence_net(6).labels.values())
+        assert labels == {step_label(i) for i in range(6)}
+        log = generate_log(StreamSpec(cases=10, open_cases=3, model_steps=6), seed=2)
+        assert {e.activity for e in log.events} <= labels | {ALIEN_ACTIVITY}
+
     def test_deterministic_for_seed(self):
         spec = StreamSpec(cases=20, open_cases=5)
         a = generate_log(spec, seed=3)

@@ -13,19 +13,11 @@ from datetime import datetime
 
 import pytest
 
-from streamcc import (
-    AlignmentState,
-    CaseRecord,
-    Event,
-    EventOutcome,
-    Marking,
-    Method,
-    Move,
-    PrefixAlignment,
-    StreamEvent,
-    SummaryState,
-    cyclic_sequence_net,
-)
+from streamcc import PrefixAlignment, cyclic_sequence_net
+from streamcc.alignment import AlignmentState, Move, SummaryState
+from streamcc.petri import Marking
+from streamcc.policies import CaseRecord, EventOutcome, Method
+from streamcc.streams import Event, StreamEvent
 
 _MARKING = Marking.of({"p1": 1, "p2": 2})
 _SUMMARY = SummaryState(1.5, _MARKING)

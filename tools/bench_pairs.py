@@ -1,0 +1,233 @@
+#!/usr/bin/env python3
+"""Compare this checkout's benchmark against a parent checkout, in alternating pairs.
+
+Run from anywhere:
+
+    python3 tools/bench_pairs.py --parent ../parent-checkout [--pairs 10] [--seconds 15] [--append]
+
+Each pair runs ``bench/run.py --workload all --seconds S`` once in the
+parent checkout and once in this one; even pairs run the parent first,
+odd pairs the change first. Each run's result is the last JSON line it
+prints. For every ``<workload>/<metric>`` the tool prints both medians,
+the parent's IQR (the spread between its quartiles), the change's and
+the parent's wins over the pairs (ties count for neither) and, for the
+metrics ``BENCHMARK.json`` gates, whether the change's median is worse
+than the parent's by more than the bound. It exits 1 when any run
+reports ``"correct": false`` or the change fails more events than the
+parent in any pair.
+
+``--append`` then runs ``--workload all --trace 1 --seconds 5`` once per
+side for ``policies.bytes_per_slot`` and appends a parent entry and a
+change entry to each ``BENCH_<workload>.json`` of this checkout.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CHANGE = Path(__file__).resolve().parents[1]
+BYTES_PER_SLOT = "policies.bytes_per_slot"
+
+
+def run_bench(checkout: Path, seconds: float, trace: bool) -> str:
+    """Standard output of one ``bench/run.py --workload all`` run in ``checkout``."""
+    command = [sys.executable, "bench/run.py", "--workload", "all", "--seconds", str(seconds),
+               "--trace", "1" if trace else "0"]
+    completed = subprocess.run(command, cwd=checkout, stdout=subprocess.PIPE, text=True, check=False)
+    return completed.stdout
+
+
+def last_json_line(stdout: str) -> dict:
+    for line in reversed(stdout.strip().splitlines()):
+        if line.startswith("{"):
+            return json.loads(line)
+    raise ValueError("the benchmark printed no JSON result line")
+
+
+def metric_values(result: dict) -> dict[str, float]:
+    return {name: entry["value"] for name, entry in result["metrics"].items()}
+
+
+def quartile_spread(values: list[float]) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def gates(benchmark: dict) -> dict[str, tuple[str, float]]:
+    """``metric -> (better, bound)`` for the end-to-end metrics of ``BENCHMARK.json``."""
+    return {m["name"]: (m["better"], m["bound"]) for m in benchmark["end_to_end"]}
+
+
+def compare(parent: list[dict], change: list[dict], gated: dict[str, tuple[str, float]]):
+    """One row per ``<workload>/<metric>`` and the list of problems found.
+
+    ``parent[i]`` and ``change[i]`` are the result lines of pair ``i``.
+    """
+    problems = []
+    for side, results in (("parent", parent), ("change", change)):
+        for i, result in enumerate(results):
+            if not result["correct"]:
+                problems.append(f"pair {i}: the {side} run printed \"correct\": false")
+    for i, (p, c) in enumerate(zip(parent, change)):
+        if c["failed"] > p["failed"]:
+            problems.append(f"pair {i}: the change failed {c['failed']} events, the parent {p['failed']}")
+
+    parent_values = [metric_values(r) for r in parent]
+    change_values = [metric_values(r) for r in change]
+    rows = []
+    for key in sorted({k for values in parent_values + change_values for k in values}):
+        p = [values[key] for values in parent_values if key in values]
+        c = [values[key] for values in change_values if key in values]
+        if not p or not c:
+            continue
+        better, bound = gated.get(key.rsplit("/", 1)[-1], (None, None))
+        row = {
+            "metric": key,
+            "parent": statistics.median(p),
+            "change": statistics.median(c),
+            "parent_iqr": quartile_spread(p),
+            "change_wins": None,
+            "parent_wins": None,
+            "over_bound": None,
+        }
+        if better is not None:
+            sign = 1 if better == "higher" else -1
+            pairs = [(values.get(key), other.get(key)) for values, other in zip(parent_values, change_values)]
+            pairs = [(a, b) for a, b in pairs if a is not None and b is not None]
+            row["change_wins"] = sum(1 for a, b in pairs if sign * (b - a) > 0)
+            row["parent_wins"] = sum(1 for a, b in pairs if sign * (b - a) < 0)
+            worse = sign * (row["parent"] - row["change"])
+            row["over_bound"] = worse > bound * abs(row["parent"])
+        rows.append(row)
+    return rows, problems
+
+
+def render(rows: list[dict], pairs: int) -> str:
+    lines = [f"{'workload/metric':<44} {'parent':>12} {'change':>12} {'change %':>9} "
+             f"{'parent IQR':>11} {'wins c/p':>9}  bound"]
+    for row in rows:
+        delta = (row["change"] / row["parent"] - 1) * 100 if row["parent"] else 0.0
+        wins = "-" if row["change_wins"] is None else f"{row['change_wins']}/{row['parent_wins']}"
+        flag = {None: "-", False: "ok", True: "WORSE THAN BOUND"}[row["over_bound"]]
+        lines.append(f"{row['metric']:<44} {row['parent']:>12.6g} {row['change']:>12.6g} {delta:>+8.1f}% "
+                     f"{row['parent_iqr']:>11.4g} {wins:>9}  {flag}")
+    lines.append(f"{pairs} pairs; wins count pairs where that side's value is better, ties for neither")
+    return "\n".join(lines)
+
+
+def _git(checkout: Path, *args: str, env: dict | None = None) -> str | None:
+    completed = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True,
+                               check=False, env=env)
+    return completed.stdout.strip() if completed.returncode == 0 else None
+
+
+def revision(checkout: Path) -> tuple[str | None, str | None]:
+    """``(commit, src tree)`` of a checkout; the commit is None when ``src`` has uncommitted edits."""
+    head = _git(checkout, "rev-parse", "HEAD")
+    if head is None:
+        return None, None
+    if not _git(checkout, "status", "--porcelain", "--", "src"):
+        return head, _git(checkout, "rev-parse", "HEAD:src")
+    # hash the working tree's src through a scratch index, leaving the real one alone
+    with tempfile.TemporaryDirectory() as scratch:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(scratch) / "index")}
+        _git(checkout, "read-tree", "HEAD", env=env)
+        _git(checkout, "add", "-A", "--", "src", env=env)
+        return None, _git(checkout, "write-tree", "--prefix=src/", env=env)
+
+
+def trajectory_entries(rows, parent_trace: dict, change_trace: dict, pairs: int, seconds: float,
+                       parent_rev, change_rev) -> dict[str, list[dict]]:
+    """``workload -> [parent entry, change entry]`` in the ``BENCH_<workload>.json`` format."""
+    medians: dict[str, dict[str, dict[str, float]]] = {}
+    for row in rows:
+        workload, metric = row["metric"].split("/", 1)
+        for side in ("parent", "change"):
+            medians.setdefault(workload, {}).setdefault(side, {})[metric] = row[side]
+    traces = {"parent": metric_values(parent_trace), "change": metric_values(change_trace)}
+    revisions = {"parent": parent_rev, "change": change_rev}
+    entries = {}
+    for workload, sides in medians.items():
+        entries[workload] = [
+            {
+                "label": side,
+                "git_sha": revisions[side][0],
+                "child_of": parent_rev[0] if side == "change" else None,
+                "src_tree": revisions[side][1],
+                "python": platform.python_version(),
+                "runs": pairs,
+                "seconds": seconds,
+                "medians": sides[side],
+                BYTES_PER_SLOT: traces[side].get(f"{workload}/{BYTES_PER_SLOT}"),
+            }
+            for side in ("parent", "change")
+        ]
+    return entries
+
+
+def append_entries(directory: Path, entries: dict[str, list[dict]]) -> list[Path]:
+    written = []
+    for workload, new in entries.items():
+        path = directory / f"BENCH_{workload}.json"
+        if path.exists():
+            trajectory = json.loads(path.read_text(encoding="utf-8"))
+        else:
+            trajectory = {"workload": workload, "entries": []}
+        trajectory["entries"].extend(new)
+        path.write_text(json.dumps(trajectory, indent=1) + "\n", encoding="utf-8")
+        written.append(path)
+    return written
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=15.0, help="timed replay length per workload")
+    parser.add_argument("--append", action="store_true", help="append entries to BENCH_<workload>.json")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    parent_dir = args.parent.resolve()
+    if not (parent_dir / "bench" / "run.py").is_file():
+        parser.error(f"{parent_dir} has no bench/run.py")
+
+    results: dict[Path, list[dict]] = {parent_dir: [], CHANGE: []}
+    for i in range(args.pairs):
+        order = (parent_dir, CHANGE) if i % 2 == 0 else (CHANGE, parent_dir)
+        for checkout in order:
+            side = "parent" if checkout == parent_dir else "change"
+            print(f"pair {i + 1}/{args.pairs}: {side}", file=sys.stderr, flush=True)
+            results[checkout].append(last_json_line(run_bench(checkout, args.seconds, trace=False)))
+
+    benchmark = json.loads((CHANGE / "BENCHMARK.json").read_text(encoding="utf-8"))
+    rows, problems = compare(results[parent_dir], results[CHANGE], gates(benchmark))
+    print(render(rows, args.pairs))
+    for problem in problems:
+        print(f"PROBLEM: {problem}")
+
+    if args.append:
+        traces = {}
+        for checkout in (parent_dir, CHANGE):
+            print(f"trace run: {checkout}", file=sys.stderr, flush=True)
+            traces[checkout] = last_json_line(run_bench(checkout, 5, trace=True))
+        entries = trajectory_entries(rows, traces[parent_dir], traces[CHANGE], args.pairs, args.seconds,
+                                     revision(parent_dir), revision(CHANGE))
+        for path in append_entries(CHANGE, entries):
+            print(f"appended to {path.name}")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
