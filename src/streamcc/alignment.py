@@ -145,10 +145,14 @@ class PrefixAlignment:
         return cls(base_marking=summary.carry_marking, summary=summary)
 
     @property
+    def carried_cost(self) -> float:
+        """Cost of the forgotten prefix the summary carries (0 without one)."""
+        return self.summary.kappa_o if self.summary is not None else 0.0
+
+    @property
     def fitness_cost(self) -> float:
         """Sum of all move costs, including the summary's carried cost."""
-        carried = self.summary.kappa_o if self.summary is not None else 0.0
-        return carried + self.moves_cost
+        return self.carried_cost + self.moves_cost
 
     @property
     def current_marking(self) -> Marking:

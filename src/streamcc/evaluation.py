@@ -15,15 +15,16 @@ import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from datetime import datetime, timezone
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .alignment import DEFAULT_COST_MODEL, DEFAULT_SEARCH_BUDGET, CostModel
 from .errors import EmptyWindow, ParseError, SearchBudgetExceeded, TimestampError
 from .petri import PetriNet
-from .pnml import final_marking_from_json, json_int, load_model
+from .pnml import json_int, load_model
 from .policies import ConformanceEngine, Policy, PolicyConfig
 from .streams import StreamEvent, parse_timestamp, read_log, replay, replicate_events
 from .synthetic import StreamSpec, generate_log
@@ -74,11 +75,14 @@ class WindowStats:
 @dataclass(frozen=True)
 class PolicyRun:
     config: PolicyConfig
-    label: str
     windows: tuple[WindowStats, ...]
     search_count: int
     extension_count: int
     error: str | None = None
+
+    @property
+    def label(self) -> str:
+        return self.config.label
 
 
 @dataclass(frozen=True)
@@ -108,84 +112,67 @@ def reference_costs(
 def _measured_pass(
     net: PetriNet,
     events: Sequence[StreamEvent],
-    config: PolicyConfig,
     ref_costs: Sequence[float],
     window_size: int,
     search_budget: int,
     replication: int,
+    config: PolicyConfig,
 ) -> PolicyRun:
     """Replay the k-fold replicated stream once, in one engine.
 
-    Windows, stored-state peaks and search/extension counts come from the
-    first copy; each window's APTE is the mean per-event processing time
-    over every copy of that window.
+    Costs, stored-slot peaks and search/extension counts come from the
+    first copy, which is ``events`` itself; each window's APTE is the
+    mean per-event processing time over every copy of that window.
+    Only the windows whose first copy completed are reported.
     """
     engine = ConformanceEngine(net, config, search_budget=search_budget)
     length = len(events)
-    # per window of the first copy: (events, peak stored states, rmse, f1)
-    closed: list[tuple[int, int, float, float]] = []
-    window_ns: list[int] = []  # processing time per window, summed over all copies
-    window_timed: list[int] = []  # events timed per window, over all copies
-    window_start = 0
-    peak_states = 0
-    elapsed_ns = 0
-    last_in_window: dict[str, tuple[int, float]] = {}
+    copies = islice(replicate_events(events, replication), length, None) if replication > 1 else ()
+    costs: list[float] = []  # first copy's effective cost per event
+    peaks = [0] * math.ceil(length / window_size)  # first copy's peak stored slots per window
+    window_ns = [0] * len(peaks)  # processing time per window, all copies
+    window_timed = [0] * len(peaks)  # events timed per window, all copies
     counts: tuple[int, int] | None = None
     error: str | None = None
-
-    def close_window(end: int) -> None:
-        nonlocal window_start, peak_states, elapsed_ns, last_in_window
-        count = end - window_start
-        pairs = [(cost, ref_costs[idx]) for idx, cost in last_in_window.values()]
-        closed.append((count, peak_states, rmse(pairs), f1([(p > 0, b > 0) for p, b in pairs])))
-        window_ns.append(elapsed_ns)
-        window_timed.append(count)
-        window_start = end
-        peak_states = 0
-        elapsed_ns = 0
-        last_in_window = {}
-
     try:
-        # the first copy of the replicated stream keeps the original case ids
-        for index, event in enumerate(events):
+        for index, event in enumerate(chain(events, copies)):
+            window = index % length // window_size
             started = time.perf_counter_ns()
             outcome = engine.process(event.case_id, event.activity, index)
-            elapsed_ns += time.perf_counter_ns() - started
-            peak_states = max(peak_states, engine.stored_state_count)
-            last_in_window[event.case_id] = (index, outcome.effective_cost)
-            if (index + 1) % window_size == 0 or index + 1 == length:
-                close_window(index + 1)
-        counts = (engine.search_count, engine.extension_count)
-        if replication > 1:
-            copies = islice(replicate_events(events, replication), length, None)
-            for index, event in enumerate(copies, start=length):
-                window = (index % length) // window_size
-                started = time.perf_counter_ns()
-                engine.process(event.case_id, event.activity, index)
-                window_ns[window] += time.perf_counter_ns() - started
-                window_timed[window] += 1
+            window_ns[window] += time.perf_counter_ns() - started
+            window_timed[window] += 1
+            if index < length:
+                costs.append(outcome.effective_cost)
+                peaks[window] = max(peaks[window], engine.stored_state_count)
+                if index + 1 == length:
+                    counts = (engine.search_count, engine.extension_count)
     except SearchBudgetExceeded as exc:
         error = str(exc)
 
-    search_count, extension_count = counts or (engine.search_count, engine.extension_count)
-    return PolicyRun(
-        config=config,
-        label=config.label,
-        windows=tuple(
-            WindowStats(
-                window_index=i,
-                events_in_window=count,
-                max_stored_states=peak,
-                rmse_fitness=rmse_value,
-                f1_classification=f1_value,
-                apte_us=window_ns[i] / window_timed[i] / 1000.0,
-            )
-            for i, (count, peak, rmse_value, f1_value) in enumerate(closed)
-        ),
-        search_count=search_count,
-        extension_count=extension_count,
-        error=error,
+    windows = tuple(
+        WindowStats(i, count, peaks[i], rmse_value, f1_value, window_ns[i] / window_timed[i] / 1000.0)
+        for i, (count, rmse_value, f1_value) in enumerate(
+            _window_scores(events, costs, ref_costs, window_size)
+        )
     )
+    search_count, extension_count = counts or (engine.search_count, engine.extension_count)
+    return PolicyRun(config, windows, search_count, extension_count, error)
+
+
+def _window_scores(
+    events: Sequence[StreamEvent], costs: list[float], ref_costs: Sequence[float], window_size: int
+) -> Iterator[tuple[int, float, float]]:
+    """Events, RMSE and F1 of each window that ``costs`` cover in full.
+
+    A window compares the cases it touches, each at its last event in it.
+    """
+    for start in range(0, len(costs), window_size):
+        end = min(start + window_size, len(events))
+        if end > len(costs):
+            return
+        last = {events[i].case_id: i for i in range(start, end)}
+        pairs = [(costs[i], ref_costs[i]) for i in last.values()]
+        yield end - start, rmse(pairs), f1([(p > 0, b > 0) for p, b in pairs])
 
 
 def evaluate_policies(
@@ -201,32 +188,24 @@ def evaluate_policies(
 ) -> ExperimentResult:
     """Run every policy over the stream and compare it to the baseline.
 
-    A policy run that exhausts its search budget is reported with its
-    completed windows and an error; other policies are unaffected. A
-    budget failure in the reference pass itself propagates (the
-    reference defaults to ``search_budget`` unless given its own).
+    The policies must share one cost model, and the reference baseline
+    uses it too. A policy run that exhausts its search budget is
+    reported with its completed windows and an error; other policies are
+    unaffected. A budget failure in the reference pass itself propagates
+    (the reference defaults to ``search_budget`` unless given its own).
     """
     _check_run_settings(policies, window_size=window_size, replication=replication, jobs=jobs)
     events = list(events)
     if not events:
         raise ValueError("empty stream")
-    if reference_search_budget is None:
-        reference_search_budget = search_budget
-    refs = reference_costs(net, events, search_budget=reference_search_budget)
+    reference_budget = search_budget if reference_search_budget is None else reference_search_budget
+    refs = reference_costs(net, events, policies[0].cost_model, reference_budget)
+    measure = partial(_measured_pass, net, events, refs, window_size, search_budget, replication)
     if jobs > 1 and len(policies) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(
-                    _measured_pass, net, events, config, refs, window_size, search_budget, replication
-                )
-                for config in policies
-            ]
-            runs = tuple(f.result() for f in futures)
+            runs = tuple(pool.map(measure, policies))
     else:
-        runs = tuple(
-            _measured_pass(net, events, config, refs, window_size, search_budget, replication)
-            for config in policies
-        )
+        runs = tuple(map(measure, policies))
     return ExperimentResult(
         runs=runs, events_total=len(events), window_size=window_size, replication=replication
     )
@@ -245,6 +224,8 @@ def _check_run_settings(
         if config.label in labels:
             raise ValueError(f"policy {config.label!r} is listed twice; it writes one CSV")
         labels.add(config.label)
+    if len({config.cost_model for config in policies}) > 1:
+        raise ValueError("policies must share one cost model, the one the baseline reference uses")
 
 
 @dataclass(frozen=True)
@@ -256,7 +237,6 @@ class ExperimentConfig:
     log_path: Path | None = None
     synthetic: StreamSpec | None = None
     synthetic_seed: int = 0
-    final_marking: tuple[tuple[str, int], ...] | None = None
     window_size: int = 1000
     replication: int = 1
     output_dir: Path = Path("streamcc-out")
@@ -274,65 +254,86 @@ class ExperimentConfig:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot read experiment config {path}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ParseError("experiment config must be a JSON object")
         try:
-            synthetic = payload.get("synthetic")
-            spec, seed = _stream_spec_from_json(synthetic) if synthetic is not None else (None, 0)
-            final = payload.get("final_marking")
+            values = _read_object(
+                payload,
+                "the config",
+                {
+                    "model": _json_string,
+                    "log": _json_string,
+                    "synthetic": _or_null(_stream_spec_from_json),
+                    "policies": _json_policies,
+                    "window_size": json_int,
+                    "replication": json_int,
+                    "search_budget": json_int,
+                    "output_dir": _json_string,
+                },
+            )
+            spec, seed = values.pop("synthetic", None) or (None, 0)
             return cls(
-                model_path=base / payload["model"],
-                policies=tuple(_policy_from_json(entry) for entry in payload.get("policies", [])),
-                log_path=(base / payload["log"]) if "log" in payload else None,
-                synthetic=spec,
-                synthetic_seed=seed,
-                final_marking=tuple(sorted(final_marking_from_json(final).items()))
-                if final is not None
-                else None,
-                window_size=json_int(payload.get("window_size", 1000), "window_size"),
-                replication=json_int(payload.get("replication", 1), "replication"),
                 # input paths resolve against the config file; outputs
                 # land relative to the invoking directory
-                output_dir=Path(payload.get("output_dir", "streamcc-out")),
-                search_budget=json_int(
-                    payload.get("search_budget", DEFAULT_SEARCH_BUDGET), "search_budget"
-                ),
+                model_path=base / values.pop("model"),
+                log_path=base / values.pop("log") if "log" in values else None,
+                synthetic=spec,
+                synthetic_seed=seed,
+                policies=values.pop("policies", ()),
+                output_dir=Path(values.pop("output_dir", "streamcc-out")),
+                **values,  # window_size, replication and search_budget, when given
             )
         except (KeyError, TypeError, ValueError, ParseError) as exc:
             raise ParseError(f"invalid experiment config {path}: {exc}") from exc
 
 
-def _policy_from_json(entry: object) -> PolicyConfig:
-    if not isinstance(entry, dict):
-        raise ParseError(f"a policy entry must be an object, not {entry!r}")
+Rule = Callable[[object, str], object]
+
+
+def _read_object(value: object, where: str, rules: dict[str, Rule], prefix: str = "") -> dict:
+    """Read a JSON object whose every key has a rule, each value by its key's rule.
+
+    A key without a rule is rejected by name, never ignored. ``where``
+    names the object in errors; ``prefix`` + key names a value.
+    """
+    if not isinstance(value, dict):
+        raise ParseError(f"{where} must be an object, not {value!r}")
+    unknown = sorted(value.keys() - rules.keys())
+    if unknown:
+        raise ParseError(f"unknown keys {unknown} in {where}")
+    return {key: rules[key](item, prefix + key) for key, item in value.items()}
+
+
+def _or_null(rule: Rule) -> Rule:
+    """``rule``, with JSON ``null`` read as an absent value."""
+    return lambda value, name: None if value is None else rule(value, name)
+
+
+def _json_policies(value: object, name: str) -> tuple[PolicyConfig, ...]:
+    if not isinstance(value, list):
+        raise ParseError(f"{name!r} must be a list of policy entries, not {value!r}")
+    rules = {"policy": _json_policy, "w": _or_null(json_int), "n": _or_null(json_int)}
+    return tuple(PolicyConfig(**_read_object(entry, "a policy entry", rules)) for entry in value)
+
+
+def _json_policy(value: object, name: str) -> Policy:
     try:
-        policy = Policy(entry.get("policy"))
+        return Policy(value)
     except ValueError as exc:
         names = ", ".join(p.value for p in Policy)
-        raise ParseError(f"unknown policy {entry.get('policy')!r}; valid names: {names}") from exc
-    w = entry.get("w")
-    n = entry.get("n")
-    return PolicyConfig(
-        policy,
-        w=json_int(w, "w") if w is not None else None,
-        n=json_int(n, "n") if n is not None else None,
-    )
+        raise ParseError(f"unknown policy {value!r}; valid names: {names}") from exc
 
 
-def _stream_spec_from_json(block: object) -> tuple[StreamSpec, int]:
+def _stream_spec_from_json(value: object, name: str) -> tuple[StreamSpec, int]:
     """Read the ``synthetic`` block: ``seed`` plus StreamSpec fields, each checked by its type."""
-    if not isinstance(block, dict):
-        raise ParseError(f"'synthetic' must be an object, not {block!r}")
-    values = dict(block)
-    seed = json_int(values.pop("seed", 0), "synthetic.seed")
-    types = {field.name: field.type for field in fields(StreamSpec)}
-    unknown = sorted(values.keys() - types.keys())
-    if unknown:
-        raise ParseError(f"unknown 'synthetic' fields {unknown}")
-    spec = StreamSpec(
-        **{name: _SPEC_READERS[types[name]](value, f"synthetic.{name}") for name, value in values.items()}
-    )
-    return spec, seed
+    rules = {"seed": json_int} | {field.name: _SPEC_READERS[field.type] for field in fields(StreamSpec)}
+    values = _read_object(value, f"{name!r}", rules, prefix=f"{name}.")
+    seed = values.pop("seed", 0)
+    return StreamSpec(**values), seed
+
+
+def _json_string(value: object, name: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"{name!r} must be a string, not {value!r}")
+    return value
 
 
 def _json_number(value: object, name: str) -> float:
@@ -366,10 +367,7 @@ _SPEC_READERS = {
 
 
 def load_experiment_inputs(config: ExperimentConfig) -> tuple[PetriNet, list[StreamEvent]]:
-    net = load_model(
-        config.model_path,
-        final_marking=dict(config.final_marking) if config.final_marking else None,
-    )
+    net = load_model(config.model_path)
     if config.log_path is not None:
         log = read_log(config.log_path)
     else:

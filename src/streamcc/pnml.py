@@ -4,9 +4,10 @@ Supported: a single ``<net>`` (optionally wrapped in one ``<page>``) with
 place, transition and arc elements, ``<initialMarking>`` token counts and
 transition ``<name>`` labels. PNML has no standard final-marking element,
 so the final marking is taken from (in order of precedence) the
-``final_marking`` argument, a sidecar JSON file ``<name>.final.json``
-holding ``{"final_marking": {place: count}}`` (found by ``load_model``),
-or a pm4py-style ``<finalmarkings>`` annotation inside the net.
+``final_marking`` argument of ``load_pnml``, a sidecar JSON file
+``<name>.final.json`` holding ``{"final_marking": {place: count}}``
+(found by ``load_model``), or a pm4py-style ``<finalmarkings>``
+annotation inside the net.
 """
 
 from __future__ import annotations
@@ -58,23 +59,19 @@ def json_int(value: object, name: str) -> int:
     return value
 
 
-def final_marking_from_json(value: object) -> dict[str, int]:
-    """Read a JSON ``{place: count}`` object whose counts are JSON integers."""
-    if not isinstance(value, dict):
-        raise ParseError(f"'final_marking' must be an object, not {value!r}")
-    return {place: json_int(count, f"final_marking.{place}") for place, count in value.items()}
-
-
 def load_final_marking_sidecar(path: str | Path) -> dict[str, int]:
-    """Read ``{"final_marking": {place: count, ...}}`` from a JSON sidecar."""
+    """Read ``{"final_marking": {place: count, ...}}`` from a JSON sidecar; counts are JSON integers."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read final-marking sidecar {path}: {exc}") from exc
     if not isinstance(payload, dict) or "final_marking" not in payload:
         raise ParseError(f"sidecar {path} has no 'final_marking' key")
+    final = payload["final_marking"]
+    if not isinstance(final, dict):
+        raise ParseError(f"sidecar {path}: 'final_marking' must be an object, not {final!r}")
     try:
-        return final_marking_from_json(payload["final_marking"])
+        return {place: json_int(count, f"final_marking.{place}") for place, count in final.items()}
     except ParseError as exc:
         raise ParseError(f"sidecar {path}: {exc}") from exc
 
@@ -201,22 +198,15 @@ def _embedded_final_marking(net_el: ET.Element) -> dict[str, int] | None:
     return None
 
 
-def load_model(
-    path: str | Path,
-    *,
-    final_marking: Mapping[str, int] | None = None,
-) -> PetriNet:
+def load_model(path: str | Path) -> PetriNet:
     """Load a PNML file, discovering a ``<name>.final.json`` sidecar if present.
 
-    Precedence for the final marking: explicit argument, then sidecar
-    file, then a ``<finalmarkings>`` annotation inside the document.
+    The sidecar's final marking wins over a ``<finalmarkings>``
+    annotation inside the document.
     """
-    path = Path(path)
-    if final_marking is None:
-        sidecar = path.with_suffix(".final.json")
-        if sidecar.exists():
-            final_marking = load_final_marking_sidecar(sidecar)
-    return load_pnml(path, final_marking=final_marking)
+    sidecar = Path(path).with_suffix(".final.json")
+    final = load_final_marking_sidecar(sidecar) if sidecar.exists() else None
+    return load_pnml(path, final_marking=final)
 
 
 def to_pnml(net: PetriNet) -> str:

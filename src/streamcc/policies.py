@@ -186,9 +186,8 @@ def truncate_states(pa: PrefixAlignment, w: int) -> PrefixAlignment:
     if len(pa.states) <= keep:
         return pa
     dropped = pa.states[:-keep]
-    carried = pa.summary.kappa_o if pa.summary is not None else 0.0
     summary = SummaryState(
-        kappa_o=carried + sum(s.move_cost for s in dropped),
+        kappa_o=pa.carried_cost + sum(s.move_cost for s in dropped),
         carry_marking=dropped[-1].marking_after,
     )
     return PrefixAlignment(
@@ -287,8 +286,7 @@ class ConformanceEngine:
         """Carried cost of the case's forgotten prefix (0 when nothing was forgotten)."""
         record = self.store.get(case_id)
         if record is not None:
-            summary = record.prefix_alignment.summary
-            return summary.kappa_o if summary is not None else 0.0
+            return record.prefix_alignment.carried_cost
         summary = self.repo.get(case_id)
         if summary is None:
             raise KeyError(case_id)
@@ -339,7 +337,6 @@ class ConformanceEngine:
         self.events_processed = index + 1
 
         cost = pa.fitness_cost
-        residual = pa.summary.kappa_o if pa.summary is not None else 0.0
         return EventOutcome(
             case_id=case_id,
             activity=activity,
@@ -347,7 +344,7 @@ class ConformanceEngine:
             effective_cost=cost,
             conformant=cost == 0,
             method=method,
-            residual_cost=residual,
+            residual_cost=pa.carried_cost,
         )
 
     def _compute(

@@ -74,6 +74,8 @@ class StreamSpec:
         unknown = set(self.kinds) - set(NOISE_KINDS)
         if unknown:
             raise ValueError(f"unknown noise kinds {sorted(unknown)}")
+        if not self.kinds and self.noise_probability > 0:
+            raise ValueError("kinds must name at least one noise kind when noise_probability > 0")
 
 
 def _case_trace(spec: StreamSpec, rng: random.Random) -> list[str]:

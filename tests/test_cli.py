@@ -319,6 +319,39 @@ class TestExperimentCommand:
         assert capsys.readouterr().err.startswith("error: invalid experiment config")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "level, misspelt",
+        [("top", "windowsize"), ("policy", "W"), ("synthetic", "noise_probabilty")],
+    )
+    def test_misspelt_key_exit_2_names_it_and_writes_nothing(self, level, misspelt, data_dir, tmp_path, capsys):
+        config = {
+            "model": str(data_dir / "cycle10.pnml"),
+            "synthetic": {"cases": 5, "open_cases": 2},
+            "policies": [{"policy": "bounded-states", "w": 2}],
+            "output_dir": str(tmp_path / "out"),
+        }
+        block = {"top": config, "policy": config["policies"][0], "synthetic": config["synthetic"]}[level]
+        block[misspelt] = 3
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["experiment", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid experiment config") and repr(misspelt) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_noise_kinds_with_noise_exit_2_and_writes_nothing(self, data_dir, tmp_path, capsys):
+        config = {
+            "model": str(data_dir / "cycle10.pnml"),
+            "synthetic": {"cases": 5, "open_cases": 2, "kinds": [], "noise_probability": 1.0},
+            "policies": [{"policy": "baseline"}],
+            "output_dir": str(tmp_path / "out"),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["experiment", "--config", str(path)]) == 2
+        assert "kinds must name at least one noise kind" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_2_and_writes_nothing(self, jobs, data_dir, tmp_path, capsys):
         config = {

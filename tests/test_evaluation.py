@@ -117,6 +117,46 @@ class TestEvaluatePolicies:
         assert all(w.rmse_fitness == 0 for w in run.windows)
         assert all(w.f1_classification == 1 for w in run.windows)
 
+    def test_reference_uses_the_policies_cost_model(self):
+        config = PolicyConfig(Policy.BASELINE, cost_model=CostModel(log_cost=0.5))
+        log = generate_log(StreamSpec(cases=20, open_cases=5, noise_probability=1.0), seed=3)
+        result = evaluate_policies(cyclic_sequence_net(10), list(replay(log)), [config], window_size=50)
+        (run,) = result.runs
+        assert run.error is None
+        assert [w.rmse_fitness for w in run.windows] == [0.0] * len(run.windows)
+        assert [w.f1_classification for w in run.windows] == [1.0] * len(run.windows)
+
+    def test_budget_failure_midway_through_the_first_copy(self):
+        # the run stops at the failed event of the first copy: it reports
+        # the windows completed before it, and the counts at that point
+        events = small_stream(seed=13, noise=0.8)
+        result = evaluate_policies(
+            cyclic_sequence_net(10),
+            events,
+            [PolicyConfig(Policy.COMBINED, w=2, n=3)],
+            window_size=20,
+            replication=2,
+            search_budget=8,
+            reference_search_budget=1_000_000,
+        )
+        (run,) = result.runs
+        assert len(events) == 198
+        assert run.error == "search budget of 8 expansions exhausted while processing case 'c19'"
+        assert (run.search_count, run.extension_count) == (17, 123)
+        assert [
+            (w.window_index, w.events_in_window, w.max_stored_states, w.rmse_fitness, w.f1_classification)
+            for w in run.windows
+        ] == [
+            (0, 20, 8, 0.0, 1.0),
+            (1, 20, 11, 0.0, 1.0),
+            (2, 20, 12, 0.0, 1.0),
+            (3, 20, 16, 0.3535533905932738, 1.0),
+            (4, 20, 18, 0.0, 1.0),
+            (5, 20, 19, 0.0, 1.0),
+            (6, 20, 23, 0.0, 1.0),
+        ]
+        assert all(w.apte_us > 0 for w in run.windows)
+
     def test_safe_state_limit_matches_baseline_everywhere(self):
         net = cyclic_sequence_net(10)
         events = small_stream(seed=3)
@@ -210,8 +250,13 @@ class TestEvaluatePolicies:
             ([PolicyConfig(Policy.BASELINE)], {"jobs": 0}, "jobs must be >= 1"),
             ([PolicyConfig(Policy.BASELINE)], {"jobs": -3}, "jobs must be >= 1"),
             ([PolicyConfig(Policy.BASELINE)], {"window_size": 0}, "window_size must be >= 1"),
+            (
+                [PolicyConfig(Policy.BASELINE), PolicyConfig(Policy.BOUNDED_STATES, w=2, cost_model=CostModel(log_cost=0.5))],
+                {},
+                "policies must share one cost model",
+            ),
         ],
-        ids=["duplicate", "no-policy", "jobs-0", "jobs-negative", "window-0"],
+        ids=["duplicate", "no-policy", "jobs-0", "jobs-negative", "window-0", "mixed-cost-models"],
     )
     def test_bad_settings_rejected_before_any_replay(self, monkeypatch, policies, settings, message):
         def replayed(*args, **kwargs):
@@ -434,22 +479,9 @@ def _read_sidecar(tmp_path, final):
     return load_final_marking_sidecar(path)
 
 
-def _read_experiment_block(tmp_path, final):
-    (tmp_path / "cycle.pnml").write_text(to_pnml(cyclic_sequence_net(6)))
-    path = tmp_path / "config.json"
-    payload = {
-        "model": "cycle.pnml",
-        "synthetic": {"cases": 5},
-        "policies": [{"policy": "baseline"}],
-        "final_marking": final,
-    }
-    path.write_text(json.dumps(payload))
-    return dict(ExperimentConfig.from_json(path).final_marking)
-
-
-@pytest.mark.parametrize("read", [_read_sidecar, _read_experiment_block], ids=["sidecar", "experiment"])
+@pytest.mark.parametrize("read", [_read_sidecar], ids=["sidecar"])
 class TestFinalMarkingReaders:
-    """The sidecar and the experiment's ``final_marking`` block share one reader."""
+    """A final-marking sidecar's counts are JSON integers, checked place by place."""
 
     def test_integer_counts_read(self, tmp_path, read):
         assert read(tmp_path, {"s0": 1, "s3": 2}) == {"s0": 1, "s3": 2}

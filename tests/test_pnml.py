@@ -119,12 +119,17 @@ class TestFinalMarkingSources:
         net = load_model(model)
         assert net.final_marking.as_dict() == {"f": 1}
 
-    def test_explicit_argument_wins_over_sidecar(self, tmp_path):
+    def test_sidecar_wins_over_embedded_annotation(self, tmp_path):
         model = tmp_path / "seq.pnml"
-        model.write_bytes(SEQ_ABC_PNML)
+        model.write_bytes(
+            SEQ_ABC_PNML.replace(
+                b"  </net>",
+                b"    <finalmarkings><marking><place idref=\"q2\"><text>1</text></place></marking></finalmarkings>\n  </net>",
+            )
+        )
+        assert load_model(model).final_marking.as_dict() == {"q2": 1}
         (tmp_path / "seq.final.json").write_text('{"final_marking": {"f": 1}}')
-        net = load_model(model, final_marking={"q2": 1})
-        assert net.final_marking.as_dict() == {"q2": 1}
+        assert load_model(model).final_marking.as_dict() == {"f": 1}
 
     def test_bad_sidecar_rejected(self, tmp_path):
         sidecar = tmp_path / "x.final.json"
