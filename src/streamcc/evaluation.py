@@ -268,6 +268,7 @@ class ExperimentConfig:
                     "search_budget": json_int,
                     "output_dir": _json_string,
                 },
+                required=("model",),
             )
             spec, seed = values.pop("synthetic", None) or (None, 0)
             return cls(
@@ -281,24 +282,30 @@ class ExperimentConfig:
                 output_dir=Path(values.pop("output_dir", "streamcc-out")),
                 **values,  # window_size, replication and search_budget, when given
             )
-        except (KeyError, TypeError, ValueError, ParseError) as exc:
+        except (TypeError, ValueError, ParseError) as exc:
             raise ParseError(f"invalid experiment config {path}: {exc}") from exc
 
 
 Rule = Callable[[object, str], object]
 
 
-def _read_object(value: object, where: str, rules: dict[str, Rule], prefix: str = "") -> dict:
+def _read_object(
+    value: object, where: str, rules: dict[str, Rule], prefix: str = "", required: tuple[str, ...] = ()
+) -> dict:
     """Read a JSON object whose every key has a rule, each value by its key's rule.
 
-    A key without a rule is rejected by name, never ignored. ``where``
-    names the object in errors; ``prefix`` + key names a value.
+    A key without a rule is rejected by name, never ignored, and so is a
+    missing ``required`` key. ``where`` names the object in errors;
+    ``prefix`` + key names a value.
     """
     if not isinstance(value, dict):
         raise ParseError(f"{where} must be an object, not {value!r}")
     unknown = sorted(value.keys() - rules.keys())
     if unknown:
         raise ParseError(f"unknown keys {unknown} in {where}")
+    for key in required:
+        if key not in value:
+            raise ParseError(f"missing key {key!r} in {where}")
     return {key: rules[key](item, prefix + key) for key, item in value.items()}
 
 
@@ -311,7 +318,9 @@ def _json_policies(value: object, name: str) -> tuple[PolicyConfig, ...]:
     if not isinstance(value, list):
         raise ParseError(f"{name!r} must be a list of policy entries, not {value!r}")
     rules = {"policy": _json_policy, "w": _or_null(json_int), "n": _or_null(json_int)}
-    return tuple(PolicyConfig(**_read_object(entry, "a policy entry", rules)) for entry in value)
+    return tuple(
+        PolicyConfig(**_read_object(entry, "a policy entry", rules, required=("policy",))) for entry in value
+    )
 
 
 def _json_policy(value: object, name: str) -> Policy:

@@ -339,6 +339,26 @@ class TestExperimentCommand:
         assert err.startswith("error: invalid experiment config") and repr(misspelt) in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "level, key, message",
+        [("top", "model", "missing key 'model' in the config"),
+         ("policy", "policy", "missing key 'policy' in a policy entry")],
+        ids=["model", "policy"],
+    )
+    def test_missing_key_exit_2_names_it_and_writes_nothing(self, level, key, message, data_dir, tmp_path, capsys):
+        config = {
+            "model": str(data_dir / "cycle10.pnml"),
+            "synthetic": {"cases": 5, "open_cases": 2},
+            "policies": [{"policy": "bounded-states", "w": 2}],
+            "output_dir": str(tmp_path / "out"),
+        }
+        del {"top": config, "policy": config["policies"][0]}[level][key]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["experiment", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: invalid experiment config {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_empty_noise_kinds_with_noise_exit_2_and_writes_nothing(self, data_dir, tmp_path, capsys):
         config = {
             "model": str(data_dir / "cycle10.pnml"),

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import pickle
 import random
+import sys
+import threading
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from streamcc import PetriNet, ValidationError
+from streamcc import ConformanceEngine, PetriNet, ValidationError, shortest_path_prefix_alignment
+from streamcc import petri
 from streamcc.errors import FiringNotEnabled
 from streamcc.petri import Marking
 
-from oracles import random_net
+from oracles import random_net, random_trace
 
 
 def _tokens(marking: Marking) -> int:
@@ -54,9 +59,7 @@ class TestEnabledAndFire:
         assert seq_abc.enabled_transitions(Marking.empty()) == ()
 
     def test_zero_input_transition_always_enabled(self):
-        net = PetriNet.build(
-            places=["p"], transitions={"t": "T"}, arcs=[("t", "p")], initial={}, final={"p": 1}
-        )
+        net = _unbounded_net()
         assert net.enabled_transitions(Marking.empty()) == ("t",)
 
     def test_enabled_in_transition_id_order(self):
@@ -107,9 +110,110 @@ class TestEnabledAndFire:
         with pytest.raises(FiringNotEnabled):
             seq_abc.fire(seq_abc.initial_marking, "C")
 
+    def test_unknown_transition_is_not_enabled_and_does_not_fire(self, seq_abc):
+        assert not seq_abc.is_enabled(seq_abc.initial_marking, "nope")
+        with pytest.raises(FiringNotEnabled):
+            seq_abc.fire(seq_abc.initial_marking, "nope")
+
     def test_is_final(self, seq_abc):
         assert not seq_abc.is_final(Marking.of({"s": 1}))
         assert seq_abc.is_final(Marking.of({"f": 1}))
+
+
+def _unbounded_net() -> PetriNet:
+    """One transition without input places: every marking enables it."""
+    return PetriNet.build(
+        places=["p"], transitions={"t": "T"}, arcs=[("t", "p")], initial={}, final={"p": 1}
+    )
+
+
+def _search_reprs(net: PetriNet, traces: list[list[str]]) -> list[str]:
+    return [repr(shortest_path_prefix_alignment(net, net.initial_marking, trace)) for trace in traces]
+
+
+def _seeded_net(seed: int) -> PetriNet:
+    return random_net(random.Random(seed))
+
+
+def _random_cases(count: int) -> list[tuple[int, list[list[str]]]]:
+    """``(net seed, traces)`` pairs; ``_seeded_net(seed)`` rebuilds the net."""
+    cases = []
+    for seed in range(300, 300 + count):
+        rng = random.Random(seed)
+        net = random_net(rng)
+        cases.append((seed, [random_trace(net, rng, max_len=8) for _ in range(4)]))
+    return cases
+
+
+class TestSuccessorTable:
+    def test_searches_past_the_cap_match_a_fresh_net(self, monkeypatch):
+        cases = [(partial(_seeded_net, seed), traces) for seed, traces in _random_cases(15)]
+        cases.append((_unbounded_net, [["T", "T", "X", "T"], ["X", "T", "T", "T", "T", "T"]]))
+        expected = [_search_reprs(make(), traces) for make, traces in cases]
+
+        monkeypatch.setattr(petri, "SUCCESSOR_TABLE_CAP", 2)
+        for (make, traces), reprs in zip(cases, expected):
+            net = make()
+            for trace, expected_repr in zip(traces, reprs):
+                assert _search_reprs(net, [trace]) == [expected_repr]
+                assert len(net._table) <= 2 and len(net._interned) <= 2
+
+    def test_fire_returns_one_object_per_marking(self, branching_net):
+        start = branching_net.initial_marking
+        assert branching_net.fire(start, "t1") is branching_net.fire(start, "t1")
+        split = branching_net.fire(branching_net.fire(start, "t1"), "t5")
+        f_then_g = branching_net.fire(branching_net.fire(split, "t6"), "t7")
+        g_then_f = branching_net.fire(branching_net.fire(split, "t7"), "t6")
+        assert f_then_g is g_then_f
+
+    def test_cases_reaching_one_marking_share_it(self, branching_net):
+        engine = ConformanceEngine(branching_net)
+        for case_id, trace in (("c1", "AEFG"), ("c2", "AEGF")):
+            for activity in trace:
+                engine.process(case_id, activity)
+        first, second = (engine.store.get(c).prefix_alignment.current_marking for c in ("c1", "c2"))
+        assert first == Marking.of({"p6": 1, "p7": 1})
+        assert first is second
+
+    def test_pickled_net_carries_no_table(self, branching_net):
+        size = len(pickle.dumps(branching_net))
+        shortest_path_prefix_alignment(branching_net, branching_net.initial_marking, list("AEFGH"))
+        assert branching_net._table
+        assert len(pickle.dumps(branching_net)) == size
+        copy = pickle.loads(pickle.dumps(branching_net))
+        assert copy == branching_net and not copy._table and not copy._interned
+        assert copy.enabled_transitions(copy.initial_marking) == ("t1",)
+
+    def test_threads_sharing_a_net_get_the_single_threaded_results(self):
+        cases = _random_cases(40)
+        nets = {seed: _seeded_net(seed) for seed, _ in cases}
+        expected = {seed: _search_reprs(_seeded_net(seed), traces) for seed, traces in cases}
+        results: list[dict] = [{} for _ in range(4)]
+        errors: list[Exception] = []
+        # all threads start on the same empty tables, so they race to fill them
+        start = threading.Barrier(len(results), timeout=60)
+
+        def work(out: dict) -> None:
+            try:
+                start.wait()
+                for seed, traces in cases:
+                    out[seed] = _search_reprs(nets[seed], traces)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(out,)) for out in results]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert all(out == expected for out in results)
 
 
 class TestValidation:
