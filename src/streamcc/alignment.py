@@ -5,6 +5,18 @@ when the observed activity labels a transition enabled in the current
 marking, and an A*-style shortest-path search over the synchronous
 product for everything else. The search goal is "all trace events
 explained"; the model part does not have to reach the final marking.
+
+The search uses two heuristics for two jobs. Entries are ordered by
+g + ``h_unit`` x remaining events, with ``h_unit`` = min(sync_cost,
+log_cost), which is 0 under the default costs. Given an upper bound on
+the optimum and ``h_unit`` = 0, entries are also pruned: one whose g plus
+a consistent lookahead h exceeds the bound (by more than a slack for
+rounding) is never pushed. Such an entry lies on no optimal path, and an
+entry for an optimal-path key that passes through it arrives with a
+larger g, so it would have popped later anyway: the result is the
+unbounded search's.
+The engine passes the cost of the case's current alignment plus one log
+move, which is feasible over the same trace.
 """
 
 from __future__ import annotations
@@ -13,12 +25,16 @@ import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import count
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .errors import SearchBudgetExceeded
+from .errors import BoundBelowOptimum, SearchBudgetExceeded
 from .petri import ActivityLabel, Marking, PetriNet
 
 DEFAULT_SEARCH_BUDGET = 1_000_000
+
+# Relative slack on a search's upper bound, far above the rounding error of
+# its cost sums: pruning less than the bound allows never changes a result.
+_BOUND_SLACK = 1e-9
 
 # An event reference is any stream-level identifier (arrival index, event id).
 EventRef = object
@@ -112,6 +128,19 @@ class AlignmentState:
     marking_after: Marking
 
 
+def fold_move_costs(states: Iterable[AlignmentState]) -> float:
+    """The states' move costs added left to right, the order every cost sum uses.
+
+    Builtin ``sum`` adds floats with compensation from Python 3.12 on, so
+    it can differ from this fold, and from the search's running g, in the
+    last bit.
+    """
+    total = 0
+    for s in states:
+        total += s.move_cost
+    return total
+
+
 @dataclass(frozen=True, slots=True)
 class PrefixAlignment:
     """Ordered alignment states, optionally led by a summary state.
@@ -119,7 +148,7 @@ class PrefixAlignment:
     ``base_marking`` is the marking from which the first state proceeds:
     the net's initial marking for fresh cases, or the carry-forward
     marking when a summary is present. ``moves_cost`` is the sum of the
-    states' move costs, added left to right; it is computed from
+    states' move costs (:func:`fold_move_costs`); it is computed from
     ``states`` when omitted, and :meth:`append` and :meth:`with_summary`
     carry it forward instead of summing again.
     """
@@ -131,10 +160,7 @@ class PrefixAlignment:
 
     def __post_init__(self) -> None:
         if self.moves_cost is None:
-            total = 0
-            for s in self.states:
-                total += s.move_cost
-            object.__setattr__(self, "moves_cost", total)
+            object.__setattr__(self, "moves_cost", fold_move_costs(self.states))
 
     @classmethod
     def empty(cls, start: Marking) -> "PrefixAlignment":
@@ -208,18 +234,31 @@ def shortest_path_prefix_alignment(
     cost_model: CostModel = DEFAULT_COST_MODEL,
     *,
     budget: int = DEFAULT_SEARCH_BUDGET,
+    upper_bound: float | None = None,
 ) -> PrefixAlignment:
     """Minimum-cost prefix-alignment of ``trace`` starting from ``start``.
 
-    A* search over the synchronous-product state space (marking, trace
-    position) with the admissible heuristic h = remaining events x
-    min(sync_cost, log_cost). The result
-    explains every trace event; its model projection is firable from
-    ``start``. Ties are broken by move preference (sync > silent > model
-    > log), then by transition id, then by discovery order, so identical
-    inputs yield identical alignments.
+    Search over the synchronous-product state space (marking, trace
+    position). Entries pop in order of f = g + ``h_unit`` x remaining
+    events, where ``h_unit`` = min(sync_cost, log_cost), then by move
+    preference (sync > silent > model > log), then by discovery order
+    (transition id order within one expansion), so identical inputs yield
+    identical alignments. The result explains
+    every trace event; its model projection is firable from ``start``.
 
-    Raises SearchBudgetExceeded after ``budget`` node expansions.
+    ``upper_bound`` is a cost some alignment of ``trace`` from ``start``
+    does not exceed. When ``h_unit`` is 0, the search then drops every
+    entry whose g plus a consistent lookahead h exceeds the bound by more
+    than a rounding slack of 1e-9 x max(1, bound). h charges ``log_cost``
+    for each remaining event whose label no transition carries, plus
+    min(log_cost, model_cost) when the next event's label is carried but
+    the marking enables neither a transition with that label nor a silent
+    one. Dropped entries take no ticket and the order above stays, so the
+    result is the one the unbounded search returns. With ``h_unit`` > 0
+    the bound is ignored.
+
+    Raises SearchBudgetExceeded after ``budget`` node expansions, and
+    BoundBelowOptimum when no alignment is within ``upper_bound``.
     """
     events = _normalize_trace(trace)
     if not events:
@@ -229,6 +268,11 @@ def shortest_path_prefix_alignment(
     step_costs = (  # by kind rank
         cost_model.sync_cost, cost_model.silent_model_cost, cost_model.model_cost, cost_model.log_cost
     )
+    prune = upper_bound is not None and h_unit == 0
+    if prune:
+        limit = upper_bound + _BOUND_SLACK * max(1.0, abs(upper_bound))
+        lookahead = min(cost_model.log_cost, cost_model.model_cost)
+        forced = _forced_log_costs(net, events, cost_model.log_cost)
 
     # Entries are (f, kind rank, ticket, g, key, parent key, transition,
     # move cost); closed maps each expanded key to the entry that reached it,
@@ -238,6 +282,22 @@ def shortest_path_prefix_alignment(
     start_key = (start, 0)
     frontier: list[tuple] = [(h_unit * total, 0, next(ticket), 0.0, start_key, None, None, 0.0)]
     expansions = 0
+
+    def push(rank: int, transition: str | None, next_marking: Marking, next_pos: int) -> None:
+        next_key = (next_marking, next_pos)
+        if next_key in closed:
+            return
+        step = step_costs[rank]
+        ng = g + step
+        if prune:
+            gh = ng + forced[next_pos] if forced else ng
+            if gh > limit:
+                return
+            if gh + lookahead > limit and next_pos < total:
+                if _only_model_or_log(net, next_marking, events[next_pos][0]):
+                    return
+        nf = ng + h_unit * (total - next_pos)
+        heapq.heappush(frontier, (nf, rank, next(ticket), ng, next_key, key, transition, step))
 
     while frontier:
         entry = heapq.heappop(frontier)
@@ -252,30 +312,49 @@ def shortest_path_prefix_alignment(
         if expansions > budget:
             raise SearchBudgetExceeded(budget)
 
+        g = entry[3]
         activity = events[pos][0]
-        edges = []
         for t in net.enabled_transitions(marking):
             fired = net.fire(marking, t)
             label = net.labels.get(t)
             if label is None:
-                edges.append((_SILENT, t, fired, pos))
+                push(_SILENT, t, fired, pos)
                 continue
             if label == activity:
-                edges.append((_SYNC, t, fired, pos + 1))
-            edges.append((_MODEL, t, fired, pos))
-        edges.append((_LOG, None, marking, pos + 1))
+                push(_SYNC, t, fired, pos + 1)
+            push(_MODEL, t, fired, pos)
+        push(_LOG, None, marking, pos + 1)
 
-        g = entry[3]
-        for rank, t, next_marking, next_pos in edges:
-            next_key = (next_marking, next_pos)
-            if next_key in closed:
-                continue
-            step = step_costs[rank]
-            ng = g + step
-            nf = ng + h_unit * (total - next_pos)
-            heapq.heappush(frontier, (nf, rank, next(ticket), ng, next_key, key, t, step))
+    # without a bound the all-log path always reaches the goal
+    raise BoundBelowOptimum(upper_bound)
 
-    raise SearchBudgetExceeded(budget)  # unreachable: the all-log path always exists
+
+def _only_model_or_log(net: PetriNet, marking: Marking, activity: ActivityLabel) -> bool:
+    """Whether ``activity`` is carried but ``marking`` enables neither it nor a silent transition."""
+    if not net.transitions_labeled(activity):
+        return False
+    labels = net.labels
+    # the table entry itself: enabled_transitions would build a tuple
+    for t in net._successors(marking):
+        if labels.get(t, activity) == activity:  # a silent transition matches too
+            return False
+    return True
+
+
+def _forced_log_costs(
+    net: PetriNet, events: tuple[tuple[ActivityLabel, EventRef | None], ...], log_cost: float
+) -> list[float] | None:
+    """``log_cost`` x the events from each position on whose label no transition carries.
+
+    None when every label is carried, so short traces skip the suffix.
+    """
+    alien = [not net.transitions_labeled(activity) for activity, _ in events]
+    if not any(alien):
+        return None
+    counts = [0] * (len(events) + 1)
+    for pos in range(len(events) - 1, -1, -1):
+        counts[pos] = counts[pos + 1] + alien[pos]
+    return [log_cost * n for n in counts]
 
 
 def _normalize_trace(

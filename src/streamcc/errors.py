@@ -38,5 +38,13 @@ class SearchBudgetExceeded(StreamccError):
         self.case_id = case_id
 
 
+class BoundBelowOptimum(StreamccError):
+    """A bounded search found no alignment within its upper bound."""
+
+    def __init__(self, bound: float) -> None:
+        super().__init__(f"no alignment costs at most the search's upper bound {bound!r}")
+        self.bound = bound
+
+
 class EmptyWindow(StreamccError):
     """A metric was requested over an empty comparison window."""

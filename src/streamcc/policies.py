@@ -24,6 +24,7 @@ from .alignment import (
     PrefixAlignment,
     SummaryState,
     extend_model_semantics,
+    fold_move_costs,
     shortest_path_prefix_alignment,
 )
 from .errors import SearchBudgetExceeded
@@ -187,7 +188,7 @@ def truncate_states(pa: PrefixAlignment, w: int) -> PrefixAlignment:
         return pa
     dropped = pa.states[:-keep]
     summary = SummaryState(
-        kappa_o=pa.carried_cost + sum(s.move_cost for s in dropped),
+        kappa_o=pa.carried_cost + fold_move_costs(dropped),
         carry_marking=dropped[-1].marking_after,
     )
     return PrefixAlignment(
@@ -372,6 +373,8 @@ class ConformanceEngine:
                 trace,
                 self.config.cost_model,
                 budget=self.search_budget,
+                # the current alignment plus a log move for the new event
+                upper_bound=pa.moves_cost + self.config.cost_model.log_cost,
             )
         except SearchBudgetExceeded as exc:
             raise SearchBudgetExceeded(exc.budget, case_id) from exc

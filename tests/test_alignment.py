@@ -15,6 +15,7 @@ from streamcc import (
     shortest_path_prefix_alignment,
 )
 from streamcc.alignment import AlignmentState, Move, MoveKind, SummaryState
+from streamcc.errors import BoundBelowOptimum
 from streamcc.petri import Marking
 from streamcc.policies import truncate_states
 
@@ -330,3 +331,91 @@ class TestSearchBuildsOnlyTheResult:
         result, built = self._search_counting_states(monkeypatch, net, trace)
         assert {s.move.kind for s in result.states} == set(MoveKind)
         assert built == len(result.states)
+
+
+# Cost models with sync_cost = 0, where the search prunes: the two fractional
+# ones round differently along different paths, so a bound equal to the
+# optimum is missed by an ulp unless the comparison allows for rounding.
+PRUNED_COST_MODELS = {
+    "default": CostModel(),
+    "unit-silent": CostModel(0.0, 1.0, 1.0, 1.0),
+    "cheap-log": CostModel(0.0, 0.1, 0.3, 0.01),
+    "cheap-model": CostModel(0.0, 0.3, 0.1, 0.1),
+}
+ORACLE_SEEDS = range(200)
+
+
+def _search_counting_expansions(monkeypatch, net, trace, cost_model, **bound):
+    """The search's result and its expansions (one ``enabled_transitions`` call each)."""
+    calls = 0
+    enabled = PetriNet.enabled_transitions
+
+    def counting(self, marking):
+        nonlocal calls
+        calls += 1
+        return enabled(self, marking)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PetriNet, "enabled_transitions", counting)
+        result = shortest_path_prefix_alignment(net, net.initial_marking, trace, cost_model, **bound)
+    return result, calls
+
+
+class TestBoundedSearch:
+    """A bound at or above the optimum prunes entries and changes no result."""
+
+    @pytest.mark.parametrize("cost_name", sorted(PRUNED_COST_MODELS))
+    def test_pruned_search_returns_the_unpruned_alignment(self, cost_name, monkeypatch):
+        # every prefix of every trace is searched, as the engine searches
+        # after each event, under its bound (the previous optimum plus a log
+        # move) and under the optimum itself
+        cm = PRUNED_COST_MODELS[cost_name]
+        unpruned_total = pruned_total = 0
+        for seed in ORACLE_SEEDS:
+            rng = random.Random(seed)
+            net = random_net(rng)
+            trace = [(activity, i) for i, activity in enumerate(random_trace(net, rng))]
+            previous_cost = 0.0
+            for end in range(1, len(trace) + 1):
+                expected, expansions = _search_counting_expansions(monkeypatch, net, trace[:end], cm)
+                for bound in (previous_cost + cm.log_cost, expected.fitness_cost):
+                    pruned, pruned_expansions = _search_counting_expansions(
+                        monkeypatch, net, trace[:end], cm, upper_bound=bound
+                    )
+                    assert repr((pruned.base_marking, pruned.states)) == repr(
+                        (expected.base_marking, expected.states)
+                    ), (seed, end, bound)
+                    assert pruned_expansions <= expansions, (seed, end, bound)
+                    unpruned_total += expansions
+                    pruned_total += pruned_expansions
+                previous_cost = expected.fitness_cost
+        assert pruned_total < unpruned_total
+
+    def test_bound_equal_to_a_rounded_optimum(self, seq_abc):
+        # ten log moves of 0.1 fold to 0.9999999999999999, while the forced
+        # log cost of the nine events left after the first is 0.9, and
+        # 0.1 + 0.9 rounds to 1.0: without a slack the path to the goal is cut
+        cm = CostModel(log_cost=0.1)
+        trace = ["Z"] * 10
+        expected = shortest_path_prefix_alignment(seq_abc, seq_abc.initial_marking, trace, cm)
+        assert expected.fitness_cost == 0.9999999999999999
+        bounded = shortest_path_prefix_alignment(
+            seq_abc, seq_abc.initial_marking, trace, cm, upper_bound=expected.fitness_cost
+        )
+        assert bounded == expected
+
+    def test_bound_below_the_optimum_is_not_a_budget_failure(self, seq_abc):
+        optimum = shortest_path_prefix_alignment(seq_abc, seq_abc.initial_marking, ["A", "C"]).fitness_cost
+        assert optimum == 1.0
+        with pytest.raises(BoundBelowOptimum, match="upper bound 0.5") as raised:
+            shortest_path_prefix_alignment(seq_abc, seq_abc.initial_marking, ["A", "C"], upper_bound=0.5)
+        assert raised.value.bound == 0.5
+        assert not isinstance(raised.value, SearchBudgetExceeded)
+
+    def test_bound_is_ignored_when_sync_moves_cost(self, seq_abc):
+        cm = CostModel(sync_cost=0.5)
+        expected = shortest_path_prefix_alignment(seq_abc, seq_abc.initial_marking, ["A", "C"], cm)
+        bounded = shortest_path_prefix_alignment(
+            seq_abc, seq_abc.initial_marking, ["A", "C"], cm, upper_bound=0.0
+        )
+        assert bounded == expected

@@ -1,9 +1,11 @@
-"""``tools/bench_pairs.py`` on canned result lines; no benchmark is run."""
+"""``tools/bench_pairs.py`` on canned result lines and scratch git repositories; no benchmark is run."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -140,3 +142,26 @@ def test_main_exits_1_on_a_problem_and_appends_nothing_without_the_flag(checkout
     assert bench_pairs.main(["--parent", str(parent), "--pairs", "1"]) == 1
     assert "PROBLEM" in capsys.readouterr().out
     assert not list(change.glob("BENCH_*.json"))
+
+
+def test_a_plain_copy_gets_the_src_tree_of_the_commit_it_copies(tmp_path, monkeypatch, capsys):
+    repository = tmp_path / "repository"
+    (repository / "src" / "pkg").mkdir(parents=True)
+    (repository / "src" / "pkg" / "mod.py").write_text("X = 1\n")
+    (repository / "README").write_text("not in src\n")
+
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repository,
+                              check=True, capture_output=True, text=True).stdout.strip()
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "src")
+    plain = tmp_path / "plain"
+    shutil.copytree(repository / "src", plain / "src")
+    monkeypatch.setattr(bench_pairs, "CHANGE", repository)
+
+    assert bench_pairs.revision(plain) == (None, git("rev-parse", "HEAD:src"))
+    assert "git_sha is unknown" in capsys.readouterr().err
+    assert bench_pairs.revision(repository) == (git("rev-parse", "HEAD"), git("rev-parse", "HEAD:src"))
+    assert git("status", "--porcelain") == ""

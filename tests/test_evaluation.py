@@ -136,12 +136,12 @@ class TestEvaluatePolicies:
             [PolicyConfig(Policy.COMBINED, w=2, n=3)],
             window_size=20,
             replication=2,
-            search_budget=8,
+            search_budget=5,
             reference_search_budget=1_000_000,
         )
         (run,) = result.runs
         assert len(events) == 198
-        assert run.error == "search budget of 8 expansions exhausted while processing case 'c19'"
+        assert run.error == "search budget of 5 expansions exhausted while processing case 'c19'"
         assert (run.search_count, run.extension_count) == (17, 123)
         assert [
             (w.window_index, w.events_in_window, w.max_stored_states, w.rmse_fitness, w.f1_classification)

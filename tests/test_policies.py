@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import random
+from dataclasses import replace
 
 import pytest
 
 from streamcc import (
     ConformanceEngine,
+    CostModel,
     Policy,
     PolicyConfig,
     PrefixAlignment,
@@ -16,10 +19,11 @@ from streamcc import (
     stored_state_count,
 )
 from streamcc.alignment import Move, MoveKind, SummaryState
-from streamcc.petri import Marking
+from streamcc import policies
+from streamcc.petri import Marking, PetriNet
 from streamcc.policies import CaseRecord, CaseStore, Method, select_forget_victim, truncate_states
 
-from oracles import brute_force_min_cost, checked_replay, replay_outcomes
+from oracles import brute_force_min_cost, checked_replay, random_net, random_trace, replay_outcomes
 
 
 def run_stream(engine, pairs):
@@ -144,6 +148,17 @@ class TestTruncateStates:
     def test_rejects_nonpositive_limit(self, seq_abc):
         with pytest.raises(ValueError):
             truncate_states(make_pa(seq_abc, ["A"]), 0)
+
+    def test_dropped_costs_fold_left_to_right(self):
+        # the search and PrefixAlignment add costs left to right, giving
+        # 0.9999999999999999 here; builtin sum() gives 1.0 from Python 3.12 on
+        marking = Marking.of({"q1": 1})
+        pa = PrefixAlignment.empty(marking)
+        for i in range(11):
+            pa = pa.append(Move.log(f"X{i}"), 0.1, marking)
+        truncated = truncate_states(pa, 2)
+        assert len(truncated.states) == 1
+        assert truncated.summary.kappa_o == 0.9999999999999999
 
     def test_indices_renumbered(self):
         net = cyclic_sequence_net(6)
@@ -550,3 +565,66 @@ class TestPolicyProperties:
         retained = [a for a, _ in pa.log_projection()]
         local = brute_force_min_cost(net, pa.base_marking, retained)
         assert pa.fitness_cost - pa.summary.kappa_o == local
+
+
+def _random_net_stream(seed):
+    """A ``random_net`` and twelve interleaved cases of noisy walks through it."""
+    rng = random.Random(seed)
+    net = random_net(rng)
+    cases = [random_trace(net, rng, max_len=10) for _ in range(12)]
+    pairs = []
+    while any(cases):
+        case = rng.randrange(len(cases))
+        if cases[case]:
+            pairs.append((f"c{case}", cases[case].pop(0)))
+    return net, pairs
+
+
+class TestBoundedSearchInTheEngine:
+    """The engine's bound changes no outcome; the fractional models round differently per path."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            PolicyConfig(Policy.BASELINE),
+            PolicyConfig(Policy.BOUNDED_STATES, w=2),
+            PolicyConfig(Policy.BOUNDED_CASES, n=4),
+            PolicyConfig(Policy.COMBINED, w=2, n=4),
+        ],
+        ids=lambda c: c.label,
+    )
+    def test_outcomes_match_an_engine_that_passes_no_bound(self, config, monkeypatch):
+        expansions = 0
+        enabled = PetriNet.enabled_transitions
+
+        def counting(self, marking):
+            nonlocal expansions
+            expansions += 1
+            return enabled(self, marking)
+
+        search = policies.shortest_path_prefix_alignment
+
+        def unbounded(*args, upper_bound, **kwargs):
+            return search(*args, **kwargs)
+
+        def run(net, pairs, cost_model, bounded):
+            nonlocal expansions
+            with monkeypatch.context() as patch:
+                patch.setattr(PetriNet, "enabled_transitions", counting)
+                if not bounded:
+                    patch.setattr(policies, "shortest_path_prefix_alignment", unbounded)
+                expansions = 0
+                engine = ConformanceEngine(net, replace(config, cost_model=cost_model))
+                return run_stream(engine, pairs), engine.search_count, expansions
+
+        pruned_total = unpruned_total = 0
+        for seed in range(30):
+            net, pairs = _random_net_stream(seed)
+            for cost_model in (CostModel(0.0, 0.1, 0.3, 0.01), CostModel(0.0, 0.3, 0.1, 0.1)):
+                pruned, searches, pruned_expansions = run(net, pairs, cost_model, bounded=True)
+                unpruned, unpruned_searches, unpruned_expansions = run(net, pairs, cost_model, bounded=False)
+                assert pruned == unpruned, (seed, cost_model)
+                assert searches == unpruned_searches > 0
+                pruned_total += pruned_expansions
+                unpruned_total += unpruned_expansions
+        assert pruned_total < unpruned_total

@@ -18,8 +18,10 @@ parent in any pair.
 
 ``--append`` then runs ``--workload all --trace 1 --seconds 5`` once per
 side for ``policies.bytes_per_slot`` and appends a parent entry and a
-change entry to each ``BENCH_<workload>.json`` of this checkout.
-Standard library only.
+change entry to each ``BENCH_<workload>.json`` of this checkout. A
+parent that is not a git checkout (a ``git archive`` export) gets its
+``src`` tree hash from this checkout's repository and no SHA, with a
+warning. Standard library only.
 """
 
 from __future__ import annotations
@@ -133,18 +135,36 @@ def _git(checkout: Path, *args: str, env: dict | None = None) -> str | None:
 
 
 def revision(checkout: Path) -> tuple[str | None, str | None]:
-    """``(commit, src tree)`` of a checkout; the commit is None when ``src`` has uncommitted edits."""
+    """``(commit, src tree)`` of a checkout.
+
+    The commit is None when ``src`` has uncommitted edits, and when the
+    checkout is not a git checkout (such as a ``git archive`` export);
+    the src tree is then hashed through this checkout's repository.
+    """
+    top = _git(checkout, "rev-parse", "--show-toplevel")
+    if top is None or Path(top).resolve() != checkout.resolve():
+        print(f"warning: {checkout} is not a git checkout, so its git_sha is unknown", file=sys.stderr)
+        return None, _src_tree(CHANGE, checkout)
     head = _git(checkout, "rev-parse", "HEAD")
-    if head is None:
-        return None, None
     if not _git(checkout, "status", "--porcelain", "--", "src"):
         return head, _git(checkout, "rev-parse", "HEAD:src")
-    # hash the working tree's src through a scratch index, leaving the real one alone
+    return None, _src_tree(checkout, checkout)
+
+
+def _src_tree(repository: Path, checkout: Path) -> str | None:
+    """Git tree hash of ``checkout/src`` as it is on disk, written to ``repository``'s objects.
+
+    A scratch index leaves the repository's own index alone.
+    """
+    git_dir = _git(repository, "rev-parse", "--absolute-git-dir")
+    if git_dir is None:
+        return None
     with tempfile.TemporaryDirectory() as scratch:
         env = {**os.environ, "GIT_INDEX_FILE": str(Path(scratch) / "index")}
-        _git(checkout, "read-tree", "HEAD", env=env)
-        _git(checkout, "add", "-A", "--", "src", env=env)
-        return None, _git(checkout, "write-tree", "--prefix=src/", env=env)
+        where = ("--git-dir", git_dir, "--work-tree", str(checkout))
+        _git(checkout, *where, "read-tree", "HEAD", env=env)
+        _git(checkout, *where, "add", "-A", "--", "src", env=env)
+        return _git(checkout, *where, "write-tree", "--prefix=src/", env=env)
 
 
 def trajectory_entries(rows, parent_trace: dict, change_trace: dict, pairs: int, seconds: float,
