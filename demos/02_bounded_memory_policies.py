@@ -5,13 +5,7 @@ marking and accumulated cost survive, so later events of the case are
 not punished for the missing prefix.
 """
 
-from streamcc import (
-    ConformanceEngine,
-    Policy,
-    PolicyConfig,
-    cyclic_sequence_net,
-    stored_state_count,
-)
+from streamcc import ConformanceEngine, Policy, PolicyConfig, cyclic_sequence_net
 
 net = cyclic_sequence_net(10)  # A0 -> A1 -> ... -> A9 -> back to A0
 
@@ -51,7 +45,7 @@ for i, (case, activity) in enumerate(script):
     outcome = engine.process(case, activity, i)
     print(
         f"{case} {activity}: cost={outcome.effective_cost}, "
-        f"total stored states={stored_state_count(engine.store, engine.repo)}"
+        f"total stored states={engine.stored_state_count}"
     )
 
 print()

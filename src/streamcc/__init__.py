@@ -15,7 +15,7 @@ from .errors import ParseError, SearchBudgetExceeded, StreamccError, ValidationE
 from .evaluation import evaluate_policies
 from .petri import PetriNet
 from .pnml import load_model
-from .policies import ConformanceEngine, Policy, PolicyConfig, stored_state_count
+from .policies import ConformanceEngine, Policy, PolicyConfig
 from .streams import parse_csv_log, replay, replicate_events
 from .synthetic import StreamSpec, cyclic_sequence_net, generate_log
 
@@ -43,5 +43,4 @@ __all__ = [
     "replay",
     "replicate_events",
     "shortest_path_prefix_alignment",
-    "stored_state_count",
 ]

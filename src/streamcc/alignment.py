@@ -52,6 +52,14 @@ class MoveKind(Enum):
 _KINDS_BY_RANK = (MoveKind.SYNCHRONOUS, MoveKind.SILENT_MODEL, MoveKind.MODEL, MoveKind.LOG)
 _SYNC, _SILENT, _MODEL, _LOG = range(4)
 
+# The one shape each kind allows: (carries an activity, names a transition).
+_MOVE_SHAPES = {
+    MoveKind.SYNCHRONOUS: (True, True),
+    MoveKind.LOG: (True, False),
+    MoveKind.MODEL: (False, True),
+    MoveKind.SILENT_MODEL: (False, True),
+}
+
 
 @dataclass(frozen=True, slots=True)
 class Move:
@@ -63,15 +71,13 @@ class Move:
     event_ref: EventRef | None = None
 
     def __post_init__(self) -> None:
-        if self.kind in (MoveKind.SYNCHRONOUS, MoveKind.LOG) and self.activity is None:
-            raise ValueError(f"{self.kind.value} move requires an activity")
-        if self.kind is MoveKind.LOG and self.transition is not None:
-            raise ValueError("log move cannot name a transition")
-        if self.kind in (MoveKind.SYNCHRONOUS, MoveKind.MODEL, MoveKind.SILENT_MODEL):
-            if self.transition is None:
-                raise ValueError(f"{self.kind.value} move requires a transition")
-        if self.kind in (MoveKind.MODEL, MoveKind.SILENT_MODEL) and self.activity is not None:
-            raise ValueError(f"{self.kind.value} move cannot carry an activity")
+        shape = _MOVE_SHAPES.get(self.kind)
+        if shape is None:
+            raise ValueError(f"unknown move kind {self.kind!r}")
+        if shape != (self.activity is not None, self.transition is not None):
+            activity = "an activity" if shape[0] else "no activity"
+            transition = "a transition" if shape[1] else "no transition"
+            raise ValueError(f"a {self.kind.value} move carries {activity} and names {transition}")
 
     @classmethod
     def sync(cls, activity: ActivityLabel, transition: str, event_ref: EventRef | None = None) -> "Move":

@@ -21,34 +21,21 @@ from xml.sax.saxutils import escape, quoteattr
 
 from .errors import ParseError, ValidationError
 from .petri import Marking, PetriNet
+from .streams import local_name, xml_root
 
 # Transitions whose label matches this pattern are treated as silent;
 # PNML in the wild encodes taus inconsistently.
 _SILENT_LABEL = re.compile(r"(?i)^tau|^τ$")
 
 
-def _local(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
-
-
 def _text_of(element: ET.Element, child: str) -> str | None:
     for node in element:
-        if _local(node.tag) == child:
+        if local_name(node.tag) == child:
             for sub in node:
-                if _local(sub.tag) == "text":
+                if local_name(sub.tag) == "text":
                     return (sub.text or "").strip()
             return (node.text or "").strip()
     return None
-
-
-def _parse_root(source: str | Path | bytes | IO[bytes]) -> ET.Element:
-    try:
-        if isinstance(source, bytes):
-            return ET.fromstring(source)
-        return ET.parse(source).getroot()
-    except ET.ParseError as exc:
-        line, column = exc.position
-        raise ParseError(f"malformed PNML at line {line}, column {column}: {exc.msg}") from exc
 
 
 def json_int(value: object, name: str) -> int:
@@ -87,16 +74,16 @@ def load_pnml(
     for dangling arcs, weighted arcs, duplicate ids or markings over
     unknown places.
     """
-    root = _parse_root(source)
-    nets = [el for el in root.iter() if _local(el.tag) == "net"]
-    if _local(root.tag) == "net":
+    root = xml_root(source, "PNML")
+    nets = [el for el in root.iter() if local_name(el.tag) == "net"]
+    if local_name(root.tag) == "net":
         nets = [root]
     if not nets:
         raise ParseError("document contains no <net> element")
     if len(nets) > 1:
         raise ValidationError("multiple <net> elements are not supported")
     net_el = nets[0]
-    pages = [el for el in net_el if _local(el.tag) == "page"]
+    pages = [el for el in net_el if local_name(el.tag) == "page"]
     if len(pages) > 1:
         raise ValidationError("multiple <page> elements are not supported")
     body = pages[0] if pages else net_el
@@ -107,7 +94,7 @@ def load_pnml(
     initial: dict[str, int] = {}
 
     for el in body:
-        kind = _local(el.tag)
+        kind = local_name(el.tag)
         if kind == "place":
             pid = el.get("id")
             if not pid:
@@ -176,7 +163,7 @@ def load_pnml(
 
 def _embedded_final_marking(net_el: ET.Element) -> dict[str, int] | None:
     for el in net_el.iter():
-        if _local(el.tag) != "finalmarkings":
+        if local_name(el.tag) != "finalmarkings":
             continue
         final: dict[str, int] = {}
         for marking_el in el:
@@ -186,7 +173,7 @@ def _embedded_final_marking(net_el: ET.Element) -> dict[str, int] | None:
                     raise ValidationError("<finalmarkings> place without idref")
                 text = "1"
                 for sub in place_el:
-                    if _local(sub.tag) == "text":
+                    if local_name(sub.tag) == "text":
                         text = (sub.text or "1").strip()
                 try:
                     count = int(text)

@@ -80,22 +80,21 @@ class CaseRecord:
 
     ``event_count`` counts the events observed since the case entered (or
     re-entered) the store; ``last_update`` is the arrival index of its
-    most recent event.
+    most recent event; ``rank`` is the forgetting-index bucket the case
+    sits in, 0 while it is in none (the engine has no case limit).
     """
 
     case_id: str
     prefix_alignment: PrefixAlignment
     last_update: int
     event_count: int = 0
+    rank: int = 0
 
 
 class CaseStore:
-    """Multi-state case storage (the policies' D_C), optionally capacity-bounded."""
+    """Multi-state case storage (the policies' D_C)."""
 
-    def __init__(self, capacity: int | None = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self._records: dict[str, CaseRecord] = {}
 
     def __len__(self) -> int:
@@ -108,9 +107,6 @@ class CaseStore:
         return self._records.get(case_id)
 
     def add(self, record: CaseRecord) -> None:
-        if self.capacity is not None and record.case_id not in self._records:
-            if len(self._records) >= self.capacity:
-                raise ValueError(f"store is at capacity {self.capacity}")
         self._records[record.case_id] = record
 
     def pop(self, case_id: str) -> CaseRecord:
@@ -159,18 +155,6 @@ class EventOutcome:
     residual_cost: float
 
 
-def stored_state_count(store: CaseStore, repo: SummaryRepository | None = None) -> int:
-    """Total states held in memory; summaries count one state each.
-
-    A full scan: the reference that :attr:`ConformanceEngine.stored_state_count`
-    keeps up to date incrementally.
-    """
-    total = sum(r.prefix_alignment.state_count for r in store.records())
-    if repo is not None:
-        total += len(repo)
-    return total
-
-
 def truncate_states(pa: PrefixAlignment, w: int) -> PrefixAlignment:
     """Forget the earliest states in excess of ``w``, leaving a summary.
 
@@ -197,7 +181,13 @@ def truncate_states(pa: PrefixAlignment, w: int) -> PrefixAlignment:
 
 
 def _forgetting_rank(record: CaseRecord) -> int:
-    """Forgetting preference 1..4 of one record; 1 is a compliant monuple."""
+    """Forgetting preference 1..4 of one record; the lowest is forgotten first.
+
+    (1) a compliant monuple: a single event explained by one synchronous
+    move from the initial marking; (2) a case whose forgotten prefix
+    already carries cost; (3) a fully conformant case; (4) a case whose
+    retained states are not fitting.
+    """
     pa = record.prefix_alignment
     summary = pa.summary
     if (
@@ -214,30 +204,6 @@ def _forgetting_rank(record: CaseRecord) -> int:
     return 4
 
 
-def select_forget_victim(store: CaseStore) -> str:
-    """Pick the case to forget, in a single pass over the store.
-
-    Preference order: (1) a compliant monuple (single event explained by
-    one synchronous move from the initial marking) ends the scan
-    immediately; (2) cases whose forgotten prefix already carries cost;
-    (3) fully conformant cases; (4) cases whose retained states are not
-    fitting. Ties fall to the least recently updated case, then the
-    smallest case id.
-    """
-    if len(store) == 0:
-        raise ValueError("cannot select a victim from an empty store")
-    best: tuple[int, int, str] | None = None
-    for record in store.records():
-        rank = _forgetting_rank(record)
-        if rank == 1:
-            return record.case_id
-        key = (rank, record.last_update, record.case_id)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return best[2]
-
-
 class ConformanceEngine:
     """Processes one event stream sequentially under one policy.
 
@@ -247,16 +213,17 @@ class ConformanceEngine:
     :attr:`stored_state_count` is a gauge the engine updates as it
     admits, updates, evicts and resumes cases, so reading it is O(1).
     It counts only what the engine did: a caller who changes ``store``
-    or ``repo`` directly must not rely on it. The module-level
-    :func:`stored_state_count` is the reference scan it must equal.
+    or ``repo`` directly must not rely on it.
 
-    Engines with a case limit keep an incremental forgetting index so
-    eviction does not rescan the whole store on every orphan event: one
-    insertion-ordered bucket of case ids per preference rank, and each
-    case's rank. Every successful event moves its case to the end of its
-    bucket, so each bucket is in ``last_update`` order and the first case
-    of the first non-empty bucket is exactly the case
-    :func:`select_forget_victim` would pick.
+    An engine with a case limit forgets, when a new case arrives at a
+    full store, the case of lowest :func:`_forgetting_rank`; ties go to
+    the least recently updated case, then to the smallest case id. So
+    that eviction does not rescan the store on every orphan event, it
+    keeps an incremental forgetting index: one insertion-ordered bucket
+    of case ids per rank, with each record's ``rank`` naming its bucket.
+    Every successful event moves its case to the end of its bucket, so
+    each bucket is in ``last_update`` order and the first case of the
+    first non-empty bucket is the victim.
     """
 
     def __init__(
@@ -269,13 +236,12 @@ class ConformanceEngine:
         self.net = net
         self.config = config or PolicyConfig(Policy.BASELINE)
         self.search_budget = search_budget
-        self.store = CaseStore(capacity=self.config.n)
+        self.store = CaseStore()
         self.repo = SummaryRepository()
         self.events_processed = 0
         self.search_count = 0
         self.extension_count = 0
         self._buckets: dict[int, dict[str, None]] = {rank: {} for rank in (1, 2, 3, 4)}
-        self._ranks: dict[str, int] = {}
         self._stored_slots = 0
 
     @property
@@ -384,13 +350,12 @@ class ConformanceEngine:
         return fresh, Method.SHORTEST_PATH
 
     def _evict_one(self) -> None:
-        victim_id = self._pick_victim()
-        victim = self.store.pop(victim_id)
-        self._unindex(victim_id)
+        victim = self.store.pop(self._pick_victim())
+        del self._buckets[victim.rank][victim.case_id]
         pa = victim.prefix_alignment
         self._stored_slots += 1 - pa.state_count
         self.repo.put(
-            victim_id,
+            victim.case_id,
             SummaryState(kappa_o=pa.fitness_cost, carry_marking=pa.current_marking),
         )
 
@@ -398,19 +363,13 @@ class ConformanceEngine:
 
     def _index_record(self, record: CaseRecord) -> None:
         """Move the case to the end of the bucket of its current rank."""
-        case_id = record.case_id
-        previous = self._ranks.get(case_id)
-        if previous is not None:
-            del self._buckets[previous][case_id]
-        rank = _forgetting_rank(record)
-        self._ranks[case_id] = rank
-        self._buckets[rank][case_id] = None
-
-    def _unindex(self, case_id: str) -> None:
-        del self._buckets[self._ranks.pop(case_id)][case_id]
+        if record.rank:
+            del self._buckets[record.rank][record.case_id]
+        record.rank = _forgetting_rank(record)
+        self._buckets[record.rank][record.case_id] = None
 
     def _pick_victim(self) -> str:
-        """The first case of the first non-empty bucket, as :func:`select_forget_victim` picks."""
+        """The first case of the first non-empty bucket: the case the forgetting criteria evict."""
         for bucket in self._buckets.values():
             if bucket:
                 return next(iter(bucket))

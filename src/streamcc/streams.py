@@ -112,23 +112,29 @@ def parse_csv_log(
     return EventLog(tuple(events))
 
 
+def xml_root(source: str | Path | bytes | IO[bytes], kind: str) -> ET.Element:
+    """The root element of an XML document; malformed XML raises ParseError naming ``kind``."""
+    try:
+        if isinstance(source, bytes):
+            return ET.fromstring(source)
+        return ET.parse(source).getroot()
+    except ET.ParseError as exc:
+        line, column = exc.position
+        raise ParseError(f"malformed {kind} at line {line}, column {column}: {exc.msg}") from exc
+
+
+def local_name(tag: str) -> str:
+    """An element tag without its ``{namespace}`` prefix."""
+    return tag.rsplit("}", 1)[-1]
+
+
 def parse_xes_log(source: str | Path | bytes | IO[bytes]) -> EventLog:
     """Read the concept:name / time:timestamp subset of XES.
 
     Events lacking an activity or timestamp are collected and reported
     together in one ParseError.
     """
-    try:
-        if isinstance(source, bytes):
-            root = ET.fromstring(source)
-        else:
-            root = ET.parse(source).getroot()
-    except ET.ParseError as exc:
-        line, column = exc.position
-        raise ParseError(f"malformed XES at line {line}, column {column}: {exc.msg}") from exc
-
-    def local(tag: str) -> str:
-        return tag.rsplit("}", 1)[-1]
+    root = xml_root(source, "XES")
 
     def attribute(element: ET.Element, key: str) -> str | None:
         for child in element:
@@ -140,7 +146,7 @@ def parse_xes_log(source: str | Path | bytes | IO[bytes]) -> EventLog:
     problems: list[str] = []
     trace_number = 0
     for trace in root:
-        if local(trace.tag) != "trace":
+        if local_name(trace.tag) != "trace":
             continue
         trace_number += 1
         case_id = attribute(trace, "concept:name")
@@ -149,7 +155,7 @@ def parse_xes_log(source: str | Path | bytes | IO[bytes]) -> EventLog:
             continue
         event_number = 0
         for element in trace:
-            if local(element.tag) != "event":
+            if local_name(element.tag) != "event":
                 continue
             event_number += 1
             where = f"trace {case_id!r} event {event_number}"

@@ -134,21 +134,3 @@ def generate_log(spec: StreamSpec, seed: int = 0) -> EventLog:
             open_pool.remove(case)
     return EventLog(tuple(events))
 
-
-def peak_concurrent_cases(log: EventLog) -> int:
-    """Largest number of cases simultaneously between first and last event."""
-    first: dict[str, int] = {}
-    last: dict[str, int] = {}
-    for position, event in enumerate(log.events):
-        first.setdefault(event.case_id, position)
-        last[event.case_id] = position
-    delta = [0] * (len(log.events) + 1)
-    for case, opened in first.items():
-        delta[opened] += 1
-        delta[last[case] + 1] -= 1
-    peak = 0
-    current = 0
-    for change in delta:
-        current += change
-        peak = max(peak, current)
-    return peak

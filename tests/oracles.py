@@ -1,5 +1,7 @@
 """Independent oracles and randomized fixtures used across the test suite.
 
+The reference scans recompute from the store what the engine keeps
+incrementally: its stored-slot gauge and its forgetting index's victim.
 The brute-force alignment cost enumerates every move sequence directly
 from the net's firing semantics; it shares no code with the search under
 test. Random nets follow a fixed recipe: an entry transition, a choice
@@ -11,12 +13,67 @@ from __future__ import annotations
 
 import random
 
-from streamcc import DEFAULT_COST_MODEL, ConformanceEngine, CostModel, PetriNet, stored_state_count
+from streamcc import DEFAULT_COST_MODEL, ConformanceEngine, CostModel, PetriNet
 from streamcc.petri import Marking
-from streamcc.policies import EventOutcome
-from streamcc.streams import StreamEvent
+from streamcc.policies import CaseStore, EventOutcome, SummaryRepository, _forgetting_rank
+from streamcc.streams import EventLog, StreamEvent
 
 ALPHABET = ["A", "B", "C", "D", "E", "F", "G", "H", "K"]
+
+
+def stored_state_count(store: CaseStore, repo: SummaryRepository | None = None) -> int:
+    """Total states held in memory; summaries count one state each.
+
+    A full scan: the reference that :attr:`ConformanceEngine.stored_state_count`
+    keeps up to date incrementally.
+    """
+    total = sum(r.prefix_alignment.state_count for r in store.records())
+    if repo is not None:
+        total += len(repo)
+    return total
+
+
+def select_forget_victim(store: CaseStore) -> str:
+    """Pick the case to forget, in a single pass over the store.
+
+    Preference order: (1) a compliant monuple (single event explained by
+    one synchronous move from the initial marking) ends the scan
+    immediately; (2) cases whose forgotten prefix already carries cost;
+    (3) fully conformant cases; (4) cases whose retained states are not
+    fitting. Ties fall to the least recently updated case, then the
+    smallest case id.
+    """
+    if len(store) == 0:
+        raise ValueError("cannot select a victim from an empty store")
+    best: tuple[int, int, str] | None = None
+    for record in store.records():
+        rank = _forgetting_rank(record)
+        if rank == 1:
+            return record.case_id
+        key = (rank, record.last_update, record.case_id)
+        if best is None or key < best:
+            best = key
+    assert best is not None
+    return best[2]
+
+
+def peak_concurrent_cases(log: EventLog) -> int:
+    """Largest number of cases simultaneously between first and last event."""
+    first: dict[str, int] = {}
+    last: dict[str, int] = {}
+    for position, event in enumerate(log.events):
+        first.setdefault(event.case_id, position)
+        last[event.case_id] = position
+    delta = [0] * (len(log.events) + 1)
+    for case, opened in first.items():
+        delta[opened] += 1
+        delta[last[case] + 1] -= 1
+    peak = 0
+    current = 0
+    for change in delta:
+        current += change
+        peak = max(peak, current)
+    return peak
 
 
 def replay_outcomes(engine: ConformanceEngine, events) -> list[EventOutcome]:

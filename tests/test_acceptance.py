@@ -26,14 +26,21 @@ from streamcc import (
     replay,
     replicate_events,
     shortest_path_prefix_alignment,
-    stored_state_count,
 )
 from streamcc.alignment import DEFAULT_SEARCH_BUDGET, Move, SummaryState
-from streamcc.policies import CaseRecord, CaseStore, select_forget_victim
+from streamcc.policies import CaseRecord, CaseStore
 from streamcc.streams import StreamEvent
-from streamcc.synthetic import peak_concurrent_cases
 
-from oracles import brute_force_min_cost, checked_replay, random_net, random_trace, replay_outcomes
+from oracles import (
+    brute_force_min_cost,
+    checked_replay,
+    peak_concurrent_cases,
+    random_net,
+    random_trace,
+    replay_outcomes,
+    select_forget_victim,
+    stored_state_count,
+)
 
 
 def report(line: str) -> None:
@@ -392,7 +399,7 @@ class TestCriterion6ForgettingCriteria:
                 # exactly one index entry per stored case, in the bucket of its rank
                 entries = sorted(c for bucket in engine._buckets.values() for c in bucket)
                 assert entries == sorted(r.case_id for r in engine.store.records())
-                assert engine._ranks == {
+                assert {r.case_id: r.rank for r in engine.store.records()} == {
                     c: rank for rank, bucket in engine._buckets.items() for c in bucket
                 }
                 assert engine.stored_state_count == stored_state_count(engine.store, engine.repo)

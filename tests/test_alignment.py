@@ -37,6 +37,29 @@ class TestMoveInvariants:
         with pytest.raises(ValueError):
             Move(MoveKind.MODEL, activity="A", transition="t1")
 
+    @pytest.mark.parametrize("kind", list(MoveKind))
+    def test_each_kind_accepts_exactly_one_shape(self, kind):
+        accepted = []
+        for activity in ("A", None):
+            for transition in ("t1", None):
+                try:
+                    Move(kind, activity, transition)
+                except ValueError:
+                    continue
+                accepted.append((activity is not None, transition is not None))
+        expected = {
+            MoveKind.SYNCHRONOUS: (True, True),
+            MoveKind.LOG: (True, False),
+            MoveKind.MODEL: (False, True),
+            MoveKind.SILENT_MODEL: (False, True),
+        }
+        assert accepted == [expected[kind]]
+
+    def test_kind_must_be_a_move_kind(self):
+        # a str kind would never consume its event in log_projection
+        with pytest.raises(ValueError, match="unknown move kind"):
+            Move("synchronous", "A", "t1")
+
     def test_cost_model_rejects_negative(self):
         with pytest.raises(ValueError):
             CostModel(log_cost=-1)

@@ -62,6 +62,33 @@ class TestCompare:
         row = next(r for r in rows if r["metric"].endswith("bytes_per_slot"))
         assert (row["parent"], row["change"], row["change_wins"], row["over_bound"]) == (300, 250, None, None)
 
+    def verdicts(self, parent_speeds, change_speeds):
+        rows, _ = bench_pairs.compare(
+            [result(v, 1.0) for v in parent_speeds], [result(v, 1.0) for v in change_speeds], GATES
+        )
+        return {row["metric"]: row["verdict"] for row in rows}
+
+    def test_gain_needs_nine_in_ten_wins_beyond_the_parents_spread(self):
+        parent = [100, 101, 99, 100, 102, 98, 100, 101, 99, 100]
+        assert self.verdicts(parent, [v + 10 for v in parent])["churn-evict/events_per_s"] == "gain"
+        # eight wins in ten: within bound, not a gain
+        change = [v + 10 for v in parent[:8]] + [v - 1 for v in parent[8:]]
+        assert self.verdicts(parent, change)["churn-evict/events_per_s"] == "within bound"
+
+    def test_worse_than_bound(self):
+        assert self.verdicts([100, 100], [70, 70])["churn-evict/events_per_s"] == "worse"
+
+    def test_spread_wider_than_the_bound_is_unresolved(self):
+        parent = [60, 140, 70, 130]
+        assert self.verdicts(parent, [65, 135, 72, 128])["churn-evict/events_per_s"] == "unresolved"
+        # unless every change run beats every parent run
+        assert self.verdicts(parent, [150, 160, 145, 155])["churn-evict/events_per_s"] == "within bound"
+
+    def test_consistent_small_loss_inside_the_bound_is_within_bound(self):
+        parent = [100, 101, 99, 100, 102, 98, 100, 101, 99, 100]
+        verdicts = self.verdicts(parent, [v * 0.97 for v in parent])
+        assert verdicts == {"churn-evict/events_per_s": "within bound", "churn-evict/wall_s": "within bound"}
+
     def test_incorrect_run_and_rise_in_failed_are_problems(self):
         parent = [result(100, 1.0), result(100, 1.0, failed=2)]
         change = [result(100, 1.0, correct=False), result(100, 1.0, failed=3)]

@@ -84,7 +84,7 @@ class TestLoadPnml:
                 load_pnml(doc)
 
     def test_malformed_xml_parse_error_carries_position(self):
-        with pytest.raises(ParseError) as excinfo:
+        with pytest.raises(ParseError, match=r"^malformed PNML at line 1, column \d+: ") as excinfo:
             load_pnml(b"<pnml><net id='x'>")
         assert "line" in str(excinfo.value)
 

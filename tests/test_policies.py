@@ -16,14 +16,21 @@ from streamcc import (
     cyclic_sequence_net,
     generate_log,
     replay,
-    stored_state_count,
 )
 from streamcc.alignment import Move, MoveKind, SummaryState
 from streamcc import policies
 from streamcc.petri import Marking, PetriNet
-from streamcc.policies import CaseRecord, CaseStore, Method, select_forget_victim, truncate_states
+from streamcc.policies import CaseRecord, CaseStore, Method, truncate_states
 
-from oracles import brute_force_min_cost, checked_replay, random_net, random_trace, replay_outcomes
+from oracles import (
+    brute_force_min_cost,
+    checked_replay,
+    random_net,
+    random_trace,
+    replay_outcomes,
+    select_forget_victim,
+    stored_state_count,
+)
 
 
 def run_stream(engine, pairs):
@@ -371,7 +378,7 @@ class TestBoundedCases:
 
         def snapshot():
             records = [
-                (r.case_id, r.prefix_alignment, r.last_update, r.event_count)
+                (r.case_id, r.prefix_alignment, r.last_update, r.event_count, r.rank)
                 for r in engine.store.records()
             ]
             return (

@@ -126,7 +126,7 @@ class TestXes:
             parse_xes_log(doc)
 
     def test_malformed_xml(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=r"^malformed XES at line 1, column \d+: "):
             parse_xes_log(b"<log><trace>")
 
 

@@ -3,9 +3,9 @@ from __future__ import annotations
 import pytest
 
 from streamcc import ConformanceEngine, StreamSpec, cyclic_sequence_net, generate_log, replay
-from streamcc.synthetic import ALIEN_ACTIVITY, peak_concurrent_cases, step_label
+from streamcc.synthetic import ALIEN_ACTIVITY, step_label
 
-from oracles import replay_outcomes
+from oracles import peak_concurrent_cases, replay_outcomes
 
 
 class TestCyclicSequenceNet:

@@ -11,10 +11,11 @@ odd pairs the change first. Each run's result is the last JSON line it
 prints. For every ``<workload>/<metric>`` the tool prints both medians,
 the parent's IQR (the spread between its quartiles), the change's and
 the parent's wins over the pairs (ties count for neither) and, for the
-metrics ``BENCHMARK.json`` gates, whether the change's median is worse
-than the parent's by more than the bound. It exits 1 when any run
-reports ``"correct": false`` or the change fails more events than the
-parent in any pair.
+metrics ``BENCHMARK.json`` gates, a verdict (see ``verdict``). It exits
+1 when any run reports ``"correct": false`` or the change fails more
+events than the parent in any pair. Pointing ``--parent`` at a copy of
+this checkout (an A/A run) shows how far two identical checkouts read
+apart on the host.
 
 ``--append`` then runs ``--workload all --trace 1 --seconds 5`` once per
 side for ``policies.bytes_per_slot`` and appends a parent entry and a
@@ -71,6 +72,27 @@ def gates(benchmark: dict) -> dict[str, tuple[str, float]]:
     return {m["name"]: (m["better"], m["bound"]) for m in benchmark["end_to_end"]}
 
 
+def verdict(row: dict, parent_runs: list[float], change_runs: list[float], pairs: int,
+            sign: int, bound: float) -> str:
+    """How one gated metric reads; ``sign`` is 1 when higher is better, -1 when lower is.
+
+    ``worse``: the change's median is worse than the parent's by more than
+    the bound. ``gain``: the change wins at least nine tenths of the pairs
+    and its median beats the parent's by more than the parent's IQR.
+    ``unresolved``: the parent's IQR is wider than the bound allows and not
+    every change run beats every parent run. Otherwise ``within bound``.
+    """
+    if row["over_bound"]:
+        return "worse"
+    beats_spread = sign * (row["change"] - row["parent"]) > row["parent_iqr"]
+    if pairs and row["change_wins"] * 10 >= pairs * 9 and beats_spread:
+        return "gain"
+    separated = min(sign * v for v in change_runs) > max(sign * v for v in parent_runs)
+    if row["parent_iqr"] > bound * abs(row["parent"]) and not separated:
+        return "unresolved"
+    return "within bound"
+
+
 def compare(parent: list[dict], change: list[dict], gated: dict[str, tuple[str, float]]):
     """One row per ``<workload>/<metric>`` and the list of problems found.
 
@@ -102,6 +124,7 @@ def compare(parent: list[dict], change: list[dict], gated: dict[str, tuple[str, 
             "change_wins": None,
             "parent_wins": None,
             "over_bound": None,
+            "verdict": None,
         }
         if better is not None:
             sign = 1 if better == "higher" else -1
@@ -111,17 +134,18 @@ def compare(parent: list[dict], change: list[dict], gated: dict[str, tuple[str, 
             row["parent_wins"] = sum(1 for a, b in pairs if sign * (b - a) < 0)
             worse = sign * (row["parent"] - row["change"])
             row["over_bound"] = worse > bound * abs(row["parent"])
+            row["verdict"] = verdict(row, p, c, len(pairs), sign, bound)
         rows.append(row)
     return rows, problems
 
 
 def render(rows: list[dict], pairs: int) -> str:
     lines = [f"{'workload/metric':<44} {'parent':>12} {'change':>12} {'change %':>9} "
-             f"{'parent IQR':>11} {'wins c/p':>9}  bound"]
+             f"{'parent IQR':>11} {'wins c/p':>9}  verdict"]
     for row in rows:
         delta = (row["change"] / row["parent"] - 1) * 100 if row["parent"] else 0.0
         wins = "-" if row["change_wins"] is None else f"{row['change_wins']}/{row['parent_wins']}"
-        flag = {None: "-", False: "ok", True: "WORSE THAN BOUND"}[row["over_bound"]]
+        flag = {None: "-", "worse": "WORSE THAN BOUND"}.get(row["verdict"], row["verdict"])
         lines.append(f"{row['metric']:<44} {row['parent']:>12.6g} {row['change']:>12.6g} {delta:>+8.1f}% "
                      f"{row['parent_iqr']:>11.4g} {wins:>9}  {flag}")
     lines.append(f"{pairs} pairs; wins count pairs where that side's value is better, ties for neither")
