@@ -4,6 +4,9 @@ The names below are the quick-start API; everything else is imported
 from its own module (``streamcc.petri``, ``streamcc.streams``, ...).
 """
 
+# set before the imports: evaluation writes it into experiment manifests
+__version__ = "0.1.0"
+
 from .alignment import (
     DEFAULT_COST_MODEL,
     CostModel,
@@ -18,8 +21,6 @@ from .pnml import load_model
 from .policies import ConformanceEngine, Policy, PolicyConfig
 from .streams import parse_csv_log, replay, replicate_events
 from .synthetic import StreamSpec, cyclic_sequence_net, generate_log
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ConformanceEngine",

@@ -155,8 +155,8 @@ class PrefixAlignment:
     the net's initial marking for fresh cases, or the carry-forward
     marking when a summary is present. ``moves_cost`` is the sum of the
     states' move costs (:func:`fold_move_costs`); it is computed from
-    ``states`` when omitted, and :meth:`append` and :meth:`with_summary`
-    carry it forward instead of summing again.
+    ``states`` when omitted, and :meth:`append`, :meth:`with_summary` and
+    the search pass it in instead of summing again.
     """
 
     base_marking: Marking
@@ -225,11 +225,12 @@ def extend_model_semantics(
     explored). When several enabled transitions share the label, the
     lowest transition id fires.
     """
-    marking = pa.current_marking
+    successors = net.successors(pa.current_marking)
     for transition in net.transitions_labeled(activity):
-        if net.is_enabled(marking, transition):
+        reached = successors.get(transition)
+        if reached is not None:
             move = Move.sync(activity, transition, event_ref)
-            return pa.append(move, cost_model.sync_cost, net.fire(marking, transition))
+            return pa.append(move, cost_model.sync_cost, reached)
     return None
 
 
@@ -296,7 +297,7 @@ def shortest_path_prefix_alignment(
         step = step_costs[rank]
         ng = g + step
         if prune:
-            gh = ng + forced[next_pos] if forced else ng
+            gh = ng + forced[next_pos]
             if gh > limit:
                 return
             if gh + lookahead > limit and next_pos < total:
@@ -340,8 +341,7 @@ def _only_model_or_log(net: PetriNet, marking: Marking, activity: ActivityLabel)
     if not net.transitions_labeled(activity):
         return False
     labels = net.labels
-    # the table entry itself: enabled_transitions would build a tuple
-    for t in net._successors(marking):
+    for t in net.successors(marking):
         if labels.get(t, activity) == activity:  # a silent transition matches too
             return False
     return True
@@ -349,17 +349,15 @@ def _only_model_or_log(net: PetriNet, marking: Marking, activity: ActivityLabel)
 
 def _forced_log_costs(
     net: PetriNet, events: tuple[tuple[ActivityLabel, EventRef | None], ...], log_cost: float
-) -> list[float] | None:
+) -> list[float]:
     """``log_cost`` x the events from each position on whose label no transition carries.
 
-    None when every label is carried, so short traces skip the suffix.
+    One entry per position, the end of the trace included; all zeros when
+    the net carries every label.
     """
-    alien = [not net.transitions_labeled(activity) for activity, _ in events]
-    if not any(alien):
-        return None
     counts = [0] * (len(events) + 1)
     for pos in range(len(events) - 1, -1, -1):
-        counts[pos] = counts[pos + 1] + alien[pos]
+        counts[pos] = counts[pos + 1] + (not net.transitions_labeled(events[pos][0]))
     return [log_cost * n for n in counts]
 
 
@@ -392,4 +390,5 @@ def _reconstruct(
         states.append(AlignmentState(move, step, marking))
         key = parent
     states.reverse()
-    return PrefixAlignment(base_marking=start, states=tuple(states))
+    # the goal's g added the step costs left to right, as fold_move_costs does
+    return PrefixAlignment(start, tuple(states), moves_cost=closed[goal_key][3])

@@ -98,12 +98,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     engine = ConformanceEngine(net, config, search_budget=args.budget)
 
     last_outcome: dict[str, EventOutcome] = {}
-    events_per_case: Counter[str] = Counter()
     methods_per_case: dict[str, Counter] = {}
     for event in replay(log):
         outcome = engine.process(event.case_id, event.activity, event.arrival_index)
         last_outcome[outcome.case_id] = outcome
-        events_per_case[outcome.case_id] += 1
         methods_per_case.setdefault(outcome.case_id, Counter())[outcome.method.value] += 1
 
     rows = []
@@ -112,7 +110,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         rows.append(
             {
                 "case_id": case_id,
-                "events": events_per_case[case_id],
+                "events": methods.total(),  # every outcome has exactly one method
                 "effective_cost": last_outcome[case_id].effective_cost,
                 "conformant": last_outcome[case_id].conformant,
                 "residual_cost": engine.residual_cost(case_id),
@@ -205,8 +203,7 @@ def _final_marking_reachable(net: PetriNet, limit: int) -> tuple[bool | None, in
         marking = frontier.popleft()
         if net.is_final(marking):
             return True, len(seen)
-        for t in net.enabled_transitions(marking):
-            nxt = net.fire(marking, t)
+        for nxt in net.successors(marking).values():
             if nxt not in seen:
                 if len(seen) >= limit:
                     return None, len(seen)

@@ -21,6 +21,7 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
+from . import __version__
 from .alignment import DEFAULT_COST_MODEL, DEFAULT_SEARCH_BUDGET, CostModel
 from .errors import EmptyWindow, ParseError, SearchBudgetExceeded, TimestampError
 from .petri import PetriNet
@@ -272,14 +273,14 @@ class ExperimentConfig:
             )
             spec, seed = values.pop("synthetic", None) or (None, 0)
             return cls(
-                # input paths resolve against the config file; outputs
-                # land relative to the invoking directory
+                # every path resolves against the config file, so a config
+                # reads and writes the same files wherever it is run
                 model_path=base / values.pop("model"),
                 log_path=base / values.pop("log") if "log" in values else None,
                 synthetic=spec,
                 synthetic_seed=seed,
                 policies=values.pop("policies", ()),
-                output_dir=Path(values.pop("output_dir", "streamcc-out")),
+                output_dir=base / values.pop("output_dir", "streamcc-out"),
                 **values,  # window_size, replication and search_budget, when given
             )
         except (TypeError, ValueError, ParseError) as exc:
@@ -431,7 +432,7 @@ def write_results(
             }
             for run in result.runs
         ],
-        "library_version": _library_version(),
+        "library_version": __version__,
         "environment": {
             "python": platform.python_version(),
             "platform": platform.platform(),
@@ -442,15 +443,6 @@ def write_results(
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     written.append(manifest_path)
     return written
-
-
-def _library_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("streamcc")
-    except Exception:
-        return "unknown"
 
 
 def config_echo(config: ExperimentConfig) -> dict:

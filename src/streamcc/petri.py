@@ -3,9 +3,12 @@
 A net's structure is immutable once constructed. Enabledness and firing
 are decided in one place: a per-net successor table, filled the first
 time a marking is looked up, that maps the marking to its enabled
-transitions, each with the marking firing it reaches. Successors are
-interned, so while the tables have room every caller that reaches a
-marking by firing holds the same ``Marking`` object.
+transitions, each with the marking firing it reaches.
+:meth:`PetriNet.successors` is the one read of that table;
+``enabled_transitions``, ``is_enabled`` and ``fire`` are views of its
+entry. Successors are interned, so while the tables have room every
+caller that reaches a marking by firing holds the same ``Marking``
+object.
 
 The table keeps at most :data:`SUCCESSOR_TABLE_CAP` markings, and so
 does the intern table behind it, because a net need not be bounded.
@@ -103,11 +106,12 @@ class PetriNet:
     ``labels`` maps transition ids to activity labels; transitions absent
     from the map are silent. Arcs are ordinary (weight 1).
 
-    ``is_enabled``, ``enabled_transitions`` and ``fire`` all read one
-    successor table, filled per marking on first lookup and capped at
+    :meth:`successors` is the accessor of the net's successor table,
+    filled per marking on first lookup and capped at
     :data:`SUCCESSOR_TABLE_CAP` markings (see the module docstring for
-    its size and thread safety). ``fire`` returns the table's interned
-    marking, so ``net.fire(m, t) is net.fire(m, t)``.
+    its size and thread safety). ``enabled_transitions``, ``is_enabled``
+    and ``fire`` are views of the entry it returns. ``fire`` returns the
+    table's interned marking, so ``net.fire(m, t) is net.fire(m, t)``.
     """
 
     places: frozenset[str]
@@ -211,11 +215,11 @@ class PetriNet:
 
         False for a transition id the net does not have.
         """
-        return transition in self._successors(marking)
+        return transition in self.successors(marking)
 
     def enabled_transitions(self, marking: Marking) -> tuple[str, ...]:
         """Transitions with at least one token on every input place, in id order."""
-        return tuple(self._successors(marking))
+        return tuple(self.successors(marking))
 
     def fire(self, marking: Marking, transition: str) -> Marking:
         """Fire an enabled transition, consuming and producing one token per arc.
@@ -223,13 +227,17 @@ class PetriNet:
         Raises :class:`FiringNotEnabled` when an input place holds no token,
         and for a transition id the net does not have.
         """
-        successor = self._successors(marking).get(transition)
+        successor = self.successors(marking).get(transition)
         if successor is None:
             raise FiringNotEnabled(transition, marking)
         return successor
 
-    def _successors(self, marking: Marking) -> dict[str, Marking]:
-        """The marking's table entry: enabled transition -> marking it reaches, in id order."""
+    def successors(self, marking: Marking) -> dict[str, Marking]:
+        """The marking's table entry: enabled transition -> marking it reaches, in id order.
+
+        The one read of the successor table. The entry is shared: callers
+        must not change it.
+        """
         entry = self._table.get(marking)
         if entry is not None:
             return entry

@@ -78,16 +78,17 @@ class PolicyConfig:
 class CaseRecord:
     """A case tracked in the multi-state store.
 
-    ``event_count`` counts the events observed since the case entered (or
-    re-entered) the store; ``last_update`` is the arrival index of its
-    most recent event; ``rank`` is the forgetting-index bucket the case
-    sits in, 0 while it is in none (the engine has no case limit).
+    ``last_update`` is the arrival index of its most recent event;
+    ``rank`` is the forgetting-index bucket the case sits in, 0 while it
+    is in none (the engine has no case limit). Every event adds exactly
+    one event-consuming move, and only forgetting removes states, which
+    always leaves a summary: so while the alignment has no summary, it
+    holds one event-consuming move per event of the case.
     """
 
     case_id: str
     prefix_alignment: PrefixAlignment
     last_update: int
-    event_count: int = 0
     rank: int = 0
 
 
@@ -187,12 +188,14 @@ def _forgetting_rank(record: CaseRecord) -> int:
     move from the initial marking; (2) a case whose forgotten prefix
     already carries cost; (3) a fully conformant case; (4) a case whose
     retained states are not fitting.
+
+    An alignment without a summary explains each event of its case (see
+    :class:`CaseRecord`), so one synchronous state there is a monuple.
     """
     pa = record.prefix_alignment
     summary = pa.summary
     if (
-        record.event_count == 1
-        and summary is None
+        summary is None
         and len(pa.states) == 1
         and pa.states[0].move.kind is MoveKind.SYNCHRONOUS
     ):
@@ -298,7 +301,6 @@ class ConformanceEngine:
             self._stored_slots += pa.state_count - record.prefix_alignment.state_count
             record.prefix_alignment = pa
         record.last_update = index
-        record.event_count += 1
         if n is not None:
             self._index_record(record)
         self.events_processed = index + 1

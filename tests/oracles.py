@@ -84,13 +84,22 @@ def replay_outcomes(engine: ConformanceEngine, events) -> list[EventOutcome]:
 def checked_replay(engine: ConformanceEngine, events: list[StreamEvent]) -> list[EventOutcome]:
     """Process a stream, asserting the engine's memory bounds after every event.
 
-    Also checks the engine's slot gauge against the reference scan.
+    Also checks the engine's slot gauge against the reference scan, and
+    that every stored alignment without a summary explains each event of
+    its case once, in arrival order (the forgetting rank relies on it).
     """
     w = engine.config.w
     n = engine.config.n
     outcomes = []
+    arrivals: dict[str, list[int]] = {}
     for event in events:
         outcomes.append(engine.process(event.case_id, event.activity, event.arrival_index))
+        arrivals.setdefault(event.case_id, []).append(event.arrival_index)
+        for record in engine.store.records():
+            pa = record.prefix_alignment
+            if pa.summary is None:
+                refs = [ref for _, ref in pa.log_projection()]
+                assert refs == arrivals[record.case_id], f"case {record.case_id} explains {refs}"
         if w is not None:
             for record in engine.store.records():
                 assert record.prefix_alignment.state_count <= max(w, 2), (

@@ -282,12 +282,12 @@ class TestCriterion6ForgettingCriteria:
         pa = PrefixAlignment.empty(net.initial_marking).append(
             Move.sync("A", "A", 0), 0.0, net.fire(net.initial_marking, "A")
         )
-        return CaseRecord(case_id, pa, last_update=last_update, event_count=1)
+        return CaseRecord(case_id, pa, last_update=last_update)
 
     def residual(self, net, case_id, kappa, last_update):
         pa = PrefixAlignment.from_summary(SummaryState(kappa, net.initial_marking))
         return CaseRecord(case_id, pa.append(Move.log("X"), 0.0, net.initial_marking),
-                          last_update=last_update, event_count=2)
+                          last_update=last_update)
 
     def conformant(self, net, case_id, last_update):
         after_a = net.fire(net.initial_marking, "A")
@@ -297,13 +297,13 @@ class TestCriterion6ForgettingCriteria:
             .append(Move.sync("A", "A", 0), 0.0, after_a)
             .append(Move.sync("B", "B", 1), 0.0, after_b)
         )
-        return CaseRecord(case_id, pa, last_update=last_update, event_count=2)
+        return CaseRecord(case_id, pa, last_update=last_update)
 
     def costly(self, net, case_id, cost, last_update):
         pa = PrefixAlignment.empty(net.initial_marking)
         for i in range(int(cost)):
             pa = pa.append(Move.log(f"X{i}"), 1.0, net.initial_marking)
-        return CaseRecord(case_id, pa, last_update=last_update, event_count=int(cost))
+        return CaseRecord(case_id, pa, last_update=last_update)
 
     def build_store(self, *records):
         store = CaseStore()

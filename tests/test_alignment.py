@@ -112,6 +112,17 @@ class TestExtendModelSemantics:
         )
         pa = extend_model_semantics(net, PrefixAlignment.empty(net.initial_marking), "A", 0)
         assert pa.states[0].move.transition == "t1"
+        # t1 waits for a token on r, so the next transition carrying A fires
+        net = PetriNet.build(
+            places=["p", "r", "q1", "q2"],
+            transitions={"t1": "A", "t2": "A"},
+            arcs=[("r", "t1"), ("t1", "q1"), ("p", "t2"), ("t2", "q2")],
+            initial={"p": 1},
+            final={"q2": 1},
+        )
+        pa = extend_model_semantics(net, PrefixAlignment.empty(net.initial_marking), "A", 0)
+        assert pa.states[0].move.transition == "t2"
+        assert pa.current_marking == Marking.of({"q2": 1})
 
     def test_no_tau_closure(self):
         # B is only reachable through a silent hop; direct enabledness fails

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+import streamcc
 from streamcc import (
     ConformanceEngine,
     PetriNet,
@@ -239,6 +241,20 @@ class TestExperimentCommand:
         ]
         stdout = capsys.readouterr().out
         assert "baseline:" in stdout
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["library_version"] == streamcc.__version__
+
+    def test_output_dir_resolves_against_the_config_file(self, data_dir, tmp_path, monkeypatch):
+        config_dir = tmp_path / "configs"
+        config_dir.mkdir()
+        for name in ("experiment_small.json", "cycle10.pnml"):
+            shutil.copy(data_dir / name, config_dir / name)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["experiment", "--config", str(config_dir / "experiment_small.json")]) == 0
+        assert (config_dir / "out-small" / "manifest.json").is_file()
+        assert list(work.iterdir()) == []
 
     def test_seed_override_changes_synthetic_stream(self, data_dir, tmp_path, capsys):
         config = {

@@ -9,7 +9,13 @@ from functools import partial
 import pytest
 from hypothesis import given, strategies as st
 
-from streamcc import ConformanceEngine, PetriNet, ValidationError, shortest_path_prefix_alignment
+from streamcc import (
+    ConformanceEngine,
+    PetriNet,
+    ValidationError,
+    cyclic_sequence_net,
+    shortest_path_prefix_alignment,
+)
 from streamcc import petri
 from streamcc.errors import FiringNotEnabled
 from streamcc.petri import Marking
@@ -214,6 +220,32 @@ class TestSuccessorTable:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors
         assert all(out == expected for out in results)
+
+
+def _reachable(net: PetriNet) -> list[Marking]:
+    seen = [net.initial_marking]
+    for marking in seen:  # seen grows while it is walked: breadth first
+        for reached in net.successors(marking).values():
+            if reached not in seen:
+                seen.append(reached)
+    return seen
+
+
+class TestSuccessorsAccessor:
+    @pytest.mark.parametrize(
+        "make", [partial(_seeded_net, seed) for seed in range(5)] + [partial(cyclic_sequence_net, 10)]
+    )
+    def test_views_read_the_entry(self, make):
+        net = make()
+        markings = _reachable(net)
+        assert len(markings) > 1
+        for marking in markings:
+            entry = net.successors(marking)
+            assert tuple(entry) == net.enabled_transitions(marking)
+            for t in sorted(net.transitions):
+                assert net.is_enabled(marking, t) == (t in entry)
+                if t in entry:
+                    assert net.fire(marking, t) is entry[t]
 
 
 class TestValidation:

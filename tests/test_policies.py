@@ -237,14 +237,14 @@ class TestForgettingCriteria:
         pa = PrefixAlignment.empty(net.initial_marking).append(
             Move.sync("A", "A", 0), 0.0, net.fire(net.initial_marking, "A")
         )
-        return CaseRecord(case_id, pa, last_update=last_update, event_count=1)
+        return CaseRecord(case_id, pa, last_update=last_update)
 
     def with_residual(self, net, case_id, kappa, last_update, extra_cost=0.0):
         pa = PrefixAlignment.from_summary(
             SummaryState(kappa_o=kappa, carry_marking=net.initial_marking)
         )
         pa = pa.append(Move.log("X"), extra_cost, net.initial_marking)
-        return CaseRecord(case_id, pa, last_update=last_update, event_count=3)
+        return CaseRecord(case_id, pa, last_update=last_update)
 
     def conformant(self, net, case_id, last_update, events=2):
         pa = PrefixAlignment.empty(net.initial_marking)
@@ -252,13 +252,13 @@ class TestForgettingCriteria:
         for i, t in enumerate(["A", "B"][:events]):
             marking = net.fire(marking, t)
             pa = pa.append(Move.sync(t, t, i), 0.0, marking)
-        return CaseRecord(case_id, pa, last_update=last_update, event_count=events)
+        return CaseRecord(case_id, pa, last_update=last_update)
 
     def nonconformant(self, net, case_id, cost, last_update):
         pa = PrefixAlignment.empty(net.initial_marking)
         for i in range(int(cost)):
             pa = pa.append(Move.log(f"X{i}"), 1.0, net.initial_marking)
-        return CaseRecord(case_id, pa, last_update=last_update, event_count=int(cost))
+        return CaseRecord(case_id, pa, last_update=last_update)
 
     def test_monuple_beats_everything(self, seq_abc):
         store = CaseStore()
@@ -378,7 +378,7 @@ class TestBoundedCases:
 
         def snapshot():
             records = [
-                (r.case_id, r.prefix_alignment, r.last_update, r.event_count, r.rank)
+                (r.case_id, r.prefix_alignment, r.last_update, r.rank)
                 for r in engine.store.records()
             ]
             return (
@@ -461,8 +461,8 @@ class TestAccessors:
         repo = SummaryRepository()
         assert stored_state_count(store, repo) == 0
         pa3 = make_pa(seq_abc, ["A", "B", "C"])
-        store.add(CaseRecord("1", pa3, last_update=0, event_count=3))
-        store.add(CaseRecord("2", pa3, last_update=1, event_count=3))
+        store.add(CaseRecord("1", pa3, last_update=0))
+        store.add(CaseRecord("2", pa3, last_update=1))
         for i in range(5):
             repo.put(f"r{i}", SummaryState(0.0, seq_abc.initial_marking))
         assert stored_state_count(store, repo) == 11

@@ -37,7 +37,7 @@ VALUES = [
     _PREFIX.states[0],
     _SUMMARY,
     _PREFIX,
-    CaseRecord("c1", _PREFIX, last_update=7, event_count=2),
+    CaseRecord("c1", _PREFIX, last_update=7),
     EventOutcome("c1", "A", 7, 2.5, False, Method.SHORTEST_PATH, 1.5),
     StreamEvent("c1", "A", 7, _WHEN),
     Event(3, "c1", "A", _WHEN),
