@@ -46,6 +46,9 @@ class MoveKind(Enum):
     MODEL = "model"
     SILENT_MODEL = "silent_model"
 
+    # members are singletons; Enum's default hashes the name in Python on every lookup
+    __hash__ = object.__hash__
+
 
 # Expansion preference for equal-cost paths: sync > silent > model > log.
 # A kind's rank in the search is its index here.
@@ -155,8 +158,9 @@ class PrefixAlignment:
     the net's initial marking for fresh cases, or the carry-forward
     marking when a summary is present. ``moves_cost`` is the sum of the
     states' move costs (:func:`fold_move_costs`); it is computed from
-    ``states`` when omitted, and :meth:`append`, :meth:`with_summary` and
-    the search pass it in instead of summing again.
+    ``states`` when omitted, and :meth:`empty`, :meth:`from_summary`,
+    :meth:`append`, :meth:`with_summary` and the search pass it in
+    instead of summing again.
     """
 
     base_marking: Marking
@@ -170,11 +174,11 @@ class PrefixAlignment:
 
     @classmethod
     def empty(cls, start: Marking) -> "PrefixAlignment":
-        return cls(base_marking=start)
+        return cls(start, (), None, 0)
 
     @classmethod
     def from_summary(cls, summary: SummaryState) -> "PrefixAlignment":
-        return cls(base_marking=summary.carry_marking, summary=summary)
+        return cls(summary.carry_marking, (), summary, 0)
 
     @property
     def carried_cost(self) -> float:
@@ -321,8 +325,10 @@ def shortest_path_prefix_alignment(
 
         g = entry[3]
         activity = events[pos][0]
+        successors = net.successors(marking)
+        # the entry's keys again, one call per expansion: bench/ counts expansions by it
         for t in net.enabled_transitions(marking):
-            fired = net.fire(marking, t)
+            fired = successors[t]
             label = net.labels.get(t)
             if label is None:
                 push(_SILENT, t, fired, pos)

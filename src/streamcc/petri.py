@@ -13,9 +13,9 @@ object.
 The table keeps at most :data:`SUCCESSOR_TABLE_CAP` markings, and so
 does the intern table behind it, because a net need not be bounded.
 Filling both for all 1,026 reachable markings of the benchmark's
-parallel net took about 570 B per marking, markings included
-(tracemalloc, CPython 3.11); at that size full tables hold about
-2.3 MB. Past the cap a marking's successors are computed on every
+parallel net took about 700 B per marking, markings and their hashes
+included (tracemalloc, CPython 3.11); at that size full tables hold
+about 2.9 MB. Past the cap a marking's successors are computed on every
 lookup and not stored; they are value-equal to what the table would
 hold.
 
@@ -28,7 +28,12 @@ store their entry, so n threads keep at most
 table.
 
 Markings are immutable multisets of tokens over place ids, kept in a
-canonical sorted form so they can serve as dictionary keys.
+canonical sorted form so they can serve as dictionary keys. A marking
+hashes its entries once, when it is built, because the search and both
+tables look markings up on every step. The hash is not pickled: ``str``
+hashes are salted per process, so an unpickled marking is hashed again
+by the process that loads it, and finds the equal markings that process
+builds (``experiment --jobs`` sends nets and states to workers).
 """
 
 from __future__ import annotations
@@ -52,9 +57,13 @@ class Marking:
 
     Zero-count entries are never stored, and entries are sorted by place
     id, so two markings are equal iff they contain the same tokens.
+
+    The hash of ``entries`` is computed once, when the marking is built,
+    and kept in ``_hash``; it takes no part in equality or ``repr``.
     """
 
     entries: tuple[tuple[str, int], ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for place, count in self.entries:
@@ -63,6 +72,15 @@ class Marking:
         ids = [p for p, _ in self.entries]
         if ids != sorted(ids) or len(set(ids)) != len(ids):
             raise ValueError("marking entries must be sorted and unique; use Marking.of()")
+        object.__setattr__(self, "_hash", hash(self.entries))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # str hashes are salted per process, so a stored hash must not travel:
+        # the receiving process rebuilds the marking and hashes it again
+        return (Marking._from_canonical, (self.entries,))
 
     @classmethod
     def of(cls, tokens: Mapping[str, int] | Iterable[str]) -> "Marking":
@@ -80,6 +98,7 @@ class Marking:
         # fast path for firing: entries are already sorted, unique, positive
         marking = object.__new__(cls)
         object.__setattr__(marking, "entries", entries)
+        object.__setattr__(marking, "_hash", hash(entries))
         return marking
 
     @classmethod

@@ -125,7 +125,7 @@ def fake_runs(monkeypatch, lines):
     """Serve canned stdout per checkout and record the order of the runs."""
     calls = []
 
-    def run_bench(checkout, seconds, trace):
+    def run_bench(checkout, seconds, trace, seed=None):
         calls.append((checkout.name, seconds, trace))
         return stdout_of(lines[checkout.name, trace])
 
@@ -169,6 +169,42 @@ def test_main_exits_1_on_a_problem_and_appends_nothing_without_the_flag(checkout
     assert bench_pairs.main(["--parent", str(parent), "--pairs", "1"]) == 1
     assert "PROBLEM" in capsys.readouterr().out
     assert not list(change.glob("BENCH_*.json"))
+
+
+def record_commands(monkeypatch, line):
+    """Answer every subprocess with ``line`` as a benchmark's stdout, recording the commands."""
+    commands = []
+
+    def run(command, **kwargs):
+        commands.append(command)
+        return subprocess.CompletedProcess(command, 0, stdout=stdout_of(line))
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    return commands
+
+
+@pytest.mark.parametrize("seed_args", [[], ["--seed", "2"]], ids=["default", "seed-2"])
+def test_seed_reaches_every_run(checkouts, monkeypatch, seed_args):
+    parent, _ = checkouts
+    commands = record_commands(monkeypatch, result(100, 1.0))
+    assert bench_pairs.main(["--parent", str(parent), "--pairs", "2", *seed_args]) == 0
+    assert len(commands) == 4
+    for command in commands:
+        assert command[1] == "bench/run.py"
+        if seed_args:
+            assert command[-2:] == seed_args
+        else:
+            assert "--seed" not in command
+
+
+def test_append_refuses_a_seed(checkouts, monkeypatch, capsys):
+    parent, change = checkouts
+    commands = record_commands(monkeypatch, result(100, 1.0))
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", str(parent), "--seed", "2", "--append"])
+    assert exit_info.value.code == 2
+    assert "--append" in capsys.readouterr().err
+    assert commands == [] and not list(change.glob("BENCH_*.json"))
 
 
 def test_a_plain_copy_gets_the_src_tree_of_the_commit_it_copies(tmp_path, monkeypatch, capsys):

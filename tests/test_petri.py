@@ -20,11 +20,27 @@ from streamcc import petri
 from streamcc.errors import FiringNotEnabled
 from streamcc.petri import Marking
 
+from conftest import make_branching_net
 from oracles import random_net, random_trace
 
 
 def _tokens(marking: Marking) -> int:
     return sum(count for _, count in marking.entries)
+
+
+def _fired_p4_p5() -> Marking:
+    net = make_branching_net()
+    return net.fire(net.fire(net.initial_marking, "t1"), "t5")
+
+
+# every way of building the marking [p4, p5]; each must hash like the others
+_BUILDS = {
+    "of_mapping": lambda: Marking.of({"p5": 1, "p4": 1}),
+    "of_places": lambda: Marking.of(["p5", "p4"]),
+    "constructor": lambda: Marking((("p4", 1), ("p5", 1))),
+    "fired": _fired_p4_p5,
+    "unpickled": lambda: pickle.loads(pickle.dumps(_fired_p4_p5())),
+}
 
 
 class TestMarking:
@@ -34,9 +50,14 @@ class TestMarking:
     def test_equality_is_canonical(self):
         assert Marking.of(["a", "b", "a"]) == Marking.of({"b": 1, "a": 2})
 
-    def test_hashable_and_usable_as_key(self):
-        store = {Marking.of({"p": 1}): "x"}
-        assert store[Marking.of({"p": 1})] == "x"
+    @pytest.mark.parametrize("build", list(_BUILDS.values()), ids=list(_BUILDS))
+    def test_hashable_and_usable_as_key(self, build):
+        marking = build()
+        reference = Marking.of({"p4": 1, "p5": 1})
+        assert marking == reference
+        assert hash(marking) == hash(reference) == hash(marking.entries)
+        assert {reference: "x"}[marking] == "x"
+        assert {marking: "x"}[reference] == "x"
 
     def test_str_uses_bracket_notation(self):
         assert str(Marking.of({"p1": 1, "p2": 2})) == "[p1, p2^2]"

@@ -8,8 +8,13 @@ survive a pickle round trip unchanged.
 
 from __future__ import annotations
 
+import json
+import os
 import pickle
+import subprocess
+import sys
 from datetime import datetime
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +66,43 @@ def test_pickled_prefix_alignment_keeps_its_running_cost():
     copy = pickle.loads(pickle.dumps(_PREFIX))
     assert copy.moves_cost == _PREFIX.moves_cost == 1.0
     assert copy.fitness_cost == 2.5
+
+
+# The sender pickles a net and a case's stored prefix-alignment; the
+# receiver fires the case's transitions again on the unpickled net.
+_SEND = """
+import pickle, sys
+from streamcc import ConformanceEngine, cyclic_sequence_net
+net = cyclic_sequence_net(4)
+engine = ConformanceEngine(net)
+for t in ("t0", "t1", "t2"):
+    engine.process("c1", net.labels[t])
+sys.stdout.buffer.write(pickle.dumps((net, engine.store.get("c1").prefix_alignment)))
+"""
+_RECEIVE = """
+import json, pickle, sys
+net, prefix = pickle.loads(sys.stdin.buffer.read())
+fresh = net.initial_marking
+for t in ("t0", "t1", "t2"):
+    fresh = net.fire(fresh, t)
+stored = prefix.current_marking
+print(json.dumps([str(stored), stored == fresh, hash(stored) == hash(fresh), stored in {fresh: 1}]))
+"""
+
+
+def test_unpickled_markings_hash_like_fresh_ones_across_hash_seeds():
+    # str hashes are salted per process, so a marking's hash must be taken
+    # again where it is unpickled
+    src = Path(__file__).resolve().parents[1] / "src"
+
+    def run(code: str, seed: str, stdin: bytes) -> bytes:
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+        return subprocess.run(
+            [sys.executable, "-c", code], input=stdin, env=env, capture_output=True, check=True
+        ).stdout
+
+    sent = run(_SEND, "1", b"")
+    assert json.loads(run(_RECEIVE, "2", sent)) == ["[s3]", True, True, True]
 
 
 def test_pickled_net_fires_like_the_original():

@@ -3,26 +3,29 @@
 
 Run from anywhere:
 
-    python3 tools/bench_pairs.py --parent ../parent-checkout [--pairs 10] [--seconds 15] [--append]
+    python3 tools/bench_pairs.py --parent ../parent-checkout [--pairs 10] [--seconds 15] [--seed N] [--append]
 
 Each pair runs ``bench/run.py --workload all --seconds S`` once in the
-parent checkout and once in this one; even pairs run the parent first,
-odd pairs the change first. Each run's result is the last JSON line it
-prints. For every ``<workload>/<metric>`` the tool prints both medians,
-the parent's IQR (the spread between its quartiles), the change's and
-the parent's wins over the pairs (ties count for neither) and, for the
-metrics ``BENCHMARK.json`` gates, a verdict (see ``verdict``). It exits
-1 when any run reports ``"correct": false`` or the change fails more
-events than the parent in any pair. Pointing ``--parent`` at a copy of
-this checkout (an A/A run) shows how far two identical checkouts read
-apart on the host.
+parent checkout and once in this one, each workload at its default seed,
+or at seed N for every workload with ``--seed N``, so that a claim can be
+checked again on a seed not used while writing the change. Even pairs run
+the parent first, odd pairs the change first. Each run's result is the
+last JSON line it prints. For every ``<workload>/<metric>`` the tool
+prints both medians, the parent's IQR (the spread between its quartiles),
+the change's and the parent's wins over the pairs (ties count for
+neither) and, for the metrics ``BENCHMARK.json`` gates, a verdict (see
+``verdict``). It exits 1 when any run reports ``"correct": false`` or the
+change fails more events than the parent in any pair. Pointing
+``--parent`` at a copy of this checkout (an A/A run) shows how far two
+identical checkouts read apart on the host.
 
 ``--append`` then runs ``--workload all --trace 1 --seconds 5`` once per
 side for ``policies.bytes_per_slot`` and appends a parent entry and a
-change entry to each ``BENCH_<workload>.json`` of this checkout. A
-parent that is not a git checkout (a ``git archive`` export) gets its
-``src`` tree hash from this checkout's repository and no SHA, with a
-warning. Standard library only.
+change entry to each ``BENCH_<workload>.json`` of this checkout. The
+trajectories are recorded at each workload's default seed, so
+``--append`` refuses ``--seed``. A parent that is not a git checkout (a
+``git archive`` export) gets its ``src`` tree hash from this checkout's
+repository and no SHA, with a warning. Standard library only.
 """
 
 from __future__ import annotations
@@ -41,10 +44,15 @@ CHANGE = Path(__file__).resolve().parents[1]
 BYTES_PER_SLOT = "policies.bytes_per_slot"
 
 
-def run_bench(checkout: Path, seconds: float, trace: bool) -> str:
-    """Standard output of one ``bench/run.py --workload all`` run in ``checkout``."""
+def run_bench(checkout: Path, seconds: float, trace: bool, seed: int | None = None) -> str:
+    """Standard output of one ``bench/run.py --workload all`` run in ``checkout``.
+
+    ``seed`` None runs each workload at its default seed.
+    """
     command = [sys.executable, "bench/run.py", "--workload", "all", "--seconds", str(seconds),
                "--trace", "1" if trace else "0"]
+    if seed is not None:
+        command += ["--seed", str(seed)]
     completed = subprocess.run(command, cwd=checkout, stdout=subprocess.PIPE, text=True, check=False)
     return completed.stdout
 
@@ -239,10 +247,14 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=15.0, help="timed replay length per workload")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="input seed for every workload (default: each workload's own)")
     parser.add_argument("--append", action="store_true", help="append entries to BENCH_<workload>.json")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    if args.append and args.seed is not None:
+        parser.error("--append records default-seed trajectories; drop --seed")
     parent_dir = args.parent.resolve()
     if not (parent_dir / "bench" / "run.py").is_file():
         parser.error(f"{parent_dir} has no bench/run.py")
@@ -253,7 +265,8 @@ def main(argv=None) -> int:
         for checkout in order:
             side = "parent" if checkout == parent_dir else "change"
             print(f"pair {i + 1}/{args.pairs}: {side}", file=sys.stderr, flush=True)
-            results[checkout].append(last_json_line(run_bench(checkout, args.seconds, trace=False)))
+            stdout = run_bench(checkout, args.seconds, trace=False, seed=args.seed)
+            results[checkout].append(last_json_line(stdout))
 
     benchmark = json.loads((CHANGE / "BENCHMARK.json").read_text(encoding="utf-8"))
     rows, problems = compare(results[parent_dir], results[CHANGE], gates(benchmark))
