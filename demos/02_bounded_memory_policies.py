@@ -9,15 +9,15 @@ from streamcc import ConformanceEngine, Policy, PolicyConfig, cyclic_sequence_ne
 
 net = cyclic_sequence_net(10)  # A0 -> A1 -> ... -> A9 -> back to A0
 
-print("== bounded states (w=2): long conformant case stays at 3 state slots ==")
+print("== bounded states (w=2): long conformant case stays at 2 state slots ==")
 engine = ConformanceEngine(net, PolicyConfig(Policy.BOUNDED_STATES, w=2))
 for i in range(12):
     outcome = engine.process("order-1", f"A{i % 10}", i)
-    record = engine.store.get("order-1")
+    pa = engine.store.get("order-1").prefix_alignment
     print(
         f"event A{i % 10}: cost={outcome.effective_cost}, "
-        f"slots={record.prefix_alignment.state_count}, "
-        f"carry={record.prefix_alignment.summary.carry_marking if record.prefix_alignment.summary else '-'}"
+        f"slots={pa.state_count}, "
+        f"carry={pa.base_marking if pa.summary is not None else '-'}"
     )
 
 print()

@@ -8,13 +8,12 @@ explained"; the model part does not have to reach the final marking.
 
 The search uses two heuristics for two jobs. Entries are ordered by
 g + ``h_unit`` x remaining events, with ``h_unit`` = min(sync_cost,
-log_cost), which is 0 under the default costs. Given an upper bound on
-the optimum and ``h_unit`` = 0, entries are also pruned: one whose g plus
-a consistent lookahead h exceeds the bound (by more than a slack for
-rounding) is never pushed. Such an entry lies on no optimal path, and an
-entry for an optimal-path key that passes through it arrives with a
-larger g, so it would have popped later anyway: the result is the
-unbounded search's.
+log_cost), a consistent order for every cost model. Given an upper bound
+on the optimum, entries are also pruned: one whose g plus a consistent
+lookahead h exceeds the bound (by more than a slack for rounding) is
+never pushed. Such an entry lies on no optimal path, and an entry for an
+optimal-path key that passes through it arrives with a larger g, so it
+would have popped later anyway: the result is the unbounded search's.
 The engine passes the cost of the case's current alignment plus one log
 move, which is feasible over the same trace.
 """
@@ -114,10 +113,11 @@ DEFAULT_COST_MODEL = CostModel()
 
 @dataclass(frozen=True, slots=True)
 class SummaryState:
-    """Single special state standing in for a forgotten prefix.
+    """R_C's entry: the one slot a forgotten case keeps in the summary repository.
 
-    Holds the marking the forgotten moves reached and their cumulative
-    cost; occupies one state slot in memory accounting.
+    Holds the marking the case's forgotten moves reached and their
+    cumulative cost; :meth:`PrefixAlignment.from_summary` resumes the case
+    from it.
     """
 
     kappa_o: float
@@ -156,8 +156,12 @@ class PrefixAlignment:
 
     ``base_marking`` is the marking from which the first state proceeds:
     the net's initial marking for fresh cases, or the carry-forward
-    marking when a summary is present. ``moves_cost`` is the sum of the
-    states' move costs (:func:`fold_move_costs`); it is computed from
+    marking the forgotten prefix reached when a summary is present.
+    ``summary`` is that prefix's cost (kappa_o), or None when nothing was
+    forgotten; together with ``base_marking`` it is the summary state,
+    the one slot that holds the position and the cost.
+    ``moves_cost`` is the sum of the states' move costs
+    (:func:`fold_move_costs`); it is computed from
     ``states`` when omitted, and :meth:`empty`, :meth:`from_summary`,
     :meth:`append`, :meth:`with_summary` and the search pass it in
     instead of summing again.
@@ -165,7 +169,7 @@ class PrefixAlignment:
 
     base_marking: Marking
     states: tuple[AlignmentState, ...] = ()
-    summary: SummaryState | None = None
+    summary: float | None = None
     moves_cost: float = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -178,12 +182,12 @@ class PrefixAlignment:
 
     @classmethod
     def from_summary(cls, summary: SummaryState) -> "PrefixAlignment":
-        return cls(summary.carry_marking, (), summary, 0)
+        return cls(summary.carry_marking, (), summary.kappa_o, 0)
 
     @property
     def carried_cost(self) -> float:
         """Cost of the forgotten prefix the summary carries (0 without one)."""
-        return self.summary.kappa_o if self.summary is not None else 0.0
+        return self.summary if self.summary is not None else 0.0
 
     @property
     def fitness_cost(self) -> float:
@@ -211,7 +215,7 @@ class PrefixAlignment:
             self.base_marking, self.states + (state,), self.summary, self.moves_cost + move_cost
         )
 
-    def with_summary(self, summary: SummaryState | None) -> "PrefixAlignment":
+    def with_summary(self, summary: float | None) -> "PrefixAlignment":
         return PrefixAlignment(self.base_marking, self.states, summary, self.moves_cost)
 
 
@@ -258,15 +262,14 @@ def shortest_path_prefix_alignment(
     every trace event; its model projection is firable from ``start``.
 
     ``upper_bound`` is a cost some alignment of ``trace`` from ``start``
-    does not exceed. When ``h_unit`` is 0, the search then drops every
-    entry whose g plus a consistent lookahead h exceeds the bound by more
-    than a rounding slack of 1e-9 x max(1, bound). h charges ``log_cost``
-    for each remaining event whose label no transition carries, plus
+    does not exceed. The search then drops every entry whose g plus a
+    consistent lookahead h exceeds the bound by more than a rounding
+    slack of 1e-9 x max(1, bound). h charges ``log_cost`` for each
+    remaining event whose label no transition carries, plus
     min(log_cost, model_cost) when the next event's label is carried but
     the marking enables neither a transition with that label nor a silent
     one. Dropped entries take no ticket and the order above stays, so the
-    result is the one the unbounded search returns. With ``h_unit`` > 0
-    the bound is ignored.
+    result is the one the unbounded search returns, whatever the costs.
 
     Raises SearchBudgetExceeded after ``budget`` node expansions, and
     BoundBelowOptimum when no alignment is within ``upper_bound``.
@@ -279,7 +282,7 @@ def shortest_path_prefix_alignment(
     step_costs = (  # by kind rank
         cost_model.sync_cost, cost_model.silent_model_cost, cost_model.model_cost, cost_model.log_cost
     )
-    prune = upper_bound is not None and h_unit == 0
+    prune = upper_bound is not None
     if prune:
         limit = upper_bound + _BOUND_SLACK * max(1.0, abs(upper_bound))
         lookahead = min(cost_model.log_cost, cost_model.model_cost)

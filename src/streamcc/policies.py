@@ -159,10 +159,11 @@ class EventOutcome:
 def truncate_states(pa: PrefixAlignment, w: int) -> PrefixAlignment:
     """Forget the earliest states in excess of ``w``, leaving a summary.
 
-    The summary absorbs any prior summary's carried cost plus the costs of
-    the forgotten moves, and records the marking the forgotten prefix
-    reached. For w=1 the single most recent state is kept next to the
-    summary, so a truncated alignment never shrinks below two slots.
+    The summary cost absorbs any prior carried cost plus the costs of the
+    forgotten moves, and the marking the forgotten prefix reached becomes
+    the alignment's ``base_marking``. For w=1 the single most recent state
+    is kept next to the summary, so a truncated alignment never shrinks
+    below two slots.
     """
     if w < 1:
         raise ValueError("state limit w must be >= 1")
@@ -172,12 +173,8 @@ def truncate_states(pa: PrefixAlignment, w: int) -> PrefixAlignment:
     if len(pa.states) <= keep:
         return pa
     dropped = pa.states[:-keep]
-    summary = SummaryState(
-        kappa_o=pa.carried_cost + fold_move_costs(dropped),
-        carry_marking=dropped[-1].marking_after,
-    )
     return PrefixAlignment(
-        base_marking=summary.carry_marking, states=pa.states[-keep:], summary=summary
+        dropped[-1].marking_after, pa.states[-keep:], pa.carried_cost + fold_move_costs(dropped)
     )
 
 
@@ -186,21 +183,20 @@ def _forgetting_rank(record: CaseRecord) -> int:
 
     (1) a compliant monuple: a single event explained by one synchronous
     move from the initial marking; (2) a case whose forgotten prefix
-    already carries cost; (3) a fully conformant case; (4) a case whose
-    retained states are not fitting.
+    already carries cost (a summary cost above 0); (3) a fully conformant
+    case; (4) a case whose retained states are not fitting.
 
     An alignment without a summary explains each event of its case (see
     :class:`CaseRecord`), so one synchronous state there is a monuple.
     """
     pa = record.prefix_alignment
-    summary = pa.summary
     if (
-        summary is None
+        pa.summary is None
         and len(pa.states) == 1
         and pa.states[0].move.kind is MoveKind.SYNCHRONOUS
     ):
         return 1
-    if summary is not None and summary.kappa_o > 0:
+    if pa.carried_cost > 0:
         return 2
     if pa.fitness_cost == 0:
         return 3

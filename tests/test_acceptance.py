@@ -347,7 +347,7 @@ class TestCriterion6ForgettingCriteria:
         ]
         for record in records:
             pa = record.prefix_alignment
-            kappa = pa.summary.kappa_o if pa.summary else 0.0
+            kappa = pa.carried_cost
             classes = [kappa > 0, pa.fitness_cost == 0, kappa == 0 and pa.fitness_cost > 0]
             assert sum(classes) == 1
 

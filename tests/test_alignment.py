@@ -271,14 +271,14 @@ class TestRunningCost:
                 extended = extend_model_semantics(net, pa, arg, None, cm)
                 pa = extended or pa.append(Move.log(arg), cm.log_cost, pa.current_marking)
             elif op == "summary":
-                pa = pa.with_summary(SummaryState(kappa_o=arg, carry_marking=pa.base_marking))
+                pa = pa.with_summary(arg)
             elif op == "truncate":
                 pa = truncate_states(pa, arg)
             else:  # recompute as the engine does: from the base marking, keep the summary
                 trace = pa.log_projection() + ((arg, None),)
                 fresh = shortest_path_prefix_alignment(net, pa.base_marking, trace, cm)
                 pa = fresh.with_summary(pa.summary)
-            carried = pa.summary.kappa_o if pa.summary is not None else 0.0
+            carried = pa.summary if pa.summary is not None else 0.0
             assert pa.fitness_cost == carried + _left_to_right(s.move_cost for s in pa.states)
 
 
@@ -367,14 +367,17 @@ class TestSearchBuildsOnlyTheResult:
         assert built == len(result.states)
 
 
-# Cost models with sync_cost = 0, where the search prunes: the two fractional
-# ones round differently along different paths, so a bound equal to the
-# optimum is missed by an ulp unless the comparison allows for rounding.
+# Cost models under which a bound prunes on these nets: the fractional ones
+# round differently along different paths, so a bound equal to the optimum
+# is missed by an ulp unless the comparison allows for rounding, and the
+# ones with sync_cost > 0 order entries by g + h_unit x remaining events.
 PRUNED_COST_MODELS = {
     "default": CostModel(),
     "unit-silent": CostModel(0.0, 1.0, 1.0, 1.0),
     "cheap-log": CostModel(0.0, 0.1, 0.3, 0.01),
     "cheap-model": CostModel(0.0, 0.3, 0.1, 0.1),
+    "fractional": CostModel(0.05, 0.1, 0.3, 0.01),
+    "sync-half": CostModel(0.5, 1.0, 1.0, 0.0),
 }
 ORACLE_SEEDS = range(200)
 
@@ -445,11 +448,3 @@ class TestBoundedSearch:
             shortest_path_prefix_alignment(seq_abc, seq_abc.initial_marking, ["A", "C"], upper_bound=0.5)
         assert raised.value.bound == 0.5
         assert not isinstance(raised.value, SearchBudgetExceeded)
-
-    def test_bound_is_ignored_when_sync_moves_cost(self, seq_abc):
-        cm = CostModel(sync_cost=0.5)
-        expected = shortest_path_prefix_alignment(seq_abc, seq_abc.initial_marking, ["A", "C"], cm)
-        bounded = shortest_path_prefix_alignment(
-            seq_abc, seq_abc.initial_marking, ["A", "C"], cm, upper_bound=0.0
-        )
-        assert bounded == expected

@@ -42,6 +42,7 @@ class TestCompare:
         speed = by_metric["churn-evict/events_per_s"]
         assert (speed["parent"], speed["change"]) == (100, 110)
         assert speed["parent_iqr"] == pytest.approx(102.5 - 97.5)
+        assert speed["change_iqr"] == pytest.approx(122.5 - 98.75)
         assert (speed["change_wins"], speed["parent_wins"]) == (3, 1)
         wall = by_metric["churn-evict/wall_s"]
         # lower is better for wall_s; the pairs with equal values count for neither side
@@ -171,13 +172,17 @@ def test_main_exits_1_on_a_problem_and_appends_nothing_without_the_flag(checkout
     assert not list(change.glob("BENCH_*.json"))
 
 
-def record_commands(monkeypatch, line):
-    """Answer every subprocess with ``line`` as a benchmark's stdout, recording the commands."""
+def record_commands(monkeypatch, line, by_checkout=None):
+    """Answer every subprocess with ``line`` as a benchmark's stdout, recording the commands.
+
+    ``by_checkout`` maps a checkout's directory name to the line its runs print instead.
+    """
     commands = []
 
     def run(command, **kwargs):
         commands.append(command)
-        return subprocess.CompletedProcess(command, 0, stdout=stdout_of(line))
+        answer = (by_checkout or {}).get(Path(kwargs["cwd"]).name, line)
+        return subprocess.CompletedProcess(command, 0, stdout=stdout_of(answer))
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", run)
     return commands
@@ -195,6 +200,18 @@ def test_seed_reaches_every_run(checkouts, monkeypatch, seed_args):
             assert command[-2:] == seed_args
         else:
             assert "--seed" not in command
+
+
+def test_every_run_is_kept_in_the_checkout(checkouts, monkeypatch, capsys):
+    parent, change = checkouts
+    lines = {"parent": result(100, 1.0), "change": result(120, 0.8)}
+    record_commands(monkeypatch, None, by_checkout=lines)
+    assert bench_pairs.main(["--parent", str(parent), "--pairs", "3", "--seconds", "2", "--seed", "4"]) == 0
+    path = change / ".bench_build" / "bench_pairs.json"
+    assert str(path) in capsys.readouterr().out
+    runs = json.loads(path.read_text())
+    assert (runs["seconds"], runs["seed"]) == (2.0, 4)
+    assert runs["pairs"] == [lines] * 3
 
 
 def test_append_refuses_a_seed(checkouts, monkeypatch, capsys):

@@ -119,15 +119,13 @@ class TestTruncateStates:
         pa = make_pa(net, ["A0", "A1", "A2", "A3", "A4"])
         truncated = truncate_states(pa, 3)
         assert truncated.state_count == 3
-        assert truncated.summary is not None
-        assert truncated.summary.kappa_o == 0.0
+        assert truncated.summary == 0.0
         # independent replay of the first three moves gives the carry marking
         marking = net.initial_marking
         for state in pa.states[:3]:
             marking = net.fire(marking, state.move.transition)
-        assert truncated.summary.carry_marking == marking
+        assert truncated.base_marking == marking
         assert [s.move.activity for s in truncated.states] == ["A3", "A4"]
-        assert truncated.base_marking == truncated.summary.carry_marking
 
     def test_absorbs_prior_summary_cost(self, seq_abc):
         markings = [Marking.of({"q1": 1})] * 4
@@ -139,8 +137,8 @@ class TestTruncateStates:
             pa = pa.append(Move.log(f"X{i}"), cost, markings[i])
         truncated = truncate_states(pa, 3)
         assert truncated.state_count == 3
-        assert truncated.summary.kappa_o == 2.0  # 1 carried + 1 from the dropped states
-        assert truncated.summary.carry_marking == pa.states[1].marking_after
+        assert truncated.summary == 2.0  # 1 carried + 1 from the dropped states
+        assert truncated.base_marking == pa.states[1].marking_after
         assert len(truncated.states) == 2
 
     def test_w1_keeps_summary_plus_latest(self, seq_abc):
@@ -165,7 +163,7 @@ class TestTruncateStates:
             pa = pa.append(Move.log(f"X{i}"), 0.1, marking)
         truncated = truncate_states(pa, 2)
         assert len(truncated.states) == 1
-        assert truncated.summary.kappa_o == 0.9999999999999999
+        assert truncated.summary == 0.9999999999999999
 
     def test_indices_renumbered(self):
         net = cyclic_sequence_net(6)
@@ -204,15 +202,15 @@ class TestBoundedStates:
             engine.process("1", f"A{i}", i)
         record = engine.store.get("1")
         assert record.prefix_alignment.summary is not None
-        assert record.prefix_alignment.summary.carry_marking == Marking.of({"s4": 1})
+        assert record.prefix_alignment.base_marking == Marking.of({"s4": 1})
         # ZZ fails extension; the search resumes from the carried position over
         # the retained events only, so only one log move is charged
         outcome = engine.process("1", "ZZ", 5)
         assert outcome.effective_cost == 1.0
         pa = engine.store.get("1").prefix_alignment
         # post-search truncation summarizes the re-synced A4 and carries s5
-        assert pa.summary.kappa_o == 0.0
-        assert pa.summary.carry_marking == Marking.of({"s5": 1})
+        assert pa.summary == 0.0
+        assert pa.base_marking == Marking.of({"s5": 1})
         assert [s.move.kind for s in pa.states] == [MoveKind.LOG]
 
     def test_large_w_equals_baseline(self):
@@ -319,7 +317,7 @@ class TestForgettingCriteria:
         ]
         for record in records:
             pa = record.prefix_alignment
-            kappa = pa.summary.kappa_o if pa.summary else 0.0
+            kappa = pa.carried_cost
             matches = [
                 kappa > 0,
                 pa.fitness_cost == 0,
@@ -571,7 +569,7 @@ class TestPolicyProperties:
         assert pa.summary is not None
         retained = [a for a, _ in pa.log_projection()]
         local = brute_force_min_cost(net, pa.base_marking, retained)
-        assert pa.fitness_cost - pa.summary.kappa_o == local
+        assert pa.fitness_cost - pa.summary == local
 
 
 def _random_net_stream(seed):
@@ -627,7 +625,12 @@ class TestBoundedSearchInTheEngine:
         pruned_total = unpruned_total = 0
         for seed in range(30):
             net, pairs = _random_net_stream(seed)
-            for cost_model in (CostModel(0.0, 0.1, 0.3, 0.01), CostModel(0.0, 0.3, 0.1, 0.1)):
+            for cost_model in (
+                CostModel(0.0, 0.1, 0.3, 0.01),
+                CostModel(0.0, 0.3, 0.1, 0.1),
+                CostModel(0.05, 0.1, 0.3, 0.01),
+                CostModel(0.5, 1.0, 1.0, 0.0),
+            ):
                 pruned, searches, pruned_expansions = run(net, pairs, cost_model, bounded=True)
                 unpruned, unpruned_searches, unpruned_expansions = run(net, pairs, cost_model, bounded=False)
                 assert pruned == unpruned, (seed, cost_model)

@@ -32,7 +32,7 @@ _PREFIX = PrefixAlignment(
         AlignmentState(Move.sync("A", "t1", 0), 0.0, Marking.of({"p2": 1})),
         AlignmentState(Move.log("Z", 1), 1.0, Marking.of({"p2": 1})),
     ),
-    _SUMMARY,
+    _SUMMARY.kappa_o,
 )
 _WHEN = datetime(2024, 1, 2, 3, 4, 5)
 

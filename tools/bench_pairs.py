@@ -10,14 +10,16 @@ parent checkout and once in this one, each workload at its default seed,
 or at seed N for every workload with ``--seed N``, so that a claim can be
 checked again on a seed not used while writing the change. Even pairs run
 the parent first, odd pairs the change first. Each run's result is the
-last JSON line it prints. For every ``<workload>/<metric>`` the tool
-prints both medians, the parent's IQR (the spread between its quartiles),
-the change's and the parent's wins over the pairs (ties count for
-neither) and, for the metrics ``BENCHMARK.json`` gates, a verdict (see
-``verdict``). It exits 1 when any run reports ``"correct": false`` or the
-change fails more events than the parent in any pair. Pointing
-``--parent`` at a copy of this checkout (an A/A run) shows how far two
-identical checkouts read apart on the host.
+last JSON line it prints, and every pair's two result lines are kept
+in ``.bench_build/bench_pairs.json`` of this checkout. For every
+``<workload>/<metric>`` the tool prints both medians, both sides' IQR
+(the spread between their quartiles), the change's and the parent's
+wins over the pairs (ties count for neither) and, for the metrics
+``BENCHMARK.json`` gates, a verdict (see ``verdict``). It exits 1 when
+any run reports ``"correct": false`` or the change fails more events
+than the parent in any pair. Pointing ``--parent`` at a copy of this
+checkout (an A/A run) shows how far two identical checkouts read apart
+on the host.
 
 ``--append`` then runs ``--workload all --trace 1 --seconds 5`` once per
 side for ``policies.bytes_per_slot`` and appends a parent entry and a
@@ -42,6 +44,7 @@ from pathlib import Path
 
 CHANGE = Path(__file__).resolve().parents[1]
 BYTES_PER_SLOT = "policies.bytes_per_slot"
+RUNS_FILE = Path(".bench_build") / "bench_pairs.json"  # under CHANGE
 
 
 def run_bench(checkout: Path, seconds: float, trace: bool, seed: int | None = None) -> str:
@@ -129,6 +132,7 @@ def compare(parent: list[dict], change: list[dict], gated: dict[str, tuple[str, 
             "parent": statistics.median(p),
             "change": statistics.median(c),
             "parent_iqr": quartile_spread(p),
+            "change_iqr": quartile_spread(c),
             "change_wins": None,
             "parent_wins": None,
             "over_bound": None,
@@ -149,15 +153,27 @@ def compare(parent: list[dict], change: list[dict], gated: dict[str, tuple[str, 
 
 def render(rows: list[dict], pairs: int) -> str:
     lines = [f"{'workload/metric':<44} {'parent':>12} {'change':>12} {'change %':>9} "
-             f"{'parent IQR':>11} {'wins c/p':>9}  verdict"]
+             f"{'parent IQR':>11} {'change IQR':>11} {'wins c/p':>9}  verdict"]
     for row in rows:
         delta = (row["change"] / row["parent"] - 1) * 100 if row["parent"] else 0.0
         wins = "-" if row["change_wins"] is None else f"{row['change_wins']}/{row['parent_wins']}"
         flag = {None: "-", "worse": "WORSE THAN BOUND"}.get(row["verdict"], row["verdict"])
         lines.append(f"{row['metric']:<44} {row['parent']:>12.6g} {row['change']:>12.6g} {delta:>+8.1f}% "
-                     f"{row['parent_iqr']:>11.4g} {wins:>9}  {flag}")
+                     f"{row['parent_iqr']:>11.4g} {row['change_iqr']:>11.4g} {wins:>9}  {flag}")
     lines.append(f"{pairs} pairs; wins count pairs where that side's value is better, ties for neither")
     return "\n".join(lines)
+
+
+def write_runs(path: Path, parent: list[dict], change: list[dict], seconds: float,
+               seed: int | None) -> None:
+    """Every pair's parent and change result lines, in pair order, as one JSON file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    runs = {
+        "seconds": seconds,
+        "seed": seed,
+        "pairs": [{"parent": p, "change": c} for p, c in zip(parent, change)],
+    }
+    path.write_text(json.dumps(runs, indent=1) + "\n", encoding="utf-8")
 
 
 def _git(checkout: Path, *args: str, env: dict | None = None) -> str | None:
@@ -268,6 +284,9 @@ def main(argv=None) -> int:
             stdout = run_bench(checkout, args.seconds, trace=False, seed=args.seed)
             results[checkout].append(last_json_line(stdout))
 
+    runs_path = CHANGE / RUNS_FILE
+    write_runs(runs_path, results[parent_dir], results[CHANGE], args.seconds, args.seed)
+    print(f"every run's result line is in {runs_path}")
     benchmark = json.loads((CHANGE / "BENCHMARK.json").read_text(encoding="utf-8"))
     rows, problems = compare(results[parent_dir], results[CHANGE], gates(benchmark))
     print(render(rows, args.pairs))
