@@ -237,7 +237,7 @@ def extend_model_semantics(
     for transition in net.transitions_labeled(activity):
         reached = successors.get(transition)
         if reached is not None:
-            move = Move.sync(activity, transition, event_ref)
+            move = Move(MoveKind.SYNCHRONOUS, activity, transition, event_ref)
             return pa.append(move, cost_model.sync_cost, reached)
     return None
 

@@ -13,7 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from pathlib import Path
 from typing import Sequence
 
@@ -98,11 +98,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     engine = ConformanceEngine(net, config, search_budget=args.budget)
 
     last_outcome: dict[str, EventOutcome] = {}
-    methods_per_case: dict[str, Counter] = {}
+    methods_per_case: defaultdict[str, Counter] = defaultdict(Counter)  # a Counter per new case only
     for event in replay(log):
         outcome = engine.process(event.case_id, event.activity, event.arrival_index)
         last_outcome[outcome.case_id] = outcome
-        methods_per_case.setdefault(outcome.case_id, Counter())[outcome.method.value] += 1
+        methods_per_case[outcome.case_id][outcome.method.value] += 1
 
     rows = []
     for case_id in sorted(last_outcome):

@@ -127,6 +127,8 @@ def _measured_pass(
     Only the windows whose first copy completed are reported.
     """
     engine = ConformanceEngine(net, config, search_budget=search_budget)
+    process = engine.process
+    clock = time.perf_counter_ns
     length = len(events)
     copies = islice(replicate_events(events, replication), length, None) if replication > 1 else ()
     costs: list[float] = []  # first copy's effective cost per event
@@ -138,9 +140,9 @@ def _measured_pass(
     try:
         for index, event in enumerate(chain(events, copies)):
             window = index % length // window_size
-            started = time.perf_counter_ns()
-            outcome = engine.process(event.case_id, event.activity, index)
-            window_ns[window] += time.perf_counter_ns() - started
+            started = clock()
+            outcome = process(event.case_id, event.activity, index)
+            window_ns[window] += clock() - started
             window_timed[window] += 1
             if index < length:
                 costs.append(outcome.effective_cost)

@@ -190,17 +190,15 @@ def _forgetting_rank(record: CaseRecord) -> int:
     :class:`CaseRecord`), so one synchronous state there is a monuple.
     """
     pa = record.prefix_alignment
-    if (
-        pa.summary is None
-        and len(pa.states) == 1
-        and pa.states[0].move.kind is MoveKind.SYNCHRONOUS
-    ):
-        return 1
-    if pa.carried_cost > 0:
+    summary = pa.summary
+    if summary is None:
+        states = pa.states
+        if len(states) == 1 and states[0].move.kind is MoveKind.SYNCHRONOUS:
+            return 1
+    elif summary > 0:
         return 2
-    if pa.fitness_cost == 0:
-        return 3
-    return 4
+    # no carried cost is left, so the alignment's cost is its moves' cost
+    return 3 if pa.moves_cost == 0 else 4
 
 
 class ConformanceEngine:
@@ -242,6 +240,8 @@ class ConformanceEngine:
         self.extension_count = 0
         self._buckets: dict[int, dict[str, None]] = {rank: {} for rank in (1, 2, 3, 4)}
         self._stored_slots = 0
+        # every new case starts from this one alignment; appending copies it
+        self._empty = PrefixAlignment.empty(net.initial_marking)
 
     @property
     def stored_state_count(self) -> int:
@@ -263,69 +263,75 @@ class ConformanceEngine:
     ) -> EventOutcome:
         """Align one event of ``case_id`` and report the case's new cost.
 
+        One event reads each fact once: one store lookup and, for a case
+        not in the store, one repository lookup, whose summary is popped
+        only when there is one. The new alignment's slot count, cost and
+        carried cost are each worked out once, from its states and its
+        summary, and the old alignment's slot count likewise.
+
         A raised :class:`SearchBudgetExceeded` leaves the engine unchanged:
         the new alignment is computed and truncated before the store, the
         summary repository, the forgetting index or the slot gauge is
         touched.
         """
         index = self.events_processed
-        w, n = self.config.w, self.config.n
-
+        config = self.config
+        w, n = config.w, config.n
         record = self.store.get(case_id)
         if record is not None:
             pa = record.prefix_alignment
         else:
             summary = self.repo.get(case_id)
-            pa = (
-                PrefixAlignment.from_summary(summary)
-                if summary is not None
-                else PrefixAlignment.empty(self.net.initial_marking)
-            )
-        pa, method = self._compute(pa, case_id, activity, event_ref)
+            pa = self._empty if summary is None else PrefixAlignment.from_summary(summary)
+        new = extend_model_semantics(self.net, pa, activity, event_ref, config.cost_model)
+        if new is not None:
+            self.extension_count += 1
+            method = Method.MODEL_SEMANTICS
+        else:
+            new = self._search(pa, case_id, activity, event_ref)
+            method = Method.SHORTEST_PATH
         if w is not None:
-            pa = truncate_states(pa, w)
+            new = truncate_states(new, w)
 
+        carried = new.summary
+        # what the gauge gains: the new alignment's slots, less the slots it replaces
+        slots = len(new.states)
+        if carried is None:
+            carried = 0.0
+        else:
+            slots += 1
         if record is None:
-            if self.repo.pop(case_id) is not None:
-                self._stored_slots -= 1
+            if summary is not None:
+                self.repo.pop(case_id)
+                slots -= 1
             if n is not None and len(self.store) >= n:
                 self._evict_one()
-            record = CaseRecord(case_id, pa, last_update=index)
+            record = CaseRecord(case_id, new, index)
             self.store.add(record)
-            self._stored_slots += pa.state_count
         else:
-            self._stored_slots += pa.state_count - record.prefix_alignment.state_count
-            record.prefix_alignment = pa
-        record.last_update = index
+            slots -= len(pa.states) + (pa.summary is not None)
+            record.prefix_alignment = new
+            record.last_update = index
+        self._stored_slots += slots
         if n is not None:
-            self._index_record(record)
+            # move the case to the end of the bucket of its new rank
+            if record.rank:
+                del self._buckets[record.rank][case_id]
+            rank = record.rank = _forgetting_rank(record)
+            self._buckets[rank][case_id] = None
         self.events_processed = index + 1
 
-        cost = pa.fitness_cost
-        return EventOutcome(
-            case_id=case_id,
-            activity=activity,
-            arrival_index=index,
-            effective_cost=cost,
-            conformant=cost == 0,
-            method=method,
-            residual_cost=pa.carried_cost,
-        )
+        cost = carried + new.moves_cost
+        return EventOutcome(case_id, activity, index, cost, cost == 0, method, carried)
 
-    def _compute(
+    def _search(
         self,
         pa: PrefixAlignment,
         case_id: str,
         activity: ActivityLabel,
         event_ref: EventRef | None,
-    ) -> tuple[PrefixAlignment, Method]:
-        extended = extend_model_semantics(
-            self.net, pa, activity, event_ref, self.config.cost_model
-        )
-        if extended is not None:
-            self.extension_count += 1
-            return extended, Method.MODEL_SEMANTICS
-
+    ) -> PrefixAlignment:
+        """The alignment a shortest-path search gives, for an event the extension cannot explain."""
         # Recompute from the alignment's base marking over the events still
         # recoverable from the retained states; forgotten events are gone,
         # but base_marking is the carry-forward marking in that case.
@@ -345,26 +351,16 @@ class ConformanceEngine:
         self.search_count += 1
         if pa.summary is not None:
             fresh = fresh.with_summary(pa.summary)
-        return fresh, Method.SHORTEST_PATH
+        return fresh
 
     def _evict_one(self) -> None:
         victim = self.store.pop(self._pick_victim())
         del self._buckets[victim.rank][victim.case_id]
         pa = victim.prefix_alignment
         self._stored_slots += 1 - pa.state_count
-        self.repo.put(
-            victim.case_id,
-            SummaryState(kappa_o=pa.fitness_cost, carry_marking=pa.current_marking),
-        )
+        self.repo.put(victim.case_id, SummaryState(pa.fitness_cost, pa.current_marking))
 
     # -- forgetting index --------------------------------------------------
-
-    def _index_record(self, record: CaseRecord) -> None:
-        """Move the case to the end of the bucket of its current rank."""
-        if record.rank:
-            del self._buckets[record.rank][record.case_id]
-        record.rank = _forgetting_rank(record)
-        self._buckets[record.rank][record.case_id] = None
 
     def _pick_victim(self) -> str:
         """The first case of the first non-empty bucket: the case the forgetting criteria evict."""

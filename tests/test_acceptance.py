@@ -7,13 +7,16 @@ lines and the reported measurements.
 from __future__ import annotations
 
 import gc
+import hashlib
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
 from streamcc import (
     ConformanceEngine,
+    CostModel,
     Policy,
     PolicyConfig,
     PrefixAlignment,
@@ -27,7 +30,7 @@ from streamcc import (
     replicate_events,
     shortest_path_prefix_alignment,
 )
-from streamcc.alignment import DEFAULT_SEARCH_BUDGET, Move, SummaryState
+from streamcc.alignment import DEFAULT_COST_MODEL, DEFAULT_SEARCH_BUDGET, Move, SummaryState
 from streamcc.policies import CaseRecord, CaseStore
 from streamcc.streams import StreamEvent
 
@@ -372,17 +375,35 @@ class TestCriterion6ForgettingCriteria:
                 )
             )
         )
-        # (config, search budget, least number of checked evictions)
-        for config, budget, min_checked in (
-            (PolicyConfig(Policy.BOUNDED_CASES, n=5), DEFAULT_SEARCH_BUDGET, 475),
-            (PolicyConfig(Policy.COMBINED, w=2, n=7), DEFAULT_SEARCH_BUDGET, 405),
-            (PolicyConfig(Policy.BOUNDED_CASES, n=5), 5, 1),
-            (PolicyConfig(Policy.COMBINED, w=1, n=1), DEFAULT_SEARCH_BUDGET, 593),
+        bounded = PolicyConfig(Policy.BOUNDED_CASES, n=5)
+        combined = PolicyConfig(Policy.COMBINED, w=2, n=7)
+        # with sync_cost > 0 no stored case is fully conformant, so rank 3
+        # never applies and ranks 2 and 4 are told apart by the carried cost
+        fractional = CostModel(0.05, 0.1, 0.3, 0.01)
+        unit_sync = CostModel(0.5, 1.0, 1.0, 0.0)
+        # (config, cost model, search budget, least number of checked
+        # evictions, sha256 over the repr of every outcome, one line each)
+        for config, cost_model, budget, min_checked, outcome_digest in (
+            (bounded, DEFAULT_COST_MODEL, DEFAULT_SEARCH_BUDGET, 475, None),
+            (combined, DEFAULT_COST_MODEL, DEFAULT_SEARCH_BUDGET, 405, None),
+            (bounded, DEFAULT_COST_MODEL, 5, 1, None),
+            (PolicyConfig(Policy.COMBINED, w=1, n=1), DEFAULT_COST_MODEL, DEFAULT_SEARCH_BUDGET, 593, None),
+            (bounded, fractional, DEFAULT_SEARCH_BUDGET, 1,
+             "c7924a106debdc66d3034e6c1cdb846a06183839d2ae1fa87e0dca240865ac90"),
+            (combined, fractional, DEFAULT_SEARCH_BUDGET, 1,
+             "4e71adefd2e1e0483dfb548015edcfea4e515371823366c61dc08285f19304dd"),
+            (bounded, unit_sync, DEFAULT_SEARCH_BUDGET, 1,
+             "ec3db5689e829e0dada073a792dcb2ce06a1326d962a7edbca1b4df67e6b8ff4"),
+            (combined, unit_sync, DEFAULT_SEARCH_BUDGET, 1,
+             "b771efdf25899dcb624a4502ec3364a80f54ddc6d3ad06f03a58dc0701479617"),
         ):
-            engine = ConformanceEngine(net, config, search_budget=budget)
+            engine = ConformanceEngine(
+                net, replace(config, cost_model=cost_model), search_budget=budget
+            )
             evict = engine._evict_one
             checked = 0
             failed = 0
+            digest = hashlib.sha256()
 
             def checked_evict():
                 nonlocal checked
@@ -393,7 +414,8 @@ class TestCriterion6ForgettingCriteria:
             engine._evict_one = checked_evict
             for e in events:
                 try:
-                    engine.process(e.case_id, e.activity, e.arrival_index)
+                    outcome = engine.process(e.case_id, e.activity, e.arrival_index)
+                    digest.update((repr(outcome) + "\n").encode())
                 except SearchBudgetExceeded:
                     failed += 1
                 # exactly one index entry per stored case, in the bucket of its rank
@@ -405,6 +427,10 @@ class TestCriterion6ForgettingCriteria:
                 assert engine.stored_state_count == stored_state_count(engine.store, engine.repo)
             assert checked >= min_checked
             assert (failed > 0) == (budget < DEFAULT_SEARCH_BUDGET)
+            if cost_model.sync_cost > 0:
+                assert not engine._buckets[3]
+            if outcome_digest is not None:
+                assert digest.hexdigest() == outcome_digest
 
     def test_report(self):
         report("ACCEPTANCE 6 forgetting-criteria: PASS (all conditions, early stop, LRU)")

@@ -143,10 +143,12 @@ def test_main_alternates_sides_and_appends_entries(checkouts, monkeypatch, capsy
         ("parent", True): result(1, 1, extra={"policies.bytes_per_slot": 314.4}),
         ("change", True): result(1, 1, extra={"policies.bytes_per_slot": 300.0}),
     })
-    code = bench_pairs.main(["--parent", str(parent), "--pairs", "3", "--seconds", "2", "--append"])
-    assert code == 0
-    assert [name for name, _, trace in calls if not trace] == ["parent", "change", "change", "parent", "parent", "change"]
-    assert [(name, seconds) for name, seconds, trace in calls if trace] == [("parent", 5), ("change", 5)]
+    assert bench_pairs.main(["--parent", str(parent), "--pairs", "3", "--seconds", "2"]) == 0
+    assert calls == [(name, 2.0, False) for name in ("parent", "change", "change", "parent", "parent", "change")]
+    assert "churn-evict/events_per_s" in capsys.readouterr().out
+    calls.clear()
+    assert bench_pairs.main(["--parent", str(parent), "--append"]) == 0
+    assert calls == [("parent", 5, True), ("change", 5, True)]
     out = capsys.readouterr().out
     assert "churn-evict/events_per_s" in out and "3/0" in out
     trajectory = json.loads((change / "BENCH_churn-evict.json").read_text())
@@ -222,6 +224,53 @@ def test_append_refuses_a_seed(checkouts, monkeypatch, capsys):
     assert exit_info.value.code == 2
     assert "--append" in capsys.readouterr().err
     assert commands == [] and not list(change.glob("BENCH_*.json"))
+
+
+def write_kept_runs(change, pairs, *, seed=None, revisions=None):
+    runs = {
+        "seconds": 15.0,
+        "seed": seed,
+        "revisions": revisions or {"parent": ["sha-parent", "tree-parent"], "change": ["sha-change", "tree-change"]},
+        "pairs": [{"parent": p, "change": c} for p, c in pairs],
+    }
+    (change / ".bench_build").mkdir()
+    (change / ".bench_build" / "bench_pairs.json").write_text(json.dumps(runs))
+
+
+def test_append_runs_no_pair_and_takes_the_medians_of_the_kept_runs(checkouts, monkeypatch, capsys):
+    parent, change = checkouts
+    write_kept_runs(change, [(result(100, 1.0), result(120, 0.8)), (result(90, 1.2), result(110, 0.9))])
+    calls = fake_runs(monkeypatch, {
+        ("parent", True): result(1, 1, extra={"policies.bytes_per_slot": 230.0}),
+        ("change", True): result(1, 1, extra={"policies.bytes_per_slot": 229.0}),
+    })
+    assert bench_pairs.main(["--parent", str(parent), "--pairs", "10", "--append"]) == 0
+    assert [trace for _, _, trace in calls] == [True, True]
+    assert "2 pairs" in capsys.readouterr().out
+    _, change_entry = json.loads((change / "BENCH_churn-evict.json").read_text())["entries"]
+    assert (change_entry["runs"], change_entry["seconds"]) == (2, 15.0)
+    assert change_entry["medians"] == {"events_per_s": 115, "wall_s": pytest.approx(0.85)}
+
+
+@pytest.mark.parametrize(
+    "kept, message",
+    [
+        ({"seed": 2}, "recorded with --seed 2"),
+        ({"revisions": {"parent": ["sha-parent", "tree-parent"], "change": [None, "tree-older"]}}, "other code"),
+        (None, "does not exist"),
+    ],
+    ids=["seeded", "other-code", "missing"],
+)
+def test_append_refuses_runs_it_cannot_record(checkouts, monkeypatch, capsys, kept, message):
+    parent, change = checkouts
+    if kept is not None:
+        write_kept_runs(change, [(result(100, 1.0), result(120, 0.8))], **kept)
+    calls = fake_runs(monkeypatch, {})
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", str(parent), "--append"])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert calls == [] and not list(change.glob("BENCH_*.json"))
 
 
 def test_a_plain_copy_gets_the_src_tree_of_the_commit_it_copies(tmp_path, monkeypatch, capsys):

@@ -3,7 +3,8 @@
 
 Run from anywhere:
 
-    python3 tools/bench_pairs.py --parent ../parent-checkout [--pairs 10] [--seconds 15] [--seed N] [--append]
+    python3 tools/bench_pairs.py --parent ../parent-checkout [--pairs 10] [--seconds 15] [--seed N]
+    python3 tools/bench_pairs.py --parent ../parent-checkout --append
 
 Each pair runs ``bench/run.py --workload all --seconds S`` once in the
 parent checkout and once in this one, each workload at its default seed,
@@ -21,12 +22,15 @@ than the parent in any pair. Pointing ``--parent`` at a copy of this
 checkout (an A/A run) shows how far two identical checkouts read apart
 on the host.
 
-``--append`` then runs ``--workload all --trace 1 --seconds 5`` once per
-side for ``policies.bytes_per_slot`` and appends a parent entry and a
-change entry to each ``BENCH_<workload>.json`` of this checkout. The
-trajectories are recorded at each workload's default seed, so
-``--append`` refuses ``--seed``. A parent that is not a git checkout (a
-``git archive`` export) gets its ``src`` tree hash from this checkout's
+``--append`` runs no pairs: it takes the medians from the runs kept in
+``.bench_build/bench_pairs.json``, runs ``--workload all --trace 1
+--seconds 5`` once per side for ``policies.bytes_per_slot``, and appends
+a parent entry and a change entry to each ``BENCH_<workload>.json`` of
+this checkout. The trajectories are recorded at each workload's default
+seed, so ``--append`` refuses ``--seed`` and a runs file recorded with
+one, and it refuses a runs file recorded from other code than the two
+checkouts hold now. A parent that is not a git checkout (a ``git
+archive`` export) gets its ``src`` tree hash from this checkout's
 repository and no SHA, with a warning. Standard library only.
 """
 
@@ -165,12 +169,16 @@ def render(rows: list[dict], pairs: int) -> str:
 
 
 def write_runs(path: Path, parent: list[dict], change: list[dict], seconds: float,
-               seed: int | None) -> None:
-    """Every pair's parent and change result lines, in pair order, as one JSON file."""
+               seed: int | None, revisions: dict[str, tuple]) -> None:
+    """Every pair's parent and change result lines, in pair order, as one JSON file.
+
+    ``revisions`` maps each side to the ``revision`` of the code it ran.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     runs = {
         "seconds": seconds,
         "seed": seed,
+        "revisions": revisions,
         "pairs": [{"parent": p, "change": c} for p, c in zip(parent, change)],
     }
     path.write_text(json.dumps(runs, indent=1) + "\n", encoding="utf-8")
@@ -265,7 +273,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=15.0, help="timed replay length per workload")
     parser.add_argument("--seed", type=int, default=None,
                         help="input seed for every workload (default: each workload's own)")
-    parser.add_argument("--append", action="store_true", help="append entries to BENCH_<workload>.json")
+    parser.add_argument("--append", action="store_true",
+                        help="append the kept runs' medians to BENCH_<workload>.json; runs no pairs")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -274,32 +283,47 @@ def main(argv=None) -> int:
     parent_dir = args.parent.resolve()
     if not (parent_dir / "bench" / "run.py").is_file():
         parser.error(f"{parent_dir} has no bench/run.py")
-
-    results: dict[Path, list[dict]] = {parent_dir: [], CHANGE: []}
-    for i in range(args.pairs):
-        order = (parent_dir, CHANGE) if i % 2 == 0 else (CHANGE, parent_dir)
-        for checkout in order:
-            side = "parent" if checkout == parent_dir else "change"
-            print(f"pair {i + 1}/{args.pairs}: {side}", file=sys.stderr, flush=True)
-            stdout = run_bench(checkout, args.seconds, trace=False, seed=args.seed)
-            results[checkout].append(last_json_line(stdout))
-
     runs_path = CHANGE / RUNS_FILE
-    write_runs(runs_path, results[parent_dir], results[CHANGE], args.seconds, args.seed)
-    print(f"every run's result line is in {runs_path}")
+    revisions = {"parent": revision(parent_dir), "change": revision(CHANGE)}
+
+    if args.append:
+        try:
+            runs = json.loads(runs_path.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            parser.error(f"--append reads the kept runs, and {runs_path} does not exist: run the pairs first")
+        if runs["seed"] is not None:
+            parser.error(f"{runs_path} was recorded with --seed {runs['seed']}; "
+                         "--append records default-seed trajectories")
+        if runs.get("revisions") != {side: list(rev) for side, rev in revisions.items()}:  # JSON has no tuples
+            parser.error(f"{runs_path} was recorded from other code than the two checkouts hold now")
+        parent = [pair["parent"] for pair in runs["pairs"]]
+        change = [pair["change"] for pair in runs["pairs"]]
+        seconds = runs["seconds"]
+    else:
+        parent, change = [], []
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                print(f"pair {i + 1}/{args.pairs}: {side}", file=sys.stderr, flush=True)
+                checkout, results = (parent_dir, parent) if side == "parent" else (CHANGE, change)
+                results.append(last_json_line(run_bench(checkout, args.seconds, trace=False, seed=args.seed)))
+        seconds = args.seconds
+        write_runs(runs_path, parent, change, seconds, args.seed, revisions)
+        print(f"every run's result line is in {runs_path}")
+
     benchmark = json.loads((CHANGE / "BENCHMARK.json").read_text(encoding="utf-8"))
-    rows, problems = compare(results[parent_dir], results[CHANGE], gates(benchmark))
-    print(render(rows, args.pairs))
+    rows, problems = compare(parent, change, gates(benchmark))
+    print(render(rows, len(parent)))
     for problem in problems:
         print(f"PROBLEM: {problem}")
 
     if args.append:
         traces = {}
-        for checkout in (parent_dir, CHANGE):
+        for side, checkout in (("parent", parent_dir), ("change", CHANGE)):
             print(f"trace run: {checkout}", file=sys.stderr, flush=True)
-            traces[checkout] = last_json_line(run_bench(checkout, 5, trace=True))
-        entries = trajectory_entries(rows, traces[parent_dir], traces[CHANGE], args.pairs, args.seconds,
-                                     revision(parent_dir), revision(CHANGE))
+            traces[side] = last_json_line(run_bench(checkout, 5, trace=True))
+        entries = trajectory_entries(rows, traces["parent"], traces["change"], len(parent), seconds,
+                                     revisions["parent"], revisions["change"])
         for path in append_entries(CHANGE, entries):
             print(f"appended to {path.name}")
     return 1 if problems else 0
