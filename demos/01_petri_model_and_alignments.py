@@ -45,7 +45,7 @@ print()
 for trace in (["B"], ["A", "X", "B"], ["X"]):
     result = shortest_path_prefix_alignment(net, net.initial_marking, trace)
     moves = [
-        f"{s.move.kind.value}({s.move.activity or s.move.transition})"
+        f"{s.kind.value}({s.activity or s.transition})"
         for s in result.states
     ]
     print(f"trace {trace}: cost={result.fitness_cost}, moves={moves}")

@@ -54,6 +54,9 @@ class MoveKind(Enum):
 _KINDS_BY_RANK = (MoveKind.SYNCHRONOUS, MoveKind.SILENT_MODEL, MoveKind.MODEL, MoveKind.LOG)
 _SYNC, _SILENT, _MODEL, _LOG = range(4)
 
+# The kinds that consume a trace event.
+_CONSUMING = (MoveKind.SYNCHRONOUS, MoveKind.LOG)
+
 # The one shape each kind allows: (carries an activity, names a transition).
 _MOVE_SHAPES = {
     MoveKind.SYNCHRONOUS: (True, True),
@@ -63,9 +66,24 @@ _MOVE_SHAPES = {
 }
 
 
+def _check_shape(kind: MoveKind, activity: ActivityLabel | None, transition: str | None) -> None:
+    """Raise ValueError unless the fields have the one shape ``kind`` allows."""
+    shape = _MOVE_SHAPES.get(kind)
+    if shape is None:
+        raise ValueError(f"unknown move kind {kind!r}")
+    if shape != (activity is not None, transition is not None):
+        has_activity = "an activity" if shape[0] else "no activity"
+        has_transition = "a transition" if shape[1] else "no transition"
+        raise ValueError(f"a {kind.value} move carries {has_activity} and names {has_transition}")
+
+
 @dataclass(frozen=True, slots=True)
 class Move:
-    """One alignment move; field presence depends on the kind."""
+    """One alignment move; field presence depends on the kind.
+
+    A stored :class:`AlignmentState` carries these four fields itself;
+    its ``move`` property builds a ``Move`` for callers that want one.
+    """
 
     kind: MoveKind
     activity: ActivityLabel | None = None
@@ -73,24 +91,7 @@ class Move:
     event_ref: EventRef | None = None
 
     def __post_init__(self) -> None:
-        shape = _MOVE_SHAPES.get(self.kind)
-        if shape is None:
-            raise ValueError(f"unknown move kind {self.kind!r}")
-        if shape != (self.activity is not None, self.transition is not None):
-            activity = "an activity" if shape[0] else "no activity"
-            transition = "a transition" if shape[1] else "no transition"
-            raise ValueError(f"a {self.kind.value} move carries {activity} and names {transition}")
-
-    @classmethod
-    def sync(cls, activity: ActivityLabel, transition: str, event_ref: EventRef | None = None) -> "Move":
-        return cls(MoveKind.SYNCHRONOUS, activity, transition, event_ref)
-
-    @classmethod
-    def log(cls, activity: ActivityLabel, event_ref: EventRef | None = None) -> "Move":
-        return cls(MoveKind.LOG, activity, None, event_ref)
-
-    def consumes_event(self) -> bool:
-        return self.kind in (MoveKind.SYNCHRONOUS, MoveKind.LOG)
+        _check_shape(self.kind, self.activity, self.transition)
 
 
 @dataclass(frozen=True)
@@ -128,13 +129,36 @@ class SummaryState:
             raise ValueError("kappa_o must be non-negative")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class AlignmentState:
-    """A move stored with its cost and the marking it reaches."""
+    """One alignment step: a move's fields, its cost and the marking it reaches.
 
-    move: Move
+    The move is not a separate object, so a stored step is one slotted
+    object. The repr still nests the move,
+    ``AlignmentState(move=Move(...), move_cost=..., marking_after=...)``,
+    because digests of search results hash that text.
+    """
+
+    kind: MoveKind
+    activity: ActivityLabel | None
+    transition: str | None
+    event_ref: EventRef | None
     move_cost: float
     marking_after: Marking
+
+    def __post_init__(self) -> None:
+        _check_shape(self.kind, self.activity, self.transition)
+
+    @property
+    def move(self) -> Move:
+        return Move(self.kind, self.activity, self.transition, self.event_ref)
+
+    def __repr__(self) -> str:
+        return (
+            f"AlignmentState(move=Move(kind={self.kind!r}, activity={self.activity!r}, "
+            f"transition={self.transition!r}, event_ref={self.event_ref!r}), "
+            f"move_cost={self.move_cost!r}, marking_after={self.marking_after!r})"
+        )
 
 
 def fold_move_costs(states: Iterable[AlignmentState]) -> float:
@@ -205,14 +229,11 @@ class PrefixAlignment:
 
     def log_projection(self) -> tuple[tuple[ActivityLabel, EventRef | None], ...]:
         """Activities of the event-consuming moves, in order, with their refs."""
-        return tuple(
-            (s.move.activity, s.move.event_ref) for s in self.states if s.move.consumes_event()
-        )
+        return tuple((s.activity, s.event_ref) for s in self.states if s.kind in _CONSUMING)
 
-    def append(self, move: Move, move_cost: float, marking_after: Marking) -> "PrefixAlignment":
-        state = AlignmentState(move, move_cost, marking_after)
+    def append(self, state: AlignmentState) -> "PrefixAlignment":
         return PrefixAlignment(
-            self.base_marking, self.states + (state,), self.summary, self.moves_cost + move_cost
+            self.base_marking, self.states + (state,), self.summary, self.moves_cost + state.move_cost
         )
 
     def with_summary(self, summary: float | None) -> "PrefixAlignment":
@@ -237,8 +258,11 @@ def extend_model_semantics(
     for transition in net.transitions_labeled(activity):
         reached = successors.get(transition)
         if reached is not None:
-            move = Move(MoveKind.SYNCHRONOUS, activity, transition, event_ref)
-            return pa.append(move, cost_model.sync_cost, reached)
+            return pa.append(
+                AlignmentState(
+                    MoveKind.SYNCHRONOUS, activity, transition, event_ref, cost_model.sync_cost, reached
+                )
+            )
     return None
 
 
@@ -395,8 +419,7 @@ def _reconstruct(
         parent_pos = parent[1]
         # a move that advances the position consumes the event it passed
         activity, ref = events[parent_pos] if pos > parent_pos else (None, None)
-        move = Move(_KINDS_BY_RANK[rank], activity, transition, ref)
-        states.append(AlignmentState(move, step, marking))
+        states.append(AlignmentState(_KINDS_BY_RANK[rank], activity, transition, ref, step, marking))
         key = parent
     states.reverse()
     # the goal's g added the step costs left to right, as fold_move_costs does

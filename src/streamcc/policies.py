@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
+from . import petri
 from .alignment import (
     DEFAULT_COST_MODEL,
     DEFAULT_SEARCH_BUDGET,
@@ -28,7 +29,7 @@ from .alignment import (
     shortest_path_prefix_alignment,
 )
 from .errors import SearchBudgetExceeded
-from .petri import ActivityLabel, PetriNet
+from .petri import ActivityLabel, Marking, PetriNet
 
 
 class Policy(Enum):
@@ -193,7 +194,7 @@ def _forgetting_rank(record: CaseRecord) -> int:
     summary = pa.summary
     if summary is None:
         states = pa.states
-        if len(states) == 1 and states[0].move.kind is MoveKind.SYNCHRONOUS:
+        if len(states) == 1 and states[0].kind is MoveKind.SYNCHRONOUS:
             return 1
     elif summary > 0:
         return 2
@@ -221,6 +222,11 @@ class ConformanceEngine:
     Every successful event moves its case to the end of its bucket, so
     each bucket is in ``last_update`` order and the first case of the
     first non-empty bucket is the victim.
+
+    Evicted cases whose summaries are equal (same kappa_o, same carry
+    marking) share one :class:`SummaryState`: the engine keeps one per
+    value seen, up to :data:`petri.SUCCESSOR_TABLE_CAP` values, and builds
+    a fresh one past that.
     """
 
     def __init__(
@@ -240,6 +246,8 @@ class ConformanceEngine:
         self.extension_count = 0
         self._buckets: dict[int, dict[str, None]] = {rank: {} for rank in (1, 2, 3, 4)}
         self._stored_slots = 0
+        # one SummaryState per (kappa_o, carry marking) value, shared by the evicted cases
+        self._shared_summaries: dict[tuple[float, Marking], SummaryState] = {}
         # every new case starts from this one alignment; appending copies it
         self._empty = PrefixAlignment.empty(net.initial_marking)
 
@@ -358,7 +366,14 @@ class ConformanceEngine:
         del self._buckets[victim.rank][victim.case_id]
         pa = victim.prefix_alignment
         self._stored_slots += 1 - pa.state_count
-        self.repo.put(victim.case_id, SummaryState(pa.fitness_cost, pa.current_marking))
+        key = (pa.fitness_cost, pa.current_marking)
+        summary = self._shared_summaries.get(key)
+        if summary is None:
+            summary = SummaryState(*key)
+            # capped like the net's tables: fractional costs give unboundedly many values
+            if len(self._shared_summaries) < petri.SUCCESSOR_TABLE_CAP:
+                self._shared_summaries[key] = summary
+        self.repo.put(victim.case_id, summary)
 
     # -- forgetting index --------------------------------------------------
 

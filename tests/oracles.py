@@ -14,11 +14,33 @@ from __future__ import annotations
 import random
 
 from streamcc import DEFAULT_COST_MODEL, ConformanceEngine, CostModel, PetriNet
+from streamcc.alignment import AlignmentState, MoveKind
 from streamcc.petri import Marking
 from streamcc.policies import CaseStore, EventOutcome, SummaryRepository, _forgetting_rank
 from streamcc.streams import EventLog, StreamEvent
 
 ALPHABET = ["A", "B", "C", "D", "E", "F", "G", "H", "K"]
+
+
+def sync_step(
+    activity: str, transition: str, event_ref: object, move_cost: float, marking_after: Marking
+) -> AlignmentState:
+    """A synchronous alignment step, for building alignments by hand."""
+    return AlignmentState(
+        MoveKind.SYNCHRONOUS, activity, transition, event_ref, move_cost, marking_after
+    )
+
+
+def log_step(
+    activity: str, move_cost: float, marking_after: Marking, event_ref: object = None
+) -> AlignmentState:
+    """A log-move step, for building alignments by hand."""
+    return AlignmentState(MoveKind.LOG, activity, None, event_ref, move_cost, marking_after)
+
+
+def consumes_event(state: AlignmentState) -> bool:
+    """Whether the step's move consumes a trace event (a synchronous or a log move)."""
+    return state.kind in (MoveKind.SYNCHRONOUS, MoveKind.LOG)
 
 
 def stored_state_count(store: CaseStore, repo: SummaryRepository | None = None) -> int:

@@ -30,19 +30,21 @@ from streamcc import (
     replicate_events,
     shortest_path_prefix_alignment,
 )
-from streamcc.alignment import DEFAULT_COST_MODEL, DEFAULT_SEARCH_BUDGET, Move, SummaryState
+from streamcc.alignment import DEFAULT_COST_MODEL, DEFAULT_SEARCH_BUDGET, SummaryState
 from streamcc.policies import CaseRecord, CaseStore
 from streamcc.streams import StreamEvent
 
 from oracles import (
     brute_force_min_cost,
     checked_replay,
+    log_step,
     peak_concurrent_cases,
     random_net,
     random_trace,
     replay_outcomes,
     select_forget_victim,
     stored_state_count,
+    sync_step,
 )
 
 
@@ -283,13 +285,13 @@ class TestCriterion6ForgettingCriteria:
 
     def monuple(self, net, case_id, last_update):
         pa = PrefixAlignment.empty(net.initial_marking).append(
-            Move.sync("A", "A", 0), 0.0, net.fire(net.initial_marking, "A")
+            sync_step("A", "A", 0, 0.0, net.fire(net.initial_marking, "A"))
         )
         return CaseRecord(case_id, pa, last_update=last_update)
 
     def residual(self, net, case_id, kappa, last_update):
         pa = PrefixAlignment.from_summary(SummaryState(kappa, net.initial_marking))
-        return CaseRecord(case_id, pa.append(Move.log("X"), 0.0, net.initial_marking),
+        return CaseRecord(case_id, pa.append(log_step("X", 0.0, net.initial_marking)),
                           last_update=last_update)
 
     def conformant(self, net, case_id, last_update):
@@ -297,15 +299,15 @@ class TestCriterion6ForgettingCriteria:
         after_b = net.fire(after_a, "B")
         pa = (
             PrefixAlignment.empty(net.initial_marking)
-            .append(Move.sync("A", "A", 0), 0.0, after_a)
-            .append(Move.sync("B", "B", 1), 0.0, after_b)
+            .append(sync_step("A", "A", 0, 0.0, after_a))
+            .append(sync_step("B", "B", 1, 0.0, after_b))
         )
         return CaseRecord(case_id, pa, last_update=last_update)
 
     def costly(self, net, case_id, cost, last_update):
         pa = PrefixAlignment.empty(net.initial_marking)
         for i in range(int(cost)):
-            pa = pa.append(Move.log(f"X{i}"), 1.0, net.initial_marking)
+            pa = pa.append(log_step(f"X{i}", 1.0, net.initial_marking))
         return CaseRecord(case_id, pa, last_update=last_update)
 
     def build_store(self, *records):

@@ -19,12 +19,12 @@ from streamcc.errors import BoundBelowOptimum
 from streamcc.petri import Marking
 from streamcc.policies import truncate_states
 
-from oracles import brute_force_min_cost, random_net, random_trace
+from oracles import brute_force_min_cost, consumes_event, log_step, random_net, random_trace
 
 
 class TestMoveInvariants:
     def test_sync_requires_activity_and_transition(self):
-        move = Move.sync("A", "t1", 0)
+        move = Move(MoveKind.SYNCHRONOUS, "A", "t1", 0)
         assert move.activity == "A" and move.transition == "t1"
         with pytest.raises(ValueError):
             Move(MoveKind.SYNCHRONOUS, activity="A")
@@ -39,26 +39,35 @@ class TestMoveInvariants:
 
     @pytest.mark.parametrize("kind", list(MoveKind))
     def test_each_kind_accepts_exactly_one_shape(self, kind):
-        accepted = []
-        for activity in ("A", None):
-            for transition in ("t1", None):
-                try:
-                    Move(kind, activity, transition)
-                except ValueError:
-                    continue
-                accepted.append((activity is not None, transition is not None))
+        # a move and a stored step share the one shape check
+        marking = Marking.of({"p": 1})
+        builders = (
+            lambda activity, transition: Move(kind, activity, transition),
+            lambda activity, transition: AlignmentState(kind, activity, transition, None, 0.0, marking),
+        )
         expected = {
             MoveKind.SYNCHRONOUS: (True, True),
             MoveKind.LOG: (True, False),
             MoveKind.MODEL: (False, True),
             MoveKind.SILENT_MODEL: (False, True),
         }
-        assert accepted == [expected[kind]]
+        for build in builders:
+            accepted = []
+            for activity in ("A", None):
+                for transition in ("t1", None):
+                    try:
+                        build(activity, transition)
+                    except ValueError:
+                        continue
+                    accepted.append((activity is not None, transition is not None))
+            assert accepted == [expected[kind]]
 
     def test_kind_must_be_a_move_kind(self):
         # a str kind would never consume its event in log_projection
         with pytest.raises(ValueError, match="unknown move kind"):
             Move("synchronous", "A", "t1")
+        with pytest.raises(ValueError, match="unknown move kind"):
+            AlignmentState("synchronous", "A", "t1", None, 0.0, Marking.of({"p": 1}))
 
     def test_cost_model_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -79,7 +88,7 @@ class TestExtendModelSemantics:
         extended = extend_model_semantics(seq_abc, pa, "A", 0)
         assert extended is not None
         assert len(extended.states) == 1
-        assert extended.states[0].move.kind is MoveKind.SYNCHRONOUS
+        assert extended.states[0].kind is MoveKind.SYNCHRONOUS
         assert extended.current_marking == Marking.of({"q1": 1})
         assert extended.fitness_cost == 0
 
@@ -97,7 +106,7 @@ class TestExtendModelSemantics:
         pa = extend_model_semantics(branching_net, pa, "A", 0)
         pa = extend_model_semantics(branching_net, pa, "B", 1)
         assert pa is not None
-        assert [s.move.transition for s in pa.states] == ["t1", "t2"]
+        assert [s.transition for s in pa.states] == ["t1", "t2"]
         # frozen oracle value: brute force over <A,B> on this net
         assert brute_force_min_cost(branching_net, branching_net.initial_marking, ["A", "B"]) == 0.0
         assert pa.fitness_cost == 0.0
@@ -111,7 +120,7 @@ class TestExtendModelSemantics:
             final={"q1": 1},
         )
         pa = extend_model_semantics(net, PrefixAlignment.empty(net.initial_marking), "A", 0)
-        assert pa.states[0].move.transition == "t1"
+        assert pa.states[0].transition == "t1"
         # t1 waits for a token on r, so the next transition carrying A fires
         net = PetriNet.build(
             places=["p", "r", "q1", "q2"],
@@ -121,7 +130,7 @@ class TestExtendModelSemantics:
             final={"q2": 1},
         )
         pa = extend_model_semantics(net, PrefixAlignment.empty(net.initial_marking), "A", 0)
-        assert pa.states[0].move.transition == "t2"
+        assert pa.states[0].transition == "t2"
         assert pa.current_marking == Marking.of({"q2": 1})
 
     def test_no_tau_closure(self):
@@ -148,7 +157,7 @@ class TestShortestPath:
     def test_exactly_replayable(self, seq_abc):
         pa = shortest_path_prefix_alignment(seq_abc, seq_abc.initial_marking, ["A", "B"])
         assert pa.fitness_cost == 0
-        assert [s.move.kind for s in pa.states] == [MoveKind.SYNCHRONOUS] * 2
+        assert [s.kind for s in pa.states] == [MoveKind.SYNCHRONOUS] * 2
 
     def test_missing_prefix_tie_break(self, seq_abc):
         # frozen oracle value: brute force min over <B> is 1; the preferred
@@ -156,7 +165,7 @@ class TestShortestPath:
         assert brute_force_min_cost(seq_abc, seq_abc.initial_marking, ["B"]) == 1.0
         pa = shortest_path_prefix_alignment(seq_abc, seq_abc.initial_marking, ["B"])
         assert pa.fitness_cost == 1.0
-        assert [(s.move.kind, s.move.transition) for s in pa.states] == [
+        assert [(s.kind, s.transition) for s in pa.states] == [
             (MoveKind.MODEL, "A"),
             (MoveKind.SYNCHRONOUS, "B"),
         ]
@@ -165,7 +174,7 @@ class TestShortestPath:
         pa = shortest_path_prefix_alignment(seq_abc, seq_abc.initial_marking, ["X"])
         assert pa.fitness_cost == 1.0
         assert len(pa.states) == 1
-        assert pa.states[0].move.kind is MoveKind.LOG
+        assert pa.states[0].kind is MoveKind.LOG
 
     def test_empty_trace_rejected(self, seq_abc):
         with pytest.raises(ValueError):
@@ -181,10 +190,10 @@ class TestShortestPath:
         pa = shortest_path_prefix_alignment(
             seq_abc, seq_abc.initial_marking, [("B", 17)]
         )
-        consuming = [s for s in pa.states if s.move.consumes_event()]
-        assert [s.move.event_ref for s in consuming] == [17]
-        model_moves = [s for s in pa.states if not s.move.consumes_event()]
-        assert all(s.move.event_ref is None for s in model_moves)
+        consuming = [s for s in pa.states if consumes_event(s)]
+        assert [s.event_ref for s in consuming] == [17]
+        model_moves = [s for s in pa.states if not consumes_event(s)]
+        assert all(s.event_ref is None for s in model_moves)
 
     def test_silent_moves_are_free_and_preferred(self):
         net = PetriNet.build(
@@ -196,7 +205,7 @@ class TestShortestPath:
         )
         pa = shortest_path_prefix_alignment(net, net.initial_marking, ["B"])
         assert pa.fitness_cost == 0
-        assert [s.move.kind for s in pa.states] == [
+        assert [s.kind for s in pa.states] == [
             MoveKind.SILENT_MODEL,
             MoveKind.SYNCHRONOUS,
         ]
@@ -208,7 +217,7 @@ class TestShortestPath:
         )
         # model A + sync B would cost 5; logging B costs 1
         assert pa.fitness_cost == 1.0
-        assert [s.move.kind for s in pa.states] == [MoveKind.LOG]
+        assert [s.kind for s in pa.states] == [MoveKind.LOG]
 
 
 class TestAlignmentAccessors:
@@ -219,14 +228,13 @@ class TestAlignmentAccessors:
         pa = PrefixAlignment.empty(seq_abc.initial_marking)
         marking = seq_abc.initial_marking
         for cost, activity in zip([0.0, 1.0, 0.0], ["A", "X", "B"]):
-            move = Move.log(activity)
-            pa = pa.append(move, cost, marking)
+            pa = pa.append(log_step(activity, cost, marking))
         assert pa.fitness_cost == 1.0
 
     def test_fitness_cost_includes_summary(self, seq_abc):
         summary = SummaryState(kappa_o=2.0, carry_marking=Marking.of({"q1": 1}))
         pa = PrefixAlignment.from_summary(summary).append(
-            Move.log("X"), 1.0, Marking.of({"q1": 1})
+            log_step("X", 1.0, Marking.of({"q1": 1}))
         )
         assert pa.fitness_cost == 3.0
 
@@ -238,7 +246,7 @@ class TestAlignmentAccessors:
 
     def test_log_move_leaves_marking_unchanged(self, seq_abc):
         pa = shortest_path_prefix_alignment(seq_abc, seq_abc.initial_marking, ["A", "X"])
-        assert pa.states[-1].move.kind is MoveKind.LOG
+        assert pa.states[-1].kind is MoveKind.LOG
         assert pa.states[-1].marking_after == pa.states[-2].marking_after
 
 
@@ -269,7 +277,7 @@ class TestRunningCost:
         for op, arg in operations:
             if op == "append":
                 extended = extend_model_semantics(net, pa, arg, None, cm)
-                pa = extended or pa.append(Move.log(arg), cm.log_cost, pa.current_marking)
+                pa = extended or pa.append(log_step(arg, cm.log_cost, pa.current_marking))
             elif op == "summary":
                 pa = pa.with_summary(arg)
             elif op == "truncate":
@@ -304,8 +312,8 @@ class TestSearchProperties:
             assert log_side == trace
             marking = net.initial_marking
             for state in pa.states:
-                if state.move.transition is not None:
-                    marking = net.fire(marking, state.move.transition)
+                if state.transition is not None:
+                    marking = net.fire(marking, state.transition)
                 assert state.marking_after == marking
 
     def test_cost_monotone_in_trace_prefix(self):
@@ -363,7 +371,7 @@ class TestSearchBuildsOnlyTheResult:
         net = random_net(rng)
         trace = random_trace(net, rng, max_len=8)
         result, built = self._search_counting_states(monkeypatch, net, trace)
-        assert {s.move.kind for s in result.states} == set(MoveKind)
+        assert {s.kind for s in result.states} == set(MoveKind)
         assert built == len(result.states)
 
 

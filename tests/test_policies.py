@@ -17,7 +17,7 @@ from streamcc import (
     generate_log,
     replay,
 )
-from streamcc.alignment import Move, MoveKind, SummaryState
+from streamcc.alignment import MoveKind, SummaryState
 from streamcc import policies
 from streamcc.petri import Marking, PetriNet
 from streamcc.policies import CaseRecord, CaseStore, Method, truncate_states
@@ -25,11 +25,13 @@ from streamcc.policies import CaseRecord, CaseStore, Method, truncate_states
 from oracles import (
     brute_force_min_cost,
     checked_replay,
+    log_step,
     random_net,
     random_trace,
     replay_outcomes,
     select_forget_victim,
     stored_state_count,
+    sync_step,
 )
 
 
@@ -123,9 +125,9 @@ class TestTruncateStates:
         # independent replay of the first three moves gives the carry marking
         marking = net.initial_marking
         for state in pa.states[:3]:
-            marking = net.fire(marking, state.move.transition)
+            marking = net.fire(marking, state.transition)
         assert truncated.base_marking == marking
-        assert [s.move.activity for s in truncated.states] == ["A3", "A4"]
+        assert [s.activity for s in truncated.states] == ["A3", "A4"]
 
     def test_absorbs_prior_summary_cost(self, seq_abc):
         markings = [Marking.of({"q1": 1})] * 4
@@ -134,7 +136,7 @@ class TestTruncateStates:
         )
         costs = [1.0, 0.0, 0.0, 0.0]
         for i, cost in enumerate(costs):
-            pa = pa.append(Move.log(f"X{i}"), cost, markings[i])
+            pa = pa.append(log_step(f"X{i}", cost, markings[i]))
         truncated = truncate_states(pa, 3)
         assert truncated.state_count == 3
         assert truncated.summary == 2.0  # 1 carried + 1 from the dropped states
@@ -160,7 +162,7 @@ class TestTruncateStates:
         marking = Marking.of({"q1": 1})
         pa = PrefixAlignment.empty(marking)
         for i in range(11):
-            pa = pa.append(Move.log(f"X{i}"), 0.1, marking)
+            pa = pa.append(log_step(f"X{i}", 0.1, marking))
         truncated = truncate_states(pa, 2)
         assert len(truncated.states) == 1
         assert truncated.summary == 0.9999999999999999
@@ -168,7 +170,7 @@ class TestTruncateStates:
     def test_indices_renumbered(self):
         net = cyclic_sequence_net(6)
         truncated = truncate_states(make_pa(net, ["A0", "A1", "A2", "A3", "A4"]), 3)
-        assert [s.move.activity for s in truncated.states] == ["A3", "A4"]
+        assert [s.activity for s in truncated.states] == ["A3", "A4"]
 
 
 class TestBoundedStates:
@@ -211,7 +213,7 @@ class TestBoundedStates:
         # post-search truncation summarizes the re-synced A4 and carries s5
         assert pa.summary == 0.0
         assert pa.base_marking == Marking.of({"s5": 1})
-        assert [s.move.kind for s in pa.states] == [MoveKind.LOG]
+        assert [s.kind for s in pa.states] == [MoveKind.LOG]
 
     def test_large_w_equals_baseline(self):
         net = cyclic_sequence_net(10)
@@ -233,7 +235,7 @@ class TestForgettingCriteria:
 
     def monuple(self, net, case_id, last_update):
         pa = PrefixAlignment.empty(net.initial_marking).append(
-            Move.sync("A", "A", 0), 0.0, net.fire(net.initial_marking, "A")
+            sync_step("A", "A", 0, 0.0, net.fire(net.initial_marking, "A"))
         )
         return CaseRecord(case_id, pa, last_update=last_update)
 
@@ -241,7 +243,7 @@ class TestForgettingCriteria:
         pa = PrefixAlignment.from_summary(
             SummaryState(kappa_o=kappa, carry_marking=net.initial_marking)
         )
-        pa = pa.append(Move.log("X"), extra_cost, net.initial_marking)
+        pa = pa.append(log_step("X", extra_cost, net.initial_marking))
         return CaseRecord(case_id, pa, last_update=last_update)
 
     def conformant(self, net, case_id, last_update, events=2):
@@ -249,13 +251,13 @@ class TestForgettingCriteria:
         marking = net.initial_marking
         for i, t in enumerate(["A", "B"][:events]):
             marking = net.fire(marking, t)
-            pa = pa.append(Move.sync(t, t, i), 0.0, marking)
+            pa = pa.append(sync_step(t, t, i, 0.0, marking))
         return CaseRecord(case_id, pa, last_update=last_update)
 
     def nonconformant(self, net, case_id, cost, last_update):
         pa = PrefixAlignment.empty(net.initial_marking)
         for i in range(int(cost)):
-            pa = pa.append(Move.log(f"X{i}"), 1.0, net.initial_marking)
+            pa = pa.append(log_step(f"X{i}", 1.0, net.initial_marking))
         return CaseRecord(case_id, pa, last_update=last_update)
 
     def test_monuple_beats_everything(self, seq_abc):
@@ -442,14 +444,14 @@ class TestCombined:
 class TestAccessors:
     def test_effective_cost_examples(self, seq_abc):
         pa = PrefixAlignment.empty(seq_abc.initial_marking)
-        pa = pa.append(Move.log("X"), 0.0, seq_abc.initial_marking)
-        pa = pa.append(Move.log("Y"), 1.0, seq_abc.initial_marking)
+        pa = pa.append(log_step("X", 0.0, seq_abc.initial_marking))
+        pa = pa.append(log_step("Y", 1.0, seq_abc.initial_marking))
         assert pa.fitness_cost == 1.0
 
         summary_only = PrefixAlignment.from_summary(SummaryState(2.0, seq_abc.initial_marking))
         assert summary_only.fitness_cost == 2.0
 
-        with_state = summary_only.append(Move.log("X"), 1.0, seq_abc.initial_marking)
+        with_state = summary_only.append(log_step("X", 1.0, seq_abc.initial_marking))
         assert with_state.fitness_cost == 3.0
 
     def test_stored_state_count(self, seq_abc):

@@ -8,6 +8,7 @@ survive a pickle round trip unchanged.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import pickle
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from streamcc import PrefixAlignment, cyclic_sequence_net
-from streamcc.alignment import AlignmentState, Move, SummaryState
+from streamcc.alignment import AlignmentState, Move, MoveKind, SummaryState
 from streamcc.petri import Marking
 from streamcc.policies import CaseRecord, EventOutcome, Method
 from streamcc.streams import Event, StreamEvent
@@ -29,8 +30,8 @@ _SUMMARY = SummaryState(1.5, _MARKING)
 _PREFIX = PrefixAlignment(
     _MARKING,
     (
-        AlignmentState(Move.sync("A", "t1", 0), 0.0, Marking.of({"p2": 1})),
-        AlignmentState(Move.log("Z", 1), 1.0, Marking.of({"p2": 1})),
+        AlignmentState(MoveKind.SYNCHRONOUS, "A", "t1", 0, 0.0, Marking.of({"p2": 1})),
+        AlignmentState(MoveKind.LOG, "Z", None, 1, 1.0, Marking.of({"p2": 1})),
     ),
     _SUMMARY.kappa_o,
 )
@@ -38,7 +39,7 @@ _WHEN = datetime(2024, 1, 2, 3, 4, 5)
 
 VALUES = [
     _MARKING,
-    Move.sync("A", "t1", 0),
+    Move(MoveKind.SYNCHRONOUS, "A", "t1", 0),
     _PREFIX.states[0],
     _SUMMARY,
     _PREFIX,
@@ -60,6 +61,28 @@ class TestSlottedValues:
         assert type(copy) is type(value)
         assert copy == value
         assert repr(copy) == repr(value)
+
+
+def test_step_prints_its_move_nested():
+    # digests of search results hash this text, so the step prints its
+    # fields as a nested Move
+    assert repr(_PREFIX.states) == (
+        "(AlignmentState(move=Move(kind=<MoveKind.SYNCHRONOUS: 'synchronous'>, activity='A', "
+        "transition='t1', event_ref=0), move_cost=0.0, marking_after=Marking(entries=(('p2', 1),))), "
+        "AlignmentState(move=Move(kind=<MoveKind.LOG: 'log'>, activity='Z', transition=None, "
+        "event_ref=1), move_cost=1.0, marking_after=Marking(entries=(('p2', 1),))))"
+    )
+    for step in _PREFIX.states:
+        assert repr(step) == (
+            f"AlignmentState(move={step.move!r}, move_cost={step.move_cost!r}, "
+            f"marking_after={step.marking_after!r})"
+        )
+
+
+def test_step_is_one_object():
+    step = _PREFIX.states[0]
+    assert not any(isinstance(ref, Move) for ref in gc.get_referents(step))
+    assert step.move == Move(MoveKind.SYNCHRONOUS, "A", "t1", 0)
 
 
 def test_pickled_prefix_alignment_keeps_its_running_cost():
