@@ -27,6 +27,7 @@ from .alignment import (
     extend_model_semantics,
     fold_move_costs,
     shortest_path_prefix_alignment,
+    slot_setters,
 )
 from .errors import SearchBudgetExceeded
 from .petri import ActivityLabel, Marking, PetriNet
@@ -144,7 +145,7 @@ class SummaryRepository:
         return iter(self._summaries.items())
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class EventOutcome:
     """Per-event result reported by an engine."""
 
@@ -155,6 +156,36 @@ class EventOutcome:
     conformant: bool
     method: Method
     residual_cost: float
+
+    def __init__(
+        self,
+        case_id: str,
+        activity: ActivityLabel,
+        arrival_index: int,
+        effective_cost: float,
+        conformant: bool,
+        method: Method,
+        residual_cost: float,
+    ) -> None:
+        (
+            set_case_id,
+            set_activity,
+            set_arrival_index,
+            set_effective_cost,
+            set_conformant,
+            set_method,
+            set_residual_cost,
+        ) = _OUTCOME_SETTERS
+        set_case_id(self, case_id)
+        set_activity(self, activity)
+        set_arrival_index(self, arrival_index)
+        set_effective_cost(self, effective_cost)
+        set_conformant(self, conformant)
+        set_method(self, method)
+        set_residual_cost(self, residual_cost)
+
+
+_OUTCOME_SETTERS = slot_setters(EventOutcome)
 
 
 def truncate_states(pa: PrefixAlignment, w: int) -> PrefixAlignment:

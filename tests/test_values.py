@@ -3,12 +3,16 @@
 They are slotted dataclasses: no instance ``__dict__``, so a stored
 state costs its fields and nothing more. ``experiment --jobs`` pickles
 nets, events and configs into worker processes, so each type must also
-survive a pickle round trip unchanged.
+survive a pickle round trip unchanged. All but the case record are
+frozen, and the three built on every event keep the generated
+constructor's parameters and ``moves_cost`` rule in their own ``__init__``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
+import inspect
 import json
 import os
 import pickle
@@ -20,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from streamcc import PrefixAlignment, cyclic_sequence_net
-from streamcc.alignment import AlignmentState, Move, MoveKind, SummaryState
+from streamcc.alignment import AlignmentState, Move, MoveKind, SummaryState, fold_move_costs
 from streamcc.petri import Marking
 from streamcc.policies import CaseRecord, EventOutcome, Method
 from streamcc.streams import Event, StreamEvent
@@ -61,6 +65,59 @@ class TestSlottedValues:
         assert type(copy) is type(value)
         assert copy == value
         assert repr(copy) == repr(value)
+
+
+# the store's record is updated in place as its case's events arrive
+MUTABLE = (CaseRecord,)
+
+
+@pytest.mark.parametrize(
+    "value", [v for v in VALUES if not isinstance(v, MUTABLE)], ids=lambda v: type(v).__name__
+)
+def test_fields_cannot_be_assigned(value):
+    for f in dataclasses.fields(value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, f.name, getattr(value, f.name))
+
+
+# The values built on every event have a hand-written __init__.
+PER_EVENT_VALUES = [v for v in VALUES if isinstance(v, (AlignmentState, PrefixAlignment, EventOutcome))]
+
+
+@pytest.mark.parametrize("value", PER_EVENT_VALUES, ids=lambda v: type(v).__name__)
+class TestPerEventConstructor:
+    def test_parameters_are_the_fields_with_their_defaults(self, value):
+        cls = type(value)
+        parameters = list(inspect.signature(cls.__init__).parameters.values())[1:]
+        assert [p.name for p in parameters] == [f.name for f in dataclasses.fields(cls)]
+        for p, f in zip(parameters, dataclasses.fields(cls)):
+            default = inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
+            assert p.default == default, p.name
+
+    def test_replace_builds_an_equal_value(self, value):
+        copy = dataclasses.replace(value)
+        assert copy == value
+        assert repr(copy) == repr(value)
+
+
+_FRACTIONAL_STEPS = tuple(
+    AlignmentState(MoveKind.LOG, "Z", None, i, cost, _MARKING) for i, cost in enumerate((0.7, 0.2, 0.1))
+)
+
+
+def test_omitted_moves_cost_is_the_left_to_right_fold():
+    pa = PrefixAlignment(_MARKING, _FRACTIONAL_STEPS)
+    assert pa.moves_cost.hex() == fold_move_costs(_FRACTIONAL_STEPS).hex() == ((0.7 + 0.2) + 0.1).hex()
+    # a compensated sum rounds these costs to 1.0
+    assert pa.moves_cost != 1.0
+
+
+def test_given_moves_cost_is_kept_as_given():
+    pa = PrefixAlignment(_MARKING, _FRACTIONAL_STEPS, None, 1.0)
+    assert pa.moves_cost == 1.0
+    assert PrefixAlignment(_MARKING, _FRACTIONAL_STEPS, moves_cost=9.5).moves_cost == 9.5
+    # moves_cost is not compared: it is a function of the states
+    assert pa == PrefixAlignment(_MARKING, _FRACTIONAL_STEPS)
 
 
 def test_step_prints_its_move_nested():
