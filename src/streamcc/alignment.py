@@ -356,21 +356,24 @@ def shortest_path_prefix_alignment(
         lookahead = min(cost_model.log_cost, cost_model.model_cost)
         forced = _forced_log_costs(net, events, cost_model.log_cost)
 
-    # Entries are (f, kind rank, ticket, g, key, parent key, transition,
-    # move cost); closed maps each expanded key to the entry that reached it,
-    # and only _reconstruct turns the returned path into moves.
-    closed: dict[tuple[Marking, int], tuple] = {}
+    # Entries are (f, kind rank, ticket, g, marking, pos, parent marking,
+    # transition); with h_unit 0, f is g's own float. closed[pos] maps each
+    # marking expanded at trace position pos to the entry that reached it.
+    # A position's dict is made by the first expansion that can push to it,
+    # so a search pays for no position it never reaches. A move's parent
+    # sits at its own position, or one before if the move consumes an
+    # event, and its cost is step_costs[rank]: only _reconstruct turns the
+    # returned path into moves.
+    closed: list[dict[Marking, tuple] | None] = [None] * (total + 1)
+    closed[0] = {}
     ticket = count()
-    start_key = (start, 0)
-    frontier: list[tuple] = [(h_unit * total, 0, next(ticket), 0.0, start_key, None, None, 0.0)]
+    frontier: list[tuple] = [(h_unit * total, 0, next(ticket), 0.0, start, 0, None, None)]
     expansions = 0
 
-    def push(rank: int, transition: str | None, next_marking: Marking, next_pos: int) -> None:
-        next_key = (next_marking, next_pos)
-        if next_key in closed:
+    def push(seen: dict, rank: int, transition: str | None, next_marking: Marking, next_pos: int) -> None:
+        if next_marking in seen:
             return
-        step = step_costs[rank]
-        ng = g + step
+        ng = g + step_costs[rank]
         if prune:
             gh = ng + forced[next_pos]
             if gh > limit:
@@ -378,22 +381,26 @@ def shortest_path_prefix_alignment(
             if gh + lookahead > limit and next_pos < total:
                 if _only_model_or_log(net, next_marking, events[next_pos][0]):
                     return
-        nf = ng + h_unit * (total - next_pos)
-        heapq.heappush(frontier, (nf, rank, next(ticket), ng, next_key, key, transition, step))
+        nf = ng + h_unit * (total - next_pos) if h_unit else ng
+        heapq.heappush(frontier, (nf, rank, next(ticket), ng, next_marking, next_pos, marking, transition))
 
     while frontier:
         entry = heapq.heappop(frontier)
-        key = entry[4]
-        if key in closed:
-            continue
-        closed[key] = entry
-        marking, pos = key
+        marking = entry[4]
+        pos = entry[5]
         if pos == total:
-            return _reconstruct(start, start_key, key, closed, events)
+            return _reconstruct(start, entry, closed, events, step_costs)
+        here = closed[pos]
+        if marking in here:
+            continue
+        here[marking] = entry
         expansions += 1
         if expansions > budget:
             raise SearchBudgetExceeded(budget)
 
+        ahead = closed[pos + 1]
+        if ahead is None:
+            ahead = closed[pos + 1] = {}
         g = entry[3]
         activity = events[pos][0]
         successors = net.successors(marking)
@@ -402,12 +409,12 @@ def shortest_path_prefix_alignment(
             fired = successors[t]
             label = net.labels.get(t)
             if label is None:
-                push(_SILENT, t, fired, pos)
+                push(here, _SILENT, t, fired, pos)
                 continue
             if label == activity:
-                push(_SYNC, t, fired, pos + 1)
-            push(_MODEL, t, fired, pos)
-        push(_LOG, None, marking, pos + 1)
+                push(ahead, _SYNC, t, fired, pos + 1)
+            push(here, _MODEL, t, fired, pos)
+        push(ahead, _LOG, None, marking, pos + 1)
 
     # without a bound the all-log path always reaches the goal
     raise BoundBelowOptimum(upper_bound)
@@ -450,21 +457,25 @@ def _normalize_trace(
 
 def _reconstruct(
     start: Marking,
-    start_key: tuple[Marking, int],
-    goal_key: tuple[Marking, int],
-    closed: dict,
+    goal: tuple,
+    closed: list[dict[Marking, tuple] | None],
     events: tuple[tuple[ActivityLabel, EventRef | None], ...],
+    step_costs: tuple[float, float, float, float],
 ) -> PrefixAlignment:
     states: list[AlignmentState] = []
-    key = goal_key
-    while key != start_key:
-        _, rank, _, _, _, parent, transition, step = closed[key]
-        marking, pos = key
-        parent_pos = parent[1]
-        # a move that advances the position consumes the event it passed
-        activity, ref = events[parent_pos] if pos > parent_pos else (None, None)
-        states.append(AlignmentState(_KINDS_BY_RANK[rank], activity, transition, ref, step, marking))
-        key = parent
+    entry = goal
+    while True:
+        _, rank, _, _, marking, pos, parent, transition = entry
+        if parent is None:  # the start entry
+            break
+        if rank == _SYNC or rank == _LOG:
+            # a move that advances the position consumes the event it passed
+            pos -= 1
+            activity, ref = events[pos]
+        else:
+            activity = ref = None
+        states.append(AlignmentState(_KINDS_BY_RANK[rank], activity, transition, ref, step_costs[rank], marking))
+        entry = closed[pos][parent]
     states.reverse()
     # the goal's g added the step costs left to right, as fold_move_costs does
-    return PrefixAlignment(start, tuple(states), moves_cost=closed[goal_key][3])
+    return PrefixAlignment(start, tuple(states), moves_cost=goal[3])

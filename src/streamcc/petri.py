@@ -8,14 +8,17 @@ transitions, each with the marking firing it reaches.
 ``enabled_transitions``, ``is_enabled`` and ``fire`` are views of its
 entry. Successors are interned, so while the tables have room every
 caller that reaches a marking by firing holds the same ``Marking``
-object.
+object. Their ``(place, count)`` pairs go through the same intern table,
+so equal pairs in different markings are one tuple: the benchmark's
+parallel net has 1,026 reachable markings but 21 distinct pairs.
 
-The table keeps at most :data:`SUCCESSOR_TABLE_CAP` markings, and so
-does the intern table behind it, because a net need not be bounded.
-Filling both for all 1,026 reachable markings of the benchmark's
-parallel net took about 700 B per marking, markings and their hashes
-included (tracemalloc, CPython 3.11); at that size full tables hold
-about 2.9 MB. Past the cap a marking's successors are computed on every
+The successor table keeps at most :data:`SUCCESSOR_TABLE_CAP` markings,
+and the intern table at most that many markings and pairs together,
+because a net need not be bounded. Filling both for all 1,026 reachable
+markings of the benchmark's parallel net took about 420 B per marking,
+markings, pairs and hashes included (tracemalloc, CPython 3.11; about
+700 B with a tuple per pair); at that size full tables hold about
+1.7 MB. Past the cap a marking's successors are computed on every
 lookup and not stored; they are value-equal to what the table would
 hold.
 
@@ -24,7 +27,7 @@ entry at once store value-equal entries, so whichever store wins, every
 caller sees the same transitions and equal markings; only the sharing
 of objects is lost. Threads that pass the cap check together each
 store their entry, so n threads keep at most
-``SUCCESSOR_TABLE_CAP + n - 1`` markings. A pickled net carries no
+``SUCCESSOR_TABLE_CAP + n - 1`` markings. A pickled net carries neither
 table.
 
 Markings are immutable multisets of tokens over place ids, kept in a
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from .errors import FiringNotEnabled, ValidationError
 
@@ -47,7 +51,8 @@ from .errors import FiringNotEnabled, ValidationError
 # case-sensitive.
 ActivityLabel = str
 
-# Most markings a net's successor table (and its intern table) keeps.
+# Most markings a net's successor table keeps, and most markings and
+# (place, count) pairs its intern table keeps.
 SUCCESSOR_TABLE_CAP = 4096
 
 
@@ -118,6 +123,10 @@ class Marking:
         return "[" + ", ".join(parts) + "]"
 
 
+# What a net's intern table holds: markings and their (place, count) pairs.
+_Interned = TypeVar("_Interned", Marking, tuple[str, int])
+
+
 @dataclass(frozen=True)
 class PetriNet:
     """A labeled Petri net with an initial and a final marking.
@@ -152,7 +161,7 @@ class PetriNet:
     _table: dict[Marking, dict[str, Marking]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    _interned: dict[Marking, Marking] = field(
+    _interned: dict[_Interned, _Interned] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -261,6 +270,7 @@ class PetriNet:
         if entry is not None:
             return entry
         marked = {p for p, _ in marking.entries}
+        intern = self._intern
         entry = {}
         for t, pre in self._preset.items():
             if not marked.issuperset(pre):
@@ -271,21 +281,24 @@ class PetriNet:
                 counts[p] -= 1
             for p in self._postset[t]:
                 counts[p] = counts.get(p, 0) + 1
-            entry[t] = self._intern(
-                Marking._from_canonical(tuple(sorted((p, c) for p, c in counts.items() if c != 0)))
-            )
+            pairs = sorted(intern(pair) for pair in counts.items() if pair[1] != 0)
+            entry[t] = intern(Marking._from_canonical(tuple(pairs)))
         if len(self._table) < SUCCESSOR_TABLE_CAP:
-            self._table[self._intern(marking)] = entry
+            self._table[intern(marking)] = entry
         return entry
 
-    def _intern(self, marking: Marking) -> Marking:
-        """The one stored object equal to ``marking``, stored now if there is room."""
-        interned = self._interned.get(marking)
+    def _intern(self, value: _Interned) -> _Interned:
+        """The one stored object equal to ``value``, stored now if there is room.
+
+        ``value`` is a marking or one of its ``(place, count)`` pairs; a
+        pair never equals a marking, so both share the one capped table.
+        """
+        interned = self._interned.get(value)
         if interned is not None:
             return interned
         if len(self._interned) < SUCCESSOR_TABLE_CAP:
-            self._interned[marking] = marking
-        return marking
+            self._interned[value] = value
+        return value
 
     def __getstate__(self) -> dict:
         # a net unpickles with empty tables: they refill on use, so workers

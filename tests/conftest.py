@@ -61,6 +61,24 @@ def make_branching_net() -> PetriNet:
     )
 
 
+def make_parallel_net(branches: int, depth: int) -> PetriNet:
+    """``branches`` labeled sequences of ``depth`` steps between a silent split and a silent join.
+
+    Transition ``b<k>_<d>`` carries label ``B<k><d>``; the net reaches
+    (depth + 1) ** branches markings between the split and the join.
+    """
+    places = ["i", "o"]
+    transitions: dict[str, str | None] = {"split": None, "join": None}
+    arcs = [("i", "split"), ("join", "o")]
+    for k in range(1, branches + 1):
+        places += [f"p{k}_{d}" for d in range(depth + 1)]
+        arcs += [("split", f"p{k}_0"), (f"p{k}_{depth}", "join")]
+        for d in range(1, depth + 1):
+            transitions[f"b{k}_{d}"] = f"B{k}{d}"
+            arcs += [(f"p{k}_{d - 1}", f"b{k}_{d}"), (f"b{k}_{d}", f"p{k}_{d}")]
+    return PetriNet.build(places, transitions, arcs, initial={"i": 1}, final={"o": 1}, name="parallel")
+
+
 @pytest.fixture
 def seq_abc() -> PetriNet:
     return make_seq_abc()

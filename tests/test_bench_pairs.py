@@ -76,6 +76,22 @@ class TestCompare:
         change = [v + 10 for v in parent[:8]] + [v - 1 for v in parent[8:]]
         assert self.verdicts(parent, change)["churn-evict/events_per_s"] == "within bound"
 
+    def test_gain_must_move_the_median_by_more_than_one_percent(self):
+        gated = {**GATES, "peak_heap_mb": ("lower", 0.15)}
+
+        def heap_verdict(parent_heap, change_heap):
+            # the parent's runs spread by a few bytes, as a heap peak does
+            parent = [result(100, 1.0, extra={"peak_heap_mb": parent_heap + i * 1e-7}) for i in range(10)]
+            change = [result(100, 1.0, extra={"peak_heap_mb": change_heap}) for _ in range(10)]
+            rows, _ = bench_pairs.compare(parent, change, gated)
+            row = next(r for r in rows if r["metric"].endswith("peak_heap_mb"))
+            assert (row["change_wins"], row["parent_wins"]) == (10, 0)
+            return row["verdict"]
+
+        # 60 bytes of 457 kB: every pair won and beyond the parent's IQR, but not a gain
+        assert heap_verdict(0.456926, 0.456866) == "within bound"
+        assert heap_verdict(1.255, 0.967) == "gain"
+
     def test_worse_than_bound(self):
         assert self.verdicts([100, 100], [70, 70])["churn-evict/events_per_s"] == "worse"
 

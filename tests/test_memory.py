@@ -1,9 +1,16 @@
-"""What a stored slot costs in bytes, and the summaries evicted cases share.
+"""What a stored slot, a table's marking and a search's expansion cost in bytes,
+and the summaries evicted cases share.
 
-The held-bytes bound was set from a measurement on CPython 3.11 (93 B per
-slot on the stream below) plus about 10%. A stored step that is two
-objects, a ``Move`` and an ``AlignmentState`` pointing at it, holds 133 B
-per slot there and fails it.
+Each bound was set from a measurement on CPython 3.11 plus about 10%:
+- 93 B held per stored slot on the stream below. A stored step that is
+  two objects, a ``Move`` and an ``AlignmentState`` pointing at it, holds
+  133 B per slot there and fails it.
+- 420 B held per marking of the parallel net's filled successor and
+  intern tables. Markings that each hold their own ``(place, count)``
+  pairs take 699 B and fail it.
+- 423 B of peak per expansion of the search below. Entries that carry a
+  ``(marking, pos)`` key tuple and their move cost, closed in one dict
+  keyed by those tuples, take 522 B and fail it.
 """
 
 from __future__ import annotations
@@ -21,10 +28,15 @@ from streamcc import (
     generate_log,
     replay,
 )
-from streamcc import petri
+from streamcc import PetriNet, petri, shortest_path_prefix_alignment
 from streamcc.alignment import SummaryState
+from streamcc.synthetic import step_label
+
+from conftest import make_parallel_net
 
 HELD_BYTES_PER_SLOT_BOUND = 103
+HELD_BYTES_PER_MARKING_BOUND = 462
+SEARCH_PEAK_BYTES_PER_EXPANSION_BOUND = 465
 
 
 def test_baseline_holds_few_bytes_per_stored_slot():
@@ -50,6 +62,58 @@ def test_baseline_holds_few_bytes_per_stored_slot():
     slots = engine.stored_state_count
     assert slots > 1000
     assert held / slots <= HELD_BYTES_PER_SLOT_BOUND, f"{held / slots:.1f} B per slot"
+
+
+def test_filled_tables_hold_few_bytes_per_marking():
+    net = make_parallel_net(5, 3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        todo = [net.initial_marking]
+        seen = set(todo)
+        while todo:
+            for reached in net.successors(todo.pop()).values():
+                if reached not in seen:
+                    seen.add(reached)
+                    todo.append(reached)
+        del todo, seen
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    markings = len(net._table)
+    # 4 ** 5 markings between the split and the join, and the two outside them
+    assert markings == 1026
+    assert held / markings <= HELD_BYTES_PER_MARKING_BOUND, f"{held / markings:.1f} B per marking"
+
+
+def test_search_peak_bytes_per_expansion(monkeypatch):
+    net = cyclic_sequence_net(10)
+    trace = [step_label(i % 10) for i in range(300)]
+    del trace[100]
+    trace.insert(200, "X")
+    expansions = 0
+    enabled_transitions = PetriNet.enabled_transitions
+
+    def counted(self, marking):
+        nonlocal expansions
+        expansions += 1
+        return enabled_transitions(self, marking)
+
+    # the first search counts expansions, one call each, and fills the net's tables
+    monkeypatch.setattr(PetriNet, "enabled_transitions", counted)
+    first = shortest_path_prefix_alignment(net, net.initial_marking, trace)
+    monkeypatch.undo()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        second = shortest_path_prefix_alignment(net, net.initial_marking, trace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert second == first and second.fitness_cost == 2
+    assert expansions > 500
+    assert peak / expansions <= SEARCH_PEAK_BYTES_PER_EXPANSION_BOUND, f"{peak / expansions:.1f} B per expansion"
 
 
 def _run_bounded_cases(monkeypatch, cap: int):

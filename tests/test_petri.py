@@ -20,7 +20,7 @@ from streamcc import petri
 from streamcc.errors import FiringNotEnabled
 from streamcc.petri import Marking
 
-from conftest import make_branching_net
+from conftest import make_branching_net, make_parallel_net
 from oracles import random_net, random_trace
 
 
@@ -202,10 +202,32 @@ class TestSuccessorTable:
         assert first == Marking.of({"p6": 1, "p7": 1})
         assert first is second
 
+    def test_markings_reached_by_firing_share_equal_pairs(self):
+        net = make_parallel_net(3, 2)
+        reached = [m for marking in _reachable(net) for m in net.successors(marking).values()]
+        pairs = [pair for marking in reached for pair in marking.entries]
+        shared: dict[tuple[str, int], tuple[str, int]] = {}
+        for pair in pairs:
+            assert shared.setdefault(pair, pair) is pair
+        # 3 branches of 3 places each, the join's output place, and nothing more
+        assert len(shared) == 10 < len(pairs)
+
+    def test_no_table_grows_past_the_cap(self, monkeypatch):
+        uncapped = make_parallel_net(3, 2)
+        markings = _reachable(uncapped)
+        monkeypatch.setattr(petri, "SUCCESSOR_TABLE_CAP", 2)
+        capped = make_parallel_net(3, 2)
+        for marking in markings:
+            assert capped.successors(marking) == uncapped.successors(marking)
+            assert len(capped._table) <= 2 and len(capped._interned) <= 2
+        assert len(markings) > 20
+
     def test_pickled_net_carries_no_table(self, branching_net):
         size = len(pickle.dumps(branching_net))
         shortest_path_prefix_alignment(branching_net, branching_net.initial_marking, list("AEFGH"))
         assert branching_net._table
+        # the intern table holds the (place, count) pairs as well as the markings
+        assert ("p4", 1) in branching_net._interned and Marking.of(["p4", "p5"]) in branching_net._interned
         assert len(pickle.dumps(branching_net)) == size
         copy = pickle.loads(pickle.dumps(branching_net))
         assert copy == branching_net and not copy._table and not copy._interned

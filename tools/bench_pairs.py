@@ -49,6 +49,9 @@ from pathlib import Path
 CHANGE = Path(__file__).resolve().parents[1]
 BYTES_PER_SLOT = "policies.bytes_per_slot"
 RUNS_FILE = Path(".bench_build") / "bench_pairs.json"  # under CHANGE
+# Least share of the parent's median a gain must move the median by: a
+# metric that barely varies between runs has an IQR of a few bytes.
+GAIN_FLOOR = 0.01
 
 
 def run_bench(checkout: Path, seconds: float, trace: bool, seed: int | None = None) -> str:
@@ -93,13 +96,15 @@ def verdict(row: dict, parent_runs: list[float], change_runs: list[float], pairs
 
     ``worse``: the change's median is worse than the parent's by more than
     the bound. ``gain``: the change wins at least nine tenths of the pairs
-    and its median beats the parent's by more than the parent's IQR.
+    and its median beats the parent's by more than the parent's IQR and by
+    more than ``GAIN_FLOOR`` of the parent's median.
     ``unresolved``: the parent's IQR is wider than the bound allows and not
     every change run beats every parent run. Otherwise ``within bound``.
     """
     if row["over_bound"]:
         return "worse"
-    beats_spread = sign * (row["change"] - row["parent"]) > row["parent_iqr"]
+    margin = max(row["parent_iqr"], GAIN_FLOOR * abs(row["parent"]))
+    beats_spread = sign * (row["change"] - row["parent"]) > margin
     if pairs and row["change_wins"] * 10 >= pairs * 9 and beats_spread:
         return "gain"
     separated = min(sign * v for v in change_runs) > max(sign * v for v in parent_runs)
