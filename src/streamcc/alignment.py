@@ -91,23 +91,6 @@ def slot_setters(cls: type) -> tuple:
     return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
 
 
-@dataclass(frozen=True, slots=True)
-class Move:
-    """One alignment move; field presence depends on the kind.
-
-    A stored :class:`AlignmentState` carries these four fields itself;
-    its ``move`` property builds a ``Move`` for callers that want one.
-    """
-
-    kind: MoveKind
-    activity: ActivityLabel | None = None
-    transition: str | None = None
-    event_ref: EventRef | None = None
-
-    def __post_init__(self) -> None:
-        _check_shape(self.kind, self.activity, self.transition)
-
-
 @dataclass(frozen=True)
 class CostModel:
     """Per-move-kind costs; defaults follow the usual unit cost convention."""
@@ -119,37 +102,21 @@ class CostModel:
 
     def __post_init__(self) -> None:
         for name in ("sync_cost", "log_cost", "model_cost", "silent_model_cost"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            cost = getattr(self, name)
+            if not cost >= 0:  # NaN too; so every cost sum, a summary's kappa_o included, is >= 0
+                raise ValueError(f"{name} must be non-negative, got {cost!r}")
 
 
 DEFAULT_COST_MODEL = CostModel()
-
-
-@dataclass(frozen=True, slots=True)
-class SummaryState:
-    """R_C's entry: the one slot a forgotten case keeps in the summary repository.
-
-    Holds the marking the case's forgotten moves reached and their
-    cumulative cost; :meth:`PrefixAlignment.from_summary` resumes the case
-    from it.
-    """
-
-    kappa_o: float
-    carry_marking: Marking
-
-    def __post_init__(self) -> None:
-        if self.kappa_o < 0:
-            raise ValueError("kappa_o must be non-negative")
 
 
 @dataclass(frozen=True, slots=True, repr=False, init=False)
 class AlignmentState:
     """One alignment step: a move's fields, its cost and the marking it reaches.
 
-    The move is not a separate object, so a stored step is one slotted
-    object. The repr still nests the move,
-    ``AlignmentState(move=Move(...), move_cost=..., marking_after=...)``,
+    The move is no object of its own, so a stored step is one slotted
+    object. The repr prints the move's fields nested,
+    ``AlignmentState(move=Move(kind=..., ...), move_cost=..., marking_after=...)``,
     because digests of search results hash that text.
     """
 
@@ -177,10 +144,6 @@ class AlignmentState:
         set_event_ref(self, event_ref)
         set_move_cost(self, move_cost)
         set_marking_after(self, marking_after)
-
-    @property
-    def move(self) -> Move:
-        return Move(self.kind, self.activity, self.transition, self.event_ref)
 
     def __repr__(self) -> str:
         return (
@@ -215,12 +178,13 @@ class PrefixAlignment:
     marking the forgotten prefix reached when a summary is present.
     ``summary`` is that prefix's cost (kappa_o), or None when nothing was
     forgotten; together with ``base_marking`` it is the summary state,
-    the one slot that holds the position and the cost.
+    the one slot that holds the position and the cost. A summary-only
+    ``PrefixAlignment(marking, (), kappa_o, 0)`` is R_C's entry for a forgotten case.
     ``moves_cost`` is the sum of the states' move costs
     (:func:`fold_move_costs`); it is computed from
-    ``states`` when omitted, and :meth:`empty`, :meth:`from_summary`,
-    :meth:`append`, :meth:`with_summary` and the search pass it in
-    instead of summing again.
+    ``states`` when omitted, and :meth:`empty`, :meth:`append`,
+    :meth:`with_summary`, eviction and the search pass it in instead of
+    summing again.
     """
 
     base_marking: Marking
@@ -244,10 +208,6 @@ class PrefixAlignment:
     @classmethod
     def empty(cls, start: Marking) -> "PrefixAlignment":
         return cls(start, (), None, 0)
-
-    @classmethod
-    def from_summary(cls, summary: SummaryState) -> "PrefixAlignment":
-        return cls(summary.carry_marking, (), summary.kappa_o, 0)
 
     @property
     def carried_cost(self) -> float:

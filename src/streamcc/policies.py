@@ -23,7 +23,6 @@ from .alignment import (
     EventRef,
     MoveKind,
     PrefixAlignment,
-    SummaryState,
     extend_model_semantics,
     fold_move_costs,
     shortest_path_prefix_alignment,
@@ -121,10 +120,10 @@ class CaseStore:
 
 
 class SummaryRepository:
-    """Single-state summaries of forgotten cases (the policies' R_C)."""
+    """Summaries of forgotten cases, each a summary-only PrefixAlignment (the policies' R_C)."""
 
     def __init__(self) -> None:
-        self._summaries: dict[str, SummaryState] = {}
+        self._summaries: dict[str, PrefixAlignment] = {}
 
     def __len__(self) -> int:
         return len(self._summaries)
@@ -132,16 +131,16 @@ class SummaryRepository:
     def __contains__(self, case_id: str) -> bool:
         return case_id in self._summaries
 
-    def get(self, case_id: str) -> SummaryState | None:
+    def get(self, case_id: str) -> PrefixAlignment | None:
         return self._summaries.get(case_id)
 
-    def put(self, case_id: str, summary: SummaryState) -> None:
+    def put(self, case_id: str, summary: PrefixAlignment) -> None:
         self._summaries[case_id] = summary
 
-    def pop(self, case_id: str) -> SummaryState | None:
+    def pop(self, case_id: str) -> PrefixAlignment | None:
         return self._summaries.pop(case_id, None)
 
-    def items(self) -> Iterator[tuple[str, SummaryState]]:
+    def items(self) -> Iterator[tuple[str, PrefixAlignment]]:
         return iter(self._summaries.items())
 
 
@@ -254,10 +253,11 @@ class ConformanceEngine:
     each bucket is in ``last_update`` order and the first case of the
     first non-empty bucket is the victim.
 
-    Evicted cases whose summaries are equal (same kappa_o, same carry
-    marking) share one :class:`SummaryState`: the engine keeps one per
-    value seen, up to :data:`petri.SUCCESSOR_TABLE_CAP` values, and builds
-    a fresh one past that.
+    An evicted case's next event resumes from its summary-only
+    :class:`PrefixAlignment` in R_C itself. Evicted cases with equal
+    summaries (same kappa_o, same carry marking) share one: the engine
+    keeps one per value seen, up to :data:`petri.SUCCESSOR_TABLE_CAP`
+    values, and builds a fresh one past that.
     """
 
     def __init__(
@@ -277,8 +277,8 @@ class ConformanceEngine:
         self.extension_count = 0
         self._buckets: dict[int, dict[str, None]] = {rank: {} for rank in (1, 2, 3, 4)}
         self._stored_slots = 0
-        # one SummaryState per (kappa_o, carry marking) value, shared by the evicted cases
-        self._shared_summaries: dict[tuple[float, Marking], SummaryState] = {}
+        # one summary-only alignment per (kappa_o, carry marking) value, shared by the evicted cases
+        self._shared_summaries: dict[tuple[float, Marking], PrefixAlignment] = {}
         # every new case starts from this one alignment; appending copies it
         self._empty = PrefixAlignment.empty(net.initial_marking)
 
@@ -290,12 +290,10 @@ class ConformanceEngine:
     def residual_cost(self, case_id: str) -> float:
         """Carried cost of the case's forgotten prefix (0 when nothing was forgotten)."""
         record = self.store.get(case_id)
-        if record is not None:
-            return record.prefix_alignment.carried_cost
-        summary = self.repo.get(case_id)
-        if summary is None:
+        pa = record.prefix_alignment if record is not None else self.repo.get(case_id)
+        if pa is None:
             raise KeyError(case_id)
-        return summary.kappa_o
+        return pa.carried_cost
 
     def process(
         self, case_id: str, activity: ActivityLabel, event_ref: EventRef | None = None
@@ -321,7 +319,7 @@ class ConformanceEngine:
             pa = record.prefix_alignment
         else:
             summary = self.repo.get(case_id)
-            pa = self._empty if summary is None else PrefixAlignment.from_summary(summary)
+            pa = self._empty if summary is None else summary
         new = extend_model_semantics(self.net, pa, activity, event_ref, config.cost_model)
         if new is not None:
             self.extension_count += 1
@@ -397,10 +395,11 @@ class ConformanceEngine:
         del self._buckets[victim.rank][victim.case_id]
         pa = victim.prefix_alignment
         self._stored_slots += 1 - pa.state_count
-        key = (pa.fitness_cost, pa.current_marking)
+        kappa, marking = key = (pa.fitness_cost, pa.current_marking)
         summary = self._shared_summaries.get(key)
         if summary is None:
-            summary = SummaryState(*key)
+            # a float kappa and the int 0 moves_cost of PrefixAlignment.empty: outcome digests hash their sums
+            summary = PrefixAlignment(marking, (), kappa, 0)
             # capped like the net's tables: fractional costs give unboundedly many values
             if len(self._shared_summaries) < petri.SUCCESSOR_TABLE_CAP:
                 self._shared_summaries[key] = summary

@@ -30,7 +30,7 @@ from streamcc import (
     replicate_events,
     shortest_path_prefix_alignment,
 )
-from streamcc.alignment import DEFAULT_COST_MODEL, DEFAULT_SEARCH_BUDGET, SummaryState
+from streamcc.alignment import DEFAULT_COST_MODEL, DEFAULT_SEARCH_BUDGET
 from streamcc.policies import CaseRecord, CaseStore
 from streamcc.streams import StreamEvent
 
@@ -290,7 +290,7 @@ class TestCriterion6ForgettingCriteria:
         return CaseRecord(case_id, pa, last_update=last_update)
 
     def residual(self, net, case_id, kappa, last_update):
-        pa = PrefixAlignment.from_summary(SummaryState(kappa, net.initial_marking))
+        pa = PrefixAlignment(net.initial_marking, (), kappa, 0)
         return CaseRecord(case_id, pa.append(log_step("X", 0.0, net.initial_marking)),
                           last_update=last_update)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from streamcc import (
     extend_model_semantics,
     shortest_path_prefix_alignment,
 )
-from streamcc.alignment import AlignmentState, Move, MoveKind, SummaryState
+from streamcc.alignment import AlignmentState, MoveKind
 from streamcc.errors import BoundBelowOptimum
 from streamcc.petri import Marking
 from streamcc.policies import truncate_states
@@ -22,56 +23,57 @@ from streamcc.policies import truncate_states
 from oracles import brute_force_min_cost, consumes_event, log_step, random_net, random_trace
 
 
+MARKING = Marking.of({"p": 1})
+
+
 class TestMoveInvariants:
     def test_sync_requires_activity_and_transition(self):
-        move = Move(MoveKind.SYNCHRONOUS, "A", "t1", 0)
+        move = AlignmentState(MoveKind.SYNCHRONOUS, "A", "t1", 0, 0.0, MARKING)
         assert move.activity == "A" and move.transition == "t1"
         with pytest.raises(ValueError):
-            Move(MoveKind.SYNCHRONOUS, activity="A")
+            AlignmentState(MoveKind.SYNCHRONOUS, "A", None, None, 0.0, MARKING)
 
     def test_log_move_has_no_transition(self):
         with pytest.raises(ValueError):
-            Move(MoveKind.LOG, activity="A", transition="t1")
+            AlignmentState(MoveKind.LOG, "A", "t1", None, 0.0, MARKING)
 
     def test_model_move_has_no_activity(self):
         with pytest.raises(ValueError):
-            Move(MoveKind.MODEL, activity="A", transition="t1")
+            AlignmentState(MoveKind.MODEL, "A", "t1", None, 0.0, MARKING)
 
     @pytest.mark.parametrize("kind", list(MoveKind))
     def test_each_kind_accepts_exactly_one_shape(self, kind):
-        # a move and a stored step share the one shape check
-        marking = Marking.of({"p": 1})
-        builders = (
-            lambda activity, transition: Move(kind, activity, transition),
-            lambda activity, transition: AlignmentState(kind, activity, transition, None, 0.0, marking),
-        )
         expected = {
             MoveKind.SYNCHRONOUS: (True, True),
             MoveKind.LOG: (True, False),
             MoveKind.MODEL: (False, True),
             MoveKind.SILENT_MODEL: (False, True),
         }
-        for build in builders:
-            accepted = []
-            for activity in ("A", None):
-                for transition in ("t1", None):
-                    try:
-                        build(activity, transition)
-                    except ValueError:
-                        continue
-                    accepted.append((activity is not None, transition is not None))
-            assert accepted == [expected[kind]]
+        accepted = []
+        for activity in ("A", None):
+            for transition in ("t1", None):
+                try:
+                    AlignmentState(kind, activity, transition, None, 0.0, MARKING)
+                except ValueError:
+                    continue
+                accepted.append((activity is not None, transition is not None))
+        assert accepted == [expected[kind]]
 
     def test_kind_must_be_a_move_kind(self):
         # a str kind would never consume its event in log_projection
         with pytest.raises(ValueError, match="unknown move kind"):
-            Move("synchronous", "A", "t1")
-        with pytest.raises(ValueError, match="unknown move kind"):
-            AlignmentState("synchronous", "A", "t1", None, 0.0, Marking.of({"p": 1}))
+            AlignmentState("synchronous", "A", "t1", None, 0.0, MARKING)
 
     def test_cost_model_rejects_negative(self):
         with pytest.raises(ValueError):
             CostModel(log_cost=-1)
+
+    @pytest.mark.parametrize("name", ["sync_cost", "log_cost", "model_cost", "silent_model_cost"])
+    def test_cost_model_rejects_nan_and_names_the_field(self, name):
+        # NaN < 0 is false, so a plain "< 0" check lets NaN through
+        with pytest.raises(ValueError, match=name):
+            CostModel(**{name: math.nan})
+        assert getattr(CostModel(**{name: math.inf}), name) == math.inf
 
     def test_default_costs(self):
         from streamcc import DEFAULT_COST_MODEL
@@ -232,8 +234,8 @@ class TestAlignmentAccessors:
         assert pa.fitness_cost == 1.0
 
     def test_fitness_cost_includes_summary(self, seq_abc):
-        summary = SummaryState(kappa_o=2.0, carry_marking=Marking.of({"q1": 1}))
-        pa = PrefixAlignment.from_summary(summary).append(
+        summary = PrefixAlignment(Marking.of({"q1": 1}), (), 2.0, 0)
+        pa = summary.append(
             log_step("X", 1.0, Marking.of({"q1": 1}))
         )
         assert pa.fitness_cost == 3.0

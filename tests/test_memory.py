@@ -3,8 +3,8 @@ and the summaries evicted cases share.
 
 Each bound was set from a measurement on CPython 3.11 plus about 10%:
 - 93 B held per stored slot on the stream below. A stored step that is
-  two objects, a ``Move`` and an ``AlignmentState`` pointing at it, holds
-  133 B per slot there and fails it.
+  two objects, a separate move object and an ``AlignmentState`` pointing
+  at it, holds 133 B per slot there and fails it.
 - 420 B held per marking of the parallel net's filled successor and
   intern tables. Markings that each hold their own ``(place, count)``
   pairs take 699 B and fail it.
@@ -28,8 +28,7 @@ from streamcc import (
     generate_log,
     replay,
 )
-from streamcc import PetriNet, petri, shortest_path_prefix_alignment
-from streamcc.alignment import SummaryState
+from streamcc import PetriNet, PrefixAlignment, petri, shortest_path_prefix_alignment
 from streamcc.synthetic import step_label
 
 from conftest import make_parallel_net
@@ -139,10 +138,10 @@ def test_evicted_cases_share_equal_summaries_up_to_the_cap(monkeypatch):
     # cap, equal summaries built afresh
     assert len(shared._shared_summaries) == 16
     objects = len({id(s) for s in summaries})
-    assert len({(s.kappa_o, s.carry_marking) for s in summaries}) < objects < len(summaries)
+    assert len({(s.summary, s.base_marking) for s in summaries}) < objects < len(summaries)
     assert not unshared._shared_summaries
     # an int 0 kappa_o would print as 0, not 0.0, and change every digest of the outcomes
     for engine in (shared, unshared):
         for _, summary in engine.repo.items():
-            assert isinstance(summary, SummaryState)
-            assert type(summary.kappa_o) is float
+            assert isinstance(summary, PrefixAlignment)
+            assert type(summary.summary) is float

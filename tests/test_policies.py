@@ -17,7 +17,7 @@ from streamcc import (
     generate_log,
     replay,
 )
-from streamcc.alignment import MoveKind, SummaryState
+from streamcc.alignment import MoveKind
 from streamcc import policies
 from streamcc.petri import Marking, PetriNet
 from streamcc.policies import CaseRecord, CaseStore, Method, truncate_states
@@ -131,9 +131,7 @@ class TestTruncateStates:
 
     def test_absorbs_prior_summary_cost(self, seq_abc):
         markings = [Marking.of({"q1": 1})] * 4
-        pa = PrefixAlignment.from_summary(
-            SummaryState(kappa_o=1.0, carry_marking=Marking.of({"s": 1}))
-        )
+        pa = PrefixAlignment(Marking.of({"s": 1}), (), 1.0, 0)
         costs = [1.0, 0.0, 0.0, 0.0]
         for i, cost in enumerate(costs):
             pa = pa.append(log_step(f"X{i}", cost, markings[i]))
@@ -240,9 +238,7 @@ class TestForgettingCriteria:
         return CaseRecord(case_id, pa, last_update=last_update)
 
     def with_residual(self, net, case_id, kappa, last_update, extra_cost=0.0):
-        pa = PrefixAlignment.from_summary(
-            SummaryState(kappa_o=kappa, carry_marking=net.initial_marking)
-        )
+        pa = PrefixAlignment(net.initial_marking, (), kappa, 0)
         pa = pa.append(log_step("X", extra_cost, net.initial_marking))
         return CaseRecord(case_id, pa, last_update=last_update)
 
@@ -353,7 +349,7 @@ class TestBoundedCases:
         engine = ConformanceEngine(seq_abc, PolicyConfig(Policy.BOUNDED_CASES, n=1))
         engine.process("bad", "X", 0)  # cost 1, marking stays [s]
         engine.process("other", "A", 1)  # evicts bad with kappa 1
-        assert engine.repo.get("bad").kappa_o == 1.0
+        assert engine.repo.get("bad").summary == 1.0
         outcome = engine.process("bad", "A", 2)  # restored; A syncs from the carry marking
         assert outcome.effective_cost == 1.0
         assert outcome.residual_cost == 1.0
@@ -440,6 +436,20 @@ class TestCombined:
         outcomes = run_stream(engine, [("1", f"A{i % 6}") for i in range(6)])
         assert all(o.effective_cost == 0 for o in outcomes)
 
+    def test_residual_cost_reads_the_alignment_that_holds_the_case(self, seq_abc):
+        engine = ConformanceEngine(seq_abc, PolicyConfig(Policy.COMBINED, w=1, n=1))
+        outcomes = run_stream(engine, [("a", "X"), ("a", "A"), ("a", "Y")])
+        # w=1 forgot X and then A, so the stored case has a summary
+        assert engine.store.get("a").prefix_alignment.summary == 1.0
+        assert engine.residual_cost("a") == outcomes[-1].residual_cost == 1.0
+        # b's first event evicts a; R_C carries a's whole cost at eviction
+        engine.process("b", "A", 3)
+        assert "a" not in engine.store and "a" in engine.repo
+        assert engine.residual_cost("a") == outcomes[-1].effective_cost == 2.0
+        assert engine.residual_cost("b") == 0.0
+        with pytest.raises(KeyError):
+            engine.residual_cost("never-seen")
+
 
 class TestAccessors:
     def test_effective_cost_examples(self, seq_abc):
@@ -448,7 +458,7 @@ class TestAccessors:
         pa = pa.append(log_step("Y", 1.0, seq_abc.initial_marking))
         assert pa.fitness_cost == 1.0
 
-        summary_only = PrefixAlignment.from_summary(SummaryState(2.0, seq_abc.initial_marking))
+        summary_only = PrefixAlignment(seq_abc.initial_marking, (), 2.0, 0)
         assert summary_only.fitness_cost == 2.0
 
         with_state = summary_only.append(log_step("X", 1.0, seq_abc.initial_marking))
@@ -464,7 +474,7 @@ class TestAccessors:
         store.add(CaseRecord("1", pa3, last_update=0))
         store.add(CaseRecord("2", pa3, last_update=1))
         for i in range(5):
-            repo.put(f"r{i}", SummaryState(0.0, seq_abc.initial_marking))
+            repo.put(f"r{i}", PrefixAlignment(seq_abc.initial_marking, (), 0.0, 0))
         assert stored_state_count(store, repo) == 11
 
     def test_bounded_store_at_limit_counts_w_per_case(self):
