@@ -90,7 +90,9 @@ def load_pnml(
 
     places: list[str] = []
     transitions: dict[str, str | None] = {}
-    arcs: list[tuple[str, str]] = []
+    # one id set and an insertion-ordered arc dict: each duplicate check is O(1)
+    ids: set[str] = set()
+    arcs: dict[tuple[str, str], None] = {}
     initial: dict[str, int] = {}
 
     for el in body:
@@ -99,8 +101,9 @@ def load_pnml(
             pid = el.get("id")
             if not pid:
                 raise ValidationError("<place> without id")
-            if pid in places or pid in transitions:
+            if pid in ids:
                 raise ValidationError(f"duplicate id {pid!r}")
+            ids.add(pid)
             places.append(pid)
             tokens = _text_of(el, "initialMarking")
             if tokens:
@@ -116,8 +119,9 @@ def load_pnml(
             tid = el.get("id")
             if not tid:
                 raise ValidationError("<transition> without id")
-            if tid in transitions or tid in places:
+            if tid in ids:
                 raise ValidationError(f"duplicate id {tid!r}")
+            ids.add(tid)
             label = _text_of(el, "name")
             if not label or _SILENT_LABEL.search(label):
                 transitions[tid] = None
@@ -134,12 +138,11 @@ def load_pnml(
                 )
             if (source_id, target_id) in arcs:
                 raise ValidationError(f"duplicate arc {source_id!r}->{target_id!r}")
-            arcs.append((source_id, target_id))
+            arcs[source_id, target_id] = None
 
-    known = set(places) | set(transitions)
     for source_id, target_id in arcs:
         for endpoint in (source_id, target_id):
-            if endpoint not in known:
+            if endpoint not in ids:
                 raise ValidationError(f"arc references unknown node {endpoint!r}")
 
     final: Mapping[str, int] | None = final_marking

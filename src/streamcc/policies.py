@@ -2,18 +2,18 @@
 
 One engine processes one event stream sequentially under one of four
 policies: the infinite-memory baseline, bounded states per case (limit
-w), bounded multi-state cases (limit n, with a summary repository for
-forgotten cases), or both limits combined. Forgotten prefixes leave a
-summary state behind carrying the marking they reached and their
-cumulative cost, so later events of the same case resume from that
-position instead of being penalized for the missing prefix.
+w), bounded multi-state cases (limit n), or both limits combined. The
+case store D_C and the summary repository R_C of forgotten cases are
+dicts keyed by case id. Forgotten prefixes leave a summary state behind
+carrying the marking they reached and their cumulative cost, so later
+events of the same case resume from that position instead of being
+penalized for the missing prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
 from . import petri
 from .alignment import (
@@ -58,6 +58,10 @@ class PolicyConfig:
     def __post_init__(self) -> None:
         needs_w = self.policy in (Policy.BOUNDED_STATES, Policy.COMBINED)
         needs_n = self.policy in (Policy.BOUNDED_CASES, Policy.COMBINED)
+        for name, limit in (("w", self.w), ("n", self.n)):
+            # bool is a subclass of int
+            if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int)):
+                raise ValueError(f"limit {name} must be an int, not {limit!r}")
         if needs_w and (self.w is None or self.w < 1):
             raise ValueError(f"{self.policy.value} requires a state limit w >= 1")
         if needs_n and (self.n is None or self.n < 1):
@@ -93,55 +97,18 @@ class CaseRecord:
     rank: int = 0
 
 
-class CaseStore:
-    """Multi-state case storage (the policies' D_C)."""
+class CaseStore(dict[str, CaseRecord]):
+    """D_C: case id to record, in admission order (the forgetting scan order)."""
 
-    def __init__(self) -> None:
-        self._records: dict[str, CaseRecord] = {}
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __contains__(self, case_id: str) -> bool:
-        return case_id in self._records
-
-    def get(self, case_id: str) -> CaseRecord | None:
-        return self._records.get(case_id)
-
-    def add(self, record: CaseRecord) -> None:
-        self._records[record.case_id] = record
-
-    def pop(self, case_id: str) -> CaseRecord:
-        return self._records.pop(case_id)
-
-    def records(self) -> Iterator[CaseRecord]:
-        """Records in admission order (the forgetting scan order)."""
-        return iter(self._records.values())
+    records = dict.values  # bench/ reads the records through this name
 
 
-class SummaryRepository:
-    """Summaries of forgotten cases, each a summary-only PrefixAlignment (the policies' R_C)."""
+class SummaryRepository(dict[str, PrefixAlignment]):
+    """R_C: case id to its eviction's summary-only PrefixAlignment; popping an absent id raises KeyError."""
 
-    def __init__(self) -> None:
-        self._summaries: dict[str, PrefixAlignment] = {}
-
-    def __len__(self) -> int:
-        return len(self._summaries)
-
-    def __contains__(self, case_id: str) -> bool:
-        return case_id in self._summaries
-
-    def get(self, case_id: str) -> PrefixAlignment | None:
-        return self._summaries.get(case_id)
-
-    def put(self, case_id: str, summary: PrefixAlignment) -> None:
-        self._summaries[case_id] = summary
-
-    def pop(self, case_id: str) -> PrefixAlignment | None:
-        return self._summaries.pop(case_id, None)
-
-    def items(self) -> Iterator[tuple[str, PrefixAlignment]]:
-        return iter(self._summaries.items())
+    # bench/ patches these two names to count evictions and resumptions
+    put = dict.__setitem__
+    pop = dict.pop
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -240,8 +207,10 @@ class ConformanceEngine:
 
     :attr:`stored_state_count` is a gauge the engine updates as it
     admits, updates, evicts and resumes cases, so reading it is O(1).
-    It counts only what the engine did: a caller who changes ``store``
-    or ``repo`` directly must not rely on it.
+    It counts only what the engine did: a caller who changes the dicts
+    ``store`` (D_C) or ``repo`` (R_C) directly must not rely on it. R_C
+    is written only through ``repo.put`` and ``repo.pop``, which the
+    benchmark's tracer counts.
 
     An engine with a case limit forgets, when a new case arrives at a
     full store, the case of lowest :func:`_forgetting_rank`; ties go to
@@ -344,7 +313,7 @@ class ConformanceEngine:
             if n is not None and len(self.store) >= n:
                 self._evict_one()
             record = CaseRecord(case_id, new, index)
-            self.store.add(record)
+            self.store[case_id] = record
         else:
             slots -= len(pa.states) + (pa.summary is not None)
             record.prefix_alignment = new

@@ -313,7 +313,7 @@ class TestCriterion6ForgettingCriteria:
     def build_store(self, *records):
         store = CaseStore()
         for record in records:
-            store.add(record)
+            store[record.case_id] = record
         return store
 
     def test_condition_1_monuple_wins(self, seq):

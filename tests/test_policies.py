@@ -66,6 +66,20 @@ class TestPolicyConfig:
         with pytest.raises(ValueError):
             PolicyConfig(Policy.BASELINE, w=3)
 
+    @pytest.mark.parametrize(
+        "policy, limits, field",
+        [
+            (Policy.BOUNDED_STATES, {"w": 2.5}, "w"),
+            (Policy.BOUNDED_STATES, {"w": True}, "w"),
+            (Policy.BOUNDED_CASES, {"n": 1.0}, "n"),
+            (Policy.COMBINED, {"w": 2, "n": True}, "n"),
+        ],
+        ids=["w-2.5", "w-True", "n-1.0", "combined-n-True"],
+    )
+    def test_limits_must_be_ints(self, policy, limits, field):
+        with pytest.raises(ValueError, match=f"limit {field} must be an int"):
+            PolicyConfig(policy, **limits)
+
     def test_labels(self):
         assert PolicyConfig(Policy.BASELINE).label == "baseline"
         assert PolicyConfig(Policy.COMBINED, w=5, n=100).label == "combined-w5-n100"
@@ -228,7 +242,7 @@ class TestBoundedStates:
 
 class TestForgettingCriteria:
     def add(self, store, record):
-        store.add(record)
+        store[record.case_id] = record
         return record
 
     def monuple(self, net, case_id, last_update):
@@ -471,8 +485,8 @@ class TestAccessors:
         repo = SummaryRepository()
         assert stored_state_count(store, repo) == 0
         pa3 = make_pa(seq_abc, ["A", "B", "C"])
-        store.add(CaseRecord("1", pa3, last_update=0))
-        store.add(CaseRecord("2", pa3, last_update=1))
+        store["1"] = CaseRecord("1", pa3, last_update=0)
+        store["2"] = CaseRecord("2", pa3, last_update=1)
         for i in range(5):
             repo.put(f"r{i}", PrefixAlignment(seq_abc.initial_marking, (), 0.0, 0))
         assert stored_state_count(store, repo) == 11
