@@ -26,6 +26,7 @@ from enum import Enum
 from itertools import count
 from typing import Iterable, Sequence
 
+from . import petri
 from .errors import BoundBelowOptimum, SearchBudgetExceeded
 from .petri import ActivityLabel, Marking, PetriNet
 
@@ -55,7 +56,8 @@ _KINDS_BY_RANK = (MoveKind.SYNCHRONOUS, MoveKind.SILENT_MODEL, MoveKind.MODEL, M
 _SYNC, _SILENT, _MODEL, _LOG = range(4)
 
 # The kinds that consume a trace event.
-_CONSUMING = (MoveKind.SYNCHRONOUS, MoveKind.LOG)
+CONSUMING_KINDS = (MoveKind.SYNCHRONOUS, MoveKind.LOG)
+_SYNCHRONOUS = MoveKind.SYNCHRONOUS
 
 # The one shape each kind allows: (carries an activity, names a transition).
 _MOVE_SHAPES = {
@@ -117,7 +119,10 @@ class AlignmentState:
     The move is no object of its own, so a stored step is one slotted
     object. The repr prints the move's fields nested,
     ``AlignmentState(move=Move(kind=..., ...), move_cost=..., marking_after=...)``,
-    because digests of search results hash that text.
+    because digests of search results hash that text. A step with no
+    ``event_ref`` is a value a net shares: the extension and the search
+    take it from the net's step table (see :func:`_new_step`), and the
+    alignment keeps its events' refs in ``PrefixAlignment.refs``.
     """
 
     kind: MoveKind
@@ -156,6 +161,24 @@ class AlignmentState:
 _STEP_SETTERS = slot_setters(AlignmentState)
 
 
+def _new_step(steps: dict, key: tuple, cost: float, stored: AlignmentState | None) -> AlignmentState:
+    """A step with no event ref for a miss in a net's step table ``steps``.
+
+    The table maps ``key``, ``(kind, activity, transition, marking_after)``,
+    to the one step of that value. Its callers reuse the ``stored`` step
+    only when its ``move_cost`` is their ``cost`` itself, because equal
+    costs of another type or sign (``1`` and ``1.0``, ``0.0`` and
+    ``-0.0``) print and add differently. On a miss they call this, which
+    builds a fresh step and stores it only when no step holds the key and
+    the table has fewer than :data:`petri.STEP_TABLE_CAP` steps.
+    """
+    kind, activity, transition, marking_after = key
+    step = AlignmentState(kind, activity, transition, None, cost, marking_after)
+    if stored is None and len(steps) < petri.STEP_TABLE_CAP:
+        steps[key] = step
+    return step
+
+
 def fold_move_costs(states: Iterable[AlignmentState]) -> float:
     """The states' move costs added left to right, the order every cost sum uses.
 
@@ -182,15 +205,21 @@ class PrefixAlignment:
     ``PrefixAlignment(marking, (), kappa_o, 0)`` is R_C's entry for a forgotten case.
     ``moves_cost`` is the sum of the states' move costs
     (:func:`fold_move_costs`); it is computed from
-    ``states`` when omitted, and :meth:`empty`, :meth:`append`,
-    :meth:`with_summary`, eviction and the search pass it in instead of
+    ``states`` when omitted, and :meth:`empty`, :meth:`append`, the
+    extension, truncation, eviction and the search pass it in instead of
     summing again.
+    ``refs`` are the event refs of the event-consuming states, in order:
+    the engine's states are steps the net shares (see
+    :func:`extend_model_semantics`), which carry no ref of their own, so
+    the alignment keeps its events' refs next to them. When omitted,
+    ``refs`` is computed from the states' own ``event_ref``.
     """
 
     base_marking: Marking
     states: tuple[AlignmentState, ...] = ()
     summary: float | None = None
     moves_cost: float = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
+    refs: tuple[EventRef | None, ...] = field(default=None)  # type: ignore[assignment]
 
     def __init__(
         self,
@@ -198,16 +227,23 @@ class PrefixAlignment:
         states: tuple[AlignmentState, ...] = (),
         summary: float | None = None,
         moves_cost: float | None = None,
+        refs: tuple[EventRef | None, ...] | None = None,
     ) -> None:
-        set_base_marking, set_states, set_summary, set_moves_cost = _PREFIX_SETTERS
+        set_base_marking, set_states, set_summary, set_moves_cost, set_refs = _PREFIX_SETTERS
         set_base_marking(self, base_marking)
         set_states(self, states)
         set_summary(self, summary)
         set_moves_cost(self, fold_move_costs(states) if moves_cost is None else moves_cost)
+        if refs is None:
+            # from a list, not a generator: tuple() sizes a generator's result
+            # at 10 and shrinks it, and once freed, the shrunk block stays on
+            # CPython's free list for its size; one per search added up
+            refs = tuple([s.event_ref for s in states if s.kind in CONSUMING_KINDS])
+        set_refs(self, refs)
 
     @classmethod
     def empty(cls, start: Marking) -> "PrefixAlignment":
-        return cls(start, (), None, 0)
+        return cls(start, (), None, 0, ())
 
     @property
     def carried_cost(self) -> float:
@@ -228,17 +264,22 @@ class PrefixAlignment:
         """Number of stored states; a summary counts as one."""
         return len(self.states) + (1 if self.summary is not None else 0)
 
+    def log_activities(self) -> list[ActivityLabel]:
+        """Activities of the event-consuming moves, in order, in a new list."""
+        return [s.activity for s in self.states if s.kind in CONSUMING_KINDS]
+
     def log_projection(self) -> tuple[tuple[ActivityLabel, EventRef | None], ...]:
         """Activities of the event-consuming moves, in order, with their refs."""
-        return tuple((s.activity, s.event_ref) for s in self.states if s.kind in _CONSUMING)
+        return tuple(zip(self.log_activities(), self.refs))
 
     def append(self, state: AlignmentState) -> "PrefixAlignment":
+        """This alignment followed by ``state``; a consuming state adds its own ``event_ref`` to ``refs``."""
+        refs = self.refs
+        if state.kind in CONSUMING_KINDS:
+            refs += (state.event_ref,)
         return PrefixAlignment(
-            self.base_marking, self.states + (state,), self.summary, self.moves_cost + state.move_cost
+            self.base_marking, self.states + (state,), self.summary, self.moves_cost + state.move_cost, refs
         )
-
-    def with_summary(self, summary: float | None) -> "PrefixAlignment":
-        return PrefixAlignment(self.base_marking, self.states, summary, self.moves_cost)
 
 
 _PREFIX_SETTERS = slot_setters(PrefixAlignment)
@@ -256,16 +297,22 @@ def extend_model_semantics(
     Returns the extended alignment, or None when no transition labeled
     ``activity`` is enabled in the current marking (no tau-closure is
     explored). When several enabled transitions share the label, the
-    lowest transition id fires.
+    lowest transition id fires. The move is a step with no event ref
+    from the net's step table (see :func:`_new_step`), and
+    ``event_ref`` goes to the alignment's ``refs``.
     """
     successors = net.successors(pa.current_marking)
     for transition in net.transitions_labeled(activity):
         reached = successors.get(transition)
         if reached is not None:
-            return pa.append(
-                AlignmentState(
-                    MoveKind.SYNCHRONOUS, activity, transition, event_ref, cost_model.sync_cost, reached
-                )
+            cost = cost_model.sync_cost
+            key = (_SYNCHRONOUS, activity, transition, reached)
+            steps = net._steps
+            step = steps.get(key)
+            if step is None or step.move_cost is not cost:
+                step = _new_step(steps, key, cost, step)
+            return PrefixAlignment(
+                pa.base_marking, pa.states + (step,), pa.summary, pa.moves_cost + cost, pa.refs + (event_ref,)
             )
     return None
 
@@ -288,6 +335,8 @@ def shortest_path_prefix_alignment(
     (transition id order within one expansion), so identical inputs yield
     identical alignments. The result explains
     every trace event; its model projection is firable from ``start``.
+    A consuming move of an event with a ref carries that ref; every other
+    move is a step with no ref from the net's step table.
 
     ``upper_bound`` is a cost some alignment of ``trace`` from ``start``
     does not exceed. The search then drops every entry whose g plus a
@@ -349,7 +398,7 @@ def shortest_path_prefix_alignment(
         marking = entry[4]
         pos = entry[5]
         if pos == total:
-            return _reconstruct(start, entry, closed, events, step_costs)
+            return _reconstruct(net, start, entry, closed, events, step_costs)
         here = closed[pos]
         if marking in here:
             continue
@@ -416,13 +465,16 @@ def _normalize_trace(
 
 
 def _reconstruct(
+    net: PetriNet,
     start: Marking,
     goal: tuple,
     closed: list[dict[Marking, tuple] | None],
     events: tuple[tuple[ActivityLabel, EventRef | None], ...],
     step_costs: tuple[float, float, float, float],
 ) -> PrefixAlignment:
+    steps = net._steps
     states: list[AlignmentState] = []
+    refs: list[EventRef | None] = []
     entry = goal
     while True:
         _, rank, _, _, marking, pos, parent, transition = entry
@@ -432,10 +484,21 @@ def _reconstruct(
             # a move that advances the position consumes the event it passed
             pos -= 1
             activity, ref = events[pos]
+            refs.append(ref)
         else:
             activity = ref = None
-        states.append(AlignmentState(_KINDS_BY_RANK[rank], activity, transition, ref, step_costs[rank], marking))
+        kind = _KINDS_BY_RANK[rank]
+        cost = step_costs[rank]
+        if ref is None:
+            key = (kind, activity, transition, marking)
+            step = steps.get(key)
+            if step is None or step.move_cost is not cost:
+                step = _new_step(steps, key, cost, step)
+        else:
+            step = AlignmentState(kind, activity, transition, ref, cost, marking)
+        states.append(step)
         entry = closed[pos][parent]
     states.reverse()
+    refs.reverse()
     # the goal's g added the step costs left to right, as fold_move_costs does
-    return PrefixAlignment(start, tuple(states), moves_cost=goal[3])
+    return PrefixAlignment(start, tuple(states), None, goal[3], tuple(refs))

@@ -17,6 +17,7 @@ from enum import Enum
 
 from . import petri
 from .alignment import (
+    CONSUMING_KINDS,
     DEFAULT_COST_MODEL,
     DEFAULT_SEARCH_BUDGET,
     CostModel,
@@ -161,7 +162,7 @@ def truncate_states(pa: PrefixAlignment, w: int) -> PrefixAlignment:
     forgotten moves, and the marking the forgotten prefix reached becomes
     the alignment's ``base_marking``. For w=1 the single most recent state
     is kept next to the summary, so a truncated alignment never shrinks
-    below two slots.
+    below two slots. The refs of the forgotten events go with them.
     """
     if w < 1:
         raise ValueError("state limit w must be >= 1")
@@ -171,8 +172,16 @@ def truncate_states(pa: PrefixAlignment, w: int) -> PrefixAlignment:
     if len(pa.states) <= keep:
         return pa
     dropped = pa.states[:-keep]
+    forgotten_events = 0
+    for s in dropped:
+        if s.kind in CONSUMING_KINDS:
+            forgotten_events += 1
     return PrefixAlignment(
-        dropped[-1].marking_after, pa.states[-keep:], pa.carried_cost + fold_move_costs(dropped)
+        dropped[-1].marking_after,
+        pa.states[-keep:],
+        pa.carried_cost + fold_move_costs(dropped),
+        None,
+        pa.refs[forgotten_events:],
     )
 
 
@@ -269,6 +278,11 @@ class ConformanceEngine:
     ) -> EventOutcome:
         """Align one event of ``case_id`` and report the case's new cost.
 
+        ``event_ref`` identifies the event to the caller (the stream's
+        arrival index, say); no outcome carries it. The case's alignment
+        keeps it in ``refs`` for as long as it keeps the event's move, next
+        to the net's shared step for that move.
+
         One event reads each fact once: one store lookup and, for a case
         not in the store, one repository lookup, whose summary is popped
         only when there is one. The new alignment's slot count, cost and
@@ -340,8 +354,10 @@ class ConformanceEngine:
         """The alignment a shortest-path search gives, for an event the extension cannot explain."""
         # Recompute from the alignment's base marking over the events still
         # recoverable from the retained states; forgotten events are gone,
-        # but base_marking is the carry-forward marking in that case.
-        trace = pa.log_projection() + ((activity, event_ref),)
+        # but base_marking is the carry-forward marking in that case. The
+        # search gets activities only, so every step it returns is shared.
+        trace = pa.log_activities()
+        trace.append(activity)
         try:
             fresh = shortest_path_prefix_alignment(
                 self.net,
@@ -355,9 +371,9 @@ class ConformanceEngine:
         except SearchBudgetExceeded as exc:
             raise SearchBudgetExceeded(exc.budget, case_id) from exc
         self.search_count += 1
-        if pa.summary is not None:
-            fresh = fresh.with_summary(pa.summary)
-        return fresh
+        return PrefixAlignment(
+            fresh.base_marking, fresh.states, pa.summary, fresh.moves_cost, pa.refs + (event_ref,)
+        )
 
     def _evict_one(self) -> None:
         victim = self.store.pop(self._pick_victim())
@@ -368,7 +384,7 @@ class ConformanceEngine:
         summary = self._shared_summaries.get(key)
         if summary is None:
             # a float kappa and the int 0 moves_cost of PrefixAlignment.empty: outcome digests hash their sums
-            summary = PrefixAlignment(marking, (), kappa, 0)
+            summary = PrefixAlignment(marking, (), kappa, 0, ())
             # capped like the net's tables: fractional costs give unboundedly many values
             if len(self._shared_summaries) < petri.SUCCESSOR_TABLE_CAP:
                 self._shared_summaries[key] = summary

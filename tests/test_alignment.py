@@ -7,12 +7,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from streamcc import (
+    ConformanceEngine,
     CostModel,
     PetriNet,
+    Policy,
+    PolicyConfig,
     PrefixAlignment,
     SearchBudgetExceeded,
+    StreamSpec,
     cyclic_sequence_net,
     extend_model_semantics,
+    generate_log,
+    petri,
+    replay,
     shortest_path_prefix_alignment,
 )
 from streamcc.alignment import AlignmentState, MoveKind
@@ -154,6 +161,16 @@ class TestExtendModelSemantics:
             assert extended.fitness_cost == pa.fitness_cost
             pa = extended
 
+    def test_event_ref_goes_beside_the_shared_step(self, seq_abc):
+        start = PrefixAlignment.empty(seq_abc.initial_marking)
+        first = extend_model_semantics(seq_abc, start, "A", 7)
+        second = extend_model_semantics(seq_abc, start, "A", 8)
+        assert first.states[0] is second.states[0]
+        assert first.states[0].event_ref is None
+        assert (first.refs, second.refs) == ((7,), (8,))
+        assert first != second
+        assert extend_model_semantics(seq_abc, first, "B", 9).log_projection() == (("A", 7), ("B", 9))
+
 
 class TestShortestPath:
     def test_exactly_replayable(self, seq_abc):
@@ -281,13 +298,13 @@ class TestRunningCost:
                 extended = extend_model_semantics(net, pa, arg, None, cm)
                 pa = extended or pa.append(log_step(arg, cm.log_cost, pa.current_marking))
             elif op == "summary":
-                pa = pa.with_summary(arg)
+                pa = PrefixAlignment(pa.base_marking, pa.states, arg, pa.moves_cost)
             elif op == "truncate":
                 pa = truncate_states(pa, arg)
             else:  # recompute as the engine does: from the base marking, keep the summary
                 trace = pa.log_projection() + ((arg, None),)
                 fresh = shortest_path_prefix_alignment(net, pa.base_marking, trace, cm)
-                pa = fresh.with_summary(pa.summary)
+                pa = PrefixAlignment(fresh.base_marking, fresh.states, pa.summary, fresh.moves_cost)
             carried = pa.summary if pa.summary is not None else 0.0
             assert pa.fitness_cost == carried + _left_to_right(s.move_cost for s in pa.states)
 
@@ -342,7 +359,11 @@ class TestSearchProperties:
 
 
 class TestSearchBuildsOnlyTheResult:
-    """The search builds one AlignmentState per state of the returned alignment."""
+    """The search builds one AlignmentState per distinct step of the returned alignment.
+
+    The nets are fresh, so their step tables start empty, and a step
+    value that recurs in the result is the table's one object.
+    """
 
     @staticmethod
     def _search_counting_states(monkeypatch, net, trace):
@@ -366,7 +387,7 @@ class TestSearchBuildsOnlyTheResult:
         trace.insert(20, trace[19])  # duplicated
         result, built = self._search_counting_states(monkeypatch, net, trace)
         assert result.fitness_cost > 0
-        assert built == len(result.states)
+        assert built == len(set(result.states))
 
     def test_random_net_with_silent_transitions(self, monkeypatch):
         rng = random.Random(8)
@@ -374,7 +395,81 @@ class TestSearchBuildsOnlyTheResult:
         trace = random_trace(net, rng, max_len=8)
         result, built = self._search_counting_states(monkeypatch, net, trace)
         assert {s.kind for s in result.states} == set(MoveKind)
-        assert built == len(result.states)
+        assert built == len(set(result.states))
+
+
+_TABLE_STREAM = StreamSpec(cases=40, open_cases=8, base_length=12, noise_probability=0.5)
+
+
+def _replay_reprs(net, config: PolicyConfig, cap_check: int | None = None):
+    """The engine, its outcome reprs and its stored alignments' reprs after one replay."""
+    engine = ConformanceEngine(net, config)
+    outcomes = []
+    for e in replay(generate_log(_TABLE_STREAM, seed=5)):
+        outcomes.append(repr(engine.process(e.case_id, e.activity, e.arrival_index)))
+        if cap_check is not None:
+            assert len(net._steps) <= cap_check
+    return engine, outcomes, [repr(r.prefix_alignment) for r in engine.store.values()]
+
+
+def _stored_steps(engine: ConformanceEngine) -> list[AlignmentState]:
+    return [s for r in engine.store.values() for s in r.prefix_alignment.states]
+
+
+class TestStepTable:
+    """Steps with no event ref are the net's: one object per value, up to the cap."""
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (CostModel(log_cost=1.0), CostModel(log_cost=1)),
+            (CostModel(sync_cost=0.0), CostModel(sync_cost=-0.0)),
+        ],
+        ids=["log-cost-1.0-then-1", "sync-cost-0.0-then-minus-0.0"],
+    )
+    def test_equal_costs_of_another_type_or_sign_are_not_shared(self, first, second):
+        # a step prints its cost, so one stored at one cost must not serve an equal
+        # other one; the outcomes' costs are float sums either way, the steps' reprs are not
+        shared = cyclic_sequence_net(10)
+        for cost_model in (first, second):
+            config = PolicyConfig(Policy.BASELINE, cost_model=cost_model)
+            _, outcomes, alignments = _replay_reprs(shared, config)
+            _, fresh_outcomes, fresh_alignments = _replay_reprs(cyclic_sequence_net(10), config)
+            assert outcomes == fresh_outcomes
+            assert alignments == fresh_alignments
+
+    def test_table_stays_within_the_cap(self, monkeypatch):
+        config = PolicyConfig(Policy.BOUNDED_STATES, w=3, cost_model=CostModel(0.05, 0.1, 0.3, 0.01))
+        uncapped, uncapped_outcomes, uncapped_alignments = _replay_reprs(cyclic_sequence_net(10), config)
+        monkeypatch.setattr(petri, "STEP_TABLE_CAP", 8)
+        net = cyclic_sequence_net(10)
+        capped, capped_outcomes, capped_alignments = _replay_reprs(net, config, cap_check=8)
+        assert capped_outcomes == uncapped_outcomes
+        assert capped_alignments == uncapped_alignments
+        # the table is full, and past the cap equal steps are built afresh
+        assert len(net._steps) == 8
+        steps = _stored_steps(capped)
+        assert len(set(steps)) < len({id(s) for s in steps})
+        assert len(set(_stored_steps(uncapped))) > 8
+
+    def test_baseline_replay_stores_one_object_per_step_value(self):
+        engine, _, _ = _replay_reprs(cyclic_sequence_net(10), PolicyConfig(Policy.BASELINE))
+        steps = _stored_steps(engine)
+        assert engine.search_count > 0
+        assert len({id(s) for s in steps}) <= len(set(steps)) < len(steps)
+
+    def test_truncation_keeps_the_refs_of_the_kept_events(self):
+        engine = ConformanceEngine(cyclic_sequence_net(10), PolicyConfig(Policy.BOUNDED_STATES, w=3))
+        arrivals: dict[str, list[int]] = {}
+        for e in replay(generate_log(_TABLE_STREAM, seed=5)):
+            engine.process(e.case_id, e.activity, e.arrival_index)
+            arrivals.setdefault(e.case_id, []).append(e.arrival_index)
+        truncated = [r for r in engine.store.values() if r.prefix_alignment.summary is not None]
+        assert truncated
+        for record in truncated:
+            pa = record.prefix_alignment
+            kept = len(pa.log_activities())
+            assert pa.refs == tuple(arrivals[record.case_id][len(arrivals[record.case_id]) - kept:])
 
 
 # Cost models under which a bound prunes on these nets: the fractional ones

@@ -2,9 +2,12 @@
 and the summaries evicted cases share.
 
 Each bound was set from a measurement on CPython 3.11 plus about 10%:
-- 93 B held per stored slot on the stream below. A stored step that is
-  two objects, a separate move object and an ``AlignmentState`` pointing
-  at it, holds 133 B per slot there and fails it.
+- 22 B held per stored slot on the stream below, where the stored
+  steps are the net's shared ones and each alignment keeps its events'
+  refs in a tuple. A step built per event, which carries its event's
+  ref, holds 93 B per slot there and fails it; a step that is two
+  objects, a separate move object and an ``AlignmentState`` pointing at
+  it, held 133 B.
 - 420 B held per marking of the parallel net's filled successor and
   intern tables. Markings that each hold their own ``(place, count)``
   pairs take 699 B and fail it.
@@ -33,7 +36,7 @@ from streamcc.synthetic import step_label
 
 from conftest import make_parallel_net
 
-HELD_BYTES_PER_SLOT_BOUND = 103
+HELD_BYTES_PER_SLOT_BOUND = 24
 HELD_BYTES_PER_MARKING_BOUND = 462
 SEARCH_PEAK_BYTES_PER_EXPANSION_BOUND = 465
 
@@ -42,7 +45,7 @@ def test_baseline_holds_few_bytes_per_stored_slot():
     net = cyclic_sequence_net(10)
     spec = StreamSpec(cases=30, open_cases=6, base_length=60, length_jitter=4, noise_probability=0.5)
     events = list(replay(generate_log(spec, seed=3)))
-    # fill the net's successor and intern tables first: they are the net's, not the engine's
+    # fill the net's successor, intern and step tables first: they are the net's, not the engine's
     warm = ConformanceEngine(net)
     for e in events:
         warm.process(e.case_id, e.activity, e.arrival_index)

@@ -225,12 +225,12 @@ class TestSuccessorTable:
     def test_pickled_net_carries_no_table(self, branching_net):
         size = len(pickle.dumps(branching_net))
         shortest_path_prefix_alignment(branching_net, branching_net.initial_marking, list("AEFGH"))
-        assert branching_net._table
+        assert branching_net._table and branching_net._steps
         # the intern table holds the (place, count) pairs as well as the markings
         assert ("p4", 1) in branching_net._interned and Marking.of(["p4", "p5"]) in branching_net._interned
         assert len(pickle.dumps(branching_net)) == size
         copy = pickle.loads(pickle.dumps(branching_net))
-        assert copy == branching_net and not copy._table and not copy._interned
+        assert copy == branching_net and not copy._table and not copy._interned and not copy._steps
         assert copy.enabled_transitions(copy.initial_marking) == ("t1",)
 
     def test_threads_sharing_a_net_get_the_single_threaded_results(self):
