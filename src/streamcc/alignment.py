@@ -285,12 +285,68 @@ class PrefixAlignment:
 _PREFIX_SETTERS = slot_setters(PrefixAlignment)
 
 
+def _check_state_limit(w: int) -> None:
+    """Raise ValueError unless ``w`` is a state limit: an int, not a bool, of at least 1."""
+    # bool is a subclass of int
+    if isinstance(w, bool) or not isinstance(w, int):
+        raise ValueError(f"limit w must be an int, not {w!r}")
+    if w < 1:
+        raise ValueError(f"truncation requires a state limit w >= 1, not {w!r}")
+
+
+def truncated_alignment(
+    base_marking: Marking,
+    states: tuple[AlignmentState, ...],
+    summary: float | None,
+    refs: tuple[EventRef | None, ...],
+    w: int,
+) -> PrefixAlignment | None:
+    """The alignment of these fields with its earliest states in excess of ``w`` forgotten.
+
+    This is the one truncation rule. ``policies.truncate_states`` applies
+    it to an alignment, and :func:`extend_model_semantics` to the fields of
+    the alignment it is about to build, so an extended event under a state
+    limit builds one alignment. Returns None when the fields hold at most
+    ``w`` slots (a summary counts as one), or when only the states to keep
+    are left; raises ValueError when ``w`` is not a state limit (see
+    :func:`_check_state_limit`).
+
+    The summary cost absorbs the prior carried cost plus the forgotten
+    moves' costs, added left to right, and the marking the forgotten
+    prefix reached becomes the ``base_marking``. For w=1 the single most
+    recent state is kept next to the summary, so a truncated alignment
+    never shrinks below two slots. The kept states' cost is folded again
+    rather than taken as a difference, and the refs of the forgotten
+    events go with them.
+    """
+    if type(w) is not int or w < 1:
+        _check_state_limit(w)  # the full check; it lets only an int subclass >= 1 through
+    keep = w - 1 if w > 1 else 1
+    count = len(states)
+    if count <= keep or (summary is None and count <= w):
+        return None
+    dropped = states[:-keep]
+    forgotten_events = 0
+    for s in dropped:
+        if s.kind in CONSUMING_KINDS:
+            forgotten_events += 1
+    carried = summary if summary is not None else 0.0
+    return PrefixAlignment(
+        dropped[-1].marking_after,
+        states[-keep:],
+        carried + fold_move_costs(dropped),
+        None,
+        refs[forgotten_events:],
+    )
+
+
 def extend_model_semantics(
     net: PetriNet,
     pa: PrefixAlignment,
     activity: ActivityLabel,
     event_ref: EventRef | None = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
+    w: int | None = None,
 ) -> PrefixAlignment | None:
     """Append a synchronous move if the activity is directly enabled.
 
@@ -300,6 +356,13 @@ def extend_model_semantics(
     lowest transition id fires. The move is a step with no event ref
     from the net's step table (see :func:`_new_step`), and
     ``event_ref`` goes to the alignment's ``refs``.
+
+    With a state limit ``w``, the extended alignment is built already
+    truncated by :func:`truncated_alignment`, the rule
+    ``policies.truncate_states`` applies: it equals
+    ``truncate_states(extend_model_semantics(net, pa, activity, ...), w)``
+    in every field, and is one alignment where those are two. A ``w``
+    that is not a state limit raises ValueError, on a miss too.
     """
     successors = net.successors(pa.current_marking)
     for transition in net.transitions_labeled(activity):
@@ -311,9 +374,15 @@ def extend_model_semantics(
             step = steps.get(key)
             if step is None or step.move_cost is not cost:
                 step = _new_step(steps, key, cost, step)
-            return PrefixAlignment(
-                pa.base_marking, pa.states + (step,), pa.summary, pa.moves_cost + cost, pa.refs + (event_ref,)
-            )
+            states = pa.states + (step,)
+            refs = pa.refs + (event_ref,)
+            if w is not None:
+                truncated = truncated_alignment(pa.base_marking, states, pa.summary, refs, w)
+                if truncated is not None:
+                    return truncated
+            return PrefixAlignment(pa.base_marking, states, pa.summary, pa.moves_cost + cost, refs)
+    if w is not None:
+        _check_state_limit(w)
     return None
 
 
@@ -351,10 +420,10 @@ def shortest_path_prefix_alignment(
     Raises SearchBudgetExceeded after ``budget`` node expansions, and
     BoundBelowOptimum when no alignment is within ``upper_bound``.
     """
-    events = _normalize_trace(trace)
-    if not events:
+    activities, refs = _split_trace(trace)
+    if not activities:
         raise ValueError("trace must be non-empty")
-    total = len(events)
+    total = len(activities)
     h_unit = min(cost_model.sync_cost, cost_model.log_cost)
     step_costs = (  # by kind rank
         cost_model.sync_cost, cost_model.silent_model_cost, cost_model.model_cost, cost_model.log_cost
@@ -363,7 +432,7 @@ def shortest_path_prefix_alignment(
     if prune:
         limit = upper_bound + _BOUND_SLACK * max(1.0, abs(upper_bound))
         lookahead = min(cost_model.log_cost, cost_model.model_cost)
-        forced = _forced_log_costs(net, events, cost_model.log_cost)
+        forced = _forced_log_costs(net, activities, cost_model.log_cost)
 
     # Entries are (f, kind rank, ticket, g, marking, pos, parent marking,
     # transition); with h_unit 0, f is g's own float. closed[pos] maps each
@@ -388,7 +457,7 @@ def shortest_path_prefix_alignment(
             if gh > limit:
                 return
             if gh + lookahead > limit and next_pos < total:
-                if _only_model_or_log(net, next_marking, events[next_pos][0]):
+                if _only_model_or_log(net, next_marking, activities[next_pos]):
                     return
         nf = ng + h_unit * (total - next_pos) if h_unit else ng
         heapq.heappush(frontier, (nf, rank, next(ticket), ng, next_marking, next_pos, marking, transition))
@@ -398,7 +467,7 @@ def shortest_path_prefix_alignment(
         marking = entry[4]
         pos = entry[5]
         if pos == total:
-            return _reconstruct(net, start, entry, closed, events, step_costs)
+            return _reconstruct(net, start, entry, closed, activities, refs, step_costs)
         here = closed[pos]
         if marking in here:
             continue
@@ -411,7 +480,7 @@ def shortest_path_prefix_alignment(
         if ahead is None:
             ahead = closed[pos + 1] = {}
         g = entry[3]
-        activity = events[pos][0]
+        activity = activities[pos]
         successors = net.successors(marking)
         # the entry's keys again, one call per expansion: bench/ counts expansions by it
         for t in net.enabled_transitions(marking):
@@ -440,28 +509,44 @@ def _only_model_or_log(net: PetriNet, marking: Marking, activity: ActivityLabel)
     return True
 
 
-def _forced_log_costs(
-    net: PetriNet, events: tuple[tuple[ActivityLabel, EventRef | None], ...], log_cost: float
-) -> list[float]:
+def _forced_log_costs(net: PetriNet, activities: Sequence[ActivityLabel], log_cost: float) -> list[float]:
     """``log_cost`` x the events from each position on whose label no transition carries.
 
     One entry per position, the end of the trace included; all zeros when
-    the net carries every label.
+    the net carries every label. Positions with the same count share one
+    float, so a trace the net carries throughout holds one.
     """
-    counts = [0] * (len(events) + 1)
-    for pos in range(len(events) - 1, -1, -1):
-        counts[pos] = counts[pos + 1] + (not net.transitions_labeled(events[pos][0]))
-    return [log_cost * n for n in counts]
+    cost = log_cost * 0
+    costs = [cost] * (len(activities) + 1)
+    carried_nowhere = 0
+    for pos in range(len(activities) - 1, -1, -1):
+        if not net.transitions_labeled(activities[pos]):
+            carried_nowhere += 1
+            cost = log_cost * carried_nowhere
+        costs[pos] = cost
+    return costs
 
 
-def _normalize_trace(
+def _split_trace(
     trace: Sequence[tuple[ActivityLabel, EventRef | None] | ActivityLabel],
-) -> tuple[tuple[ActivityLabel, EventRef | None], ...]:
-    events = []
+) -> tuple[Sequence[ActivityLabel], list[EventRef | None] | None]:
+    """The trace's activities, and its events' refs when some item is an ``(activity, ref)`` pair.
+
+    A trace of bare activities, the engine's, is used as it is and has no
+    refs, so a search builds no per-event pair.
+    """
+    for item in trace:
+        if not isinstance(item, str):
+            break
+    else:
+        return trace, None
+    activities = []
+    refs = []
     for item in trace:
         activity, ref = (item, None) if isinstance(item, str) else item
-        events.append((activity, ref))
-    return tuple(events)
+        activities.append(activity)
+        refs.append(ref)
+    return activities, refs
 
 
 def _reconstruct(
@@ -469,7 +554,8 @@ def _reconstruct(
     start: Marking,
     goal: tuple,
     closed: list[dict[Marking, tuple] | None],
-    events: tuple[tuple[ActivityLabel, EventRef | None], ...],
+    activities: Sequence[ActivityLabel],
+    trace_refs: list[EventRef | None] | None,
     step_costs: tuple[float, float, float, float],
 ) -> PrefixAlignment:
     steps = net._steps
@@ -483,7 +569,8 @@ def _reconstruct(
         if rank == _SYNC or rank == _LOG:
             # a move that advances the position consumes the event it passed
             pos -= 1
-            activity, ref = events[pos]
+            activity = activities[pos]
+            ref = trace_refs[pos] if trace_refs is not None else None
             refs.append(ref)
         else:
             activity = ref = None

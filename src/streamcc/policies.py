@@ -17,7 +17,6 @@ from enum import Enum
 
 from . import petri
 from .alignment import (
-    CONSUMING_KINDS,
     DEFAULT_COST_MODEL,
     DEFAULT_SEARCH_BUDGET,
     CostModel,
@@ -25,9 +24,9 @@ from .alignment import (
     MoveKind,
     PrefixAlignment,
     extend_model_semantics,
-    fold_move_costs,
     shortest_path_prefix_alignment,
     slot_setters,
+    truncated_alignment,
 )
 from .errors import SearchBudgetExceeded
 from .petri import ActivityLabel, Marking, PetriNet
@@ -158,31 +157,17 @@ _OUTCOME_SETTERS = slot_setters(EventOutcome)
 def truncate_states(pa: PrefixAlignment, w: int) -> PrefixAlignment:
     """Forget the earliest states in excess of ``w``, leaving a summary.
 
-    The summary cost absorbs any prior carried cost plus the costs of the
-    forgotten moves, and the marking the forgotten prefix reached becomes
-    the alignment's ``base_marking``. For w=1 the single most recent state
-    is kept next to the summary, so a truncated alignment never shrinks
-    below two slots. The refs of the forgotten events go with them.
+    The rule lives in :func:`alignment.truncated_alignment`, which
+    :func:`extend_model_semantics` also applies as it appends under a
+    state limit, so the engine calls this on the search path only. The
+    summary absorbs the carried cost and the forgotten moves' costs, the
+    marking the forgotten prefix reached becomes the ``base_marking``,
+    and for w=1 the most recent state is kept next to the summary.
+    Returns ``pa`` itself when nothing is forgotten; a ``w`` that is not
+    an int, is a bool or is below 1 raises ValueError.
     """
-    if w < 1:
-        raise ValueError("state limit w must be >= 1")
-    if pa.state_count <= w:
-        return pa
-    keep = max(w - 1, 1)
-    if len(pa.states) <= keep:
-        return pa
-    dropped = pa.states[:-keep]
-    forgotten_events = 0
-    for s in dropped:
-        if s.kind in CONSUMING_KINDS:
-            forgotten_events += 1
-    return PrefixAlignment(
-        dropped[-1].marking_after,
-        pa.states[-keep:],
-        pa.carried_cost + fold_move_costs(dropped),
-        None,
-        pa.refs[forgotten_events:],
-    )
+    truncated = truncated_alignment(pa.base_marking, pa.states, pa.summary, pa.refs, w)
+    return pa if truncated is None else truncated
 
 
 def _forgetting_rank(record: CaseRecord) -> int:
@@ -303,15 +288,16 @@ class ConformanceEngine:
         else:
             summary = self.repo.get(case_id)
             pa = self._empty if summary is None else summary
-        new = extend_model_semantics(self.net, pa, activity, event_ref, config.cost_model)
+        # under a state limit the extension builds its alignment truncated
+        new = extend_model_semantics(self.net, pa, activity, event_ref, config.cost_model, w)
         if new is not None:
             self.extension_count += 1
             method = Method.MODEL_SEMANTICS
         else:
             new = self._search(pa, case_id, activity, event_ref)
             method = Method.SHORTEST_PATH
-        if w is not None:
-            new = truncate_states(new, w)
+            if w is not None:
+                new = truncate_states(new, w)
 
         carried = new.summary
         # what the gauge gains: the new alignment's slots, less the slots it replaces

@@ -309,6 +309,86 @@ class TestRunningCost:
             assert pa.fitness_cost == carried + _left_to_right(s.move_cost for s in pa.states)
 
 
+def _pick_activity(net: PetriNet, pa: PrefixAlignment, enabled_first: bool, pick: int) -> str:
+    """A label of a transition enabled after ``pa`` when asked and there is one, else any label or "Z"."""
+    if enabled_first:
+        enabled = [net.labels[t] for t in net.successors(pa.current_marking) if t in net.labels]
+        if enabled:
+            return enabled[pick % len(enabled)]
+    labels = sorted(set(net.labels.values()) - {None}) + ["Z"]
+    return labels[pick % len(labels)]
+
+
+class TestTruncatingExtension:
+    """Under a state limit the extension builds the alignment truncate_states would give."""
+
+    @given(
+        net_seed=st.one_of(st.none(), st.integers(min_value=0, max_value=50)),  # None: cycle10
+        kappa=st.one_of(st.none(), st.floats(min_value=0.0, max_value=10.0)),
+        events=st.lists(st.tuples(st.booleans(), st.integers(0, 30), st.booleans()), max_size=20),
+        w=st.integers(min_value=1, max_value=5),
+        fractional=st.booleans(),
+    )
+    def test_equals_extension_then_truncation(self, net_seed, kappa, events, w, fractional):
+        net = cyclic_sequence_net(10) if net_seed is None else random_net(random.Random(net_seed))
+        cm = FRACTIONAL_COSTS if fractional else CostModel()
+        # a new case, or a case resumed from its summary-only R_C entry
+        pa = (
+            PrefixAlignment.empty(net.initial_marking)
+            if kappa is None
+            else PrefixAlignment(net.initial_marking, (), kappa, 0, ())
+        )
+        for ref, (enabled_first, pick, search_on_miss) in enumerate(events):
+            activity = _pick_activity(net, pa, enabled_first, pick)
+            extended = extend_model_semantics(net, pa, activity, ref, cm, w=w)
+            two_step = extend_model_semantics(net, pa, activity, ref, cm)
+            if two_step is None:
+                assert extended is None
+                if search_on_miss:  # as the engine does, so forgotten states include model moves
+                    fresh = shortest_path_prefix_alignment(
+                        net, pa.base_marking, pa.log_activities() + [activity], cm
+                    )
+                    grown = PrefixAlignment(
+                        fresh.base_marking, fresh.states, pa.summary, fresh.moves_cost, pa.refs + (ref,)
+                    )
+                else:
+                    grown = pa.append(log_step(activity, cm.log_cost, pa.current_marking, ref))
+                pa = truncate_states(grown, w)
+                continue
+            expected = truncate_states(two_step, w)
+            assert extended == expected
+            assert extended.refs == expected.refs
+            assert repr(extended.summary) == repr(expected.summary)
+            assert repr(extended.moves_cost) == repr(expected.moves_cost)
+            assert extended.state_count <= max(w, 2)
+            pa = extended
+
+    def test_long_conforming_case_keeps_its_last_refs(self):
+        net = cyclic_sequence_net(10)
+        pa = PrefixAlignment.empty(net.initial_marking)
+        for ref in range(25):
+            pa = extend_model_semantics(net, pa, f"A{ref % 10}", ref, w=3)
+            assert pa.state_count <= 3
+        assert pa.log_projection() == (("A3", 23), ("A4", 24))
+        assert pa.summary == 0.0
+
+    @pytest.mark.parametrize(
+        "w, message",
+        [
+            (2.5, "limit w must be an int, not 2.5"),
+            (True, "limit w must be an int, not True"),
+            ("2", "limit w must be an int, not '2'"),
+            (0, "requires a state limit w >= 1"),
+            (-1, "requires a state limit w >= 1"),
+        ],
+    )
+    @pytest.mark.parametrize("activity", ["A", "C"], ids=["hit", "miss"])
+    def test_rejects_a_limit_that_is_not_a_positive_int(self, seq_abc, w, message, activity):
+        pa = PrefixAlignment.empty(seq_abc.initial_marking)
+        with pytest.raises(ValueError, match=message):
+            extend_model_semantics(seq_abc, pa, activity, 0, w=w)
+
+
 class TestSearchProperties:
     def test_matches_brute_force_on_random_nets(self):
         for seed in range(40):

@@ -14,6 +14,10 @@ Each bound was set from a measurement on CPython 3.11 plus about 10%:
 - 423 B of peak per expansion of the search below. Entries that carry a
   ``(marking, pos)`` key tuple and their move cost, closed in one dict
   keyed by those tuples, take 522 B and fail it.
+- 454 B of peak per event of a conforming search under a tight bound,
+  which expands about one entry per event. A search that builds an
+  ``(activity, None)`` pair per event and one lookahead float per
+  position takes 542 B and fails it.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from conftest import make_parallel_net
 HELD_BYTES_PER_SLOT_BOUND = 24
 HELD_BYTES_PER_MARKING_BOUND = 462
 SEARCH_PEAK_BYTES_PER_EXPANSION_BOUND = 465
+CONFORMING_SEARCH_PEAK_BYTES_PER_EVENT_BOUND = 500
 
 
 def test_baseline_holds_few_bytes_per_stored_slot():
@@ -116,6 +121,23 @@ def test_search_peak_bytes_per_expansion(monkeypatch):
     assert second == first and second.fitness_cost == 2
     assert expansions > 500
     assert peak / expansions <= SEARCH_PEAK_BYTES_PER_EXPANSION_BOUND, f"{peak / expansions:.1f} B per expansion"
+
+
+def test_conforming_search_peak_bytes_per_event():
+    net = cyclic_sequence_net(10)
+    trace = [step_label(i % 10) for i in range(2000)]
+    # the first search fills the net's tables
+    first = shortest_path_prefix_alignment(net, net.initial_marking, trace, upper_bound=1.0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        second = shortest_path_prefix_alignment(net, net.initial_marking, trace, upper_bound=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert second == first and second.fitness_cost == 0
+    per_event = peak / len(trace)
+    assert per_event <= CONFORMING_SEARCH_PEAK_BYTES_PER_EVENT_BOUND, f"{per_event:.1f} B per event"
 
 
 def _run_bounded_cases(monkeypatch, cap: int):

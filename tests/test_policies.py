@@ -168,6 +168,21 @@ class TestTruncateStates:
         with pytest.raises(ValueError):
             truncate_states(make_pa(seq_abc, ["A"]), 0)
 
+    @pytest.mark.parametrize(
+        "w, message",
+        [
+            (2.5, "limit w must be an int, not 2.5"),
+            (True, "limit w must be an int, not True"),
+            (None, "limit w must be an int, not None"),
+            (0, "requires a state limit w >= 1"),
+        ],
+    )
+    @pytest.mark.parametrize("events", [["A"], ["A", "B", "C"]], ids=["under-limit", "over-limit"])
+    def test_rejects_a_limit_that_is_not_a_positive_int(self, seq_abc, w, message, events):
+        # 2.5 used to fail on slicing with a TypeError, and True to act as w=1
+        with pytest.raises(ValueError, match=message):
+            truncate_states(make_pa(seq_abc, events), w)
+
     def test_dropped_costs_fold_left_to_right(self):
         # the search and PrefixAlignment add costs left to right, giving
         # 0.9999999999999999 here; builtin sum() gives 1.0 from Python 3.12 on
@@ -238,6 +253,32 @@ class TestBoundedStates:
         base_costs = [o.effective_cost for o in replay_outcomes(base, events)]
         bounded_costs = [o.effective_cost for o in replay_outcomes(bounded, events)]
         assert base_costs == bounded_costs
+
+    def test_an_extended_event_builds_one_alignment(self, monkeypatch):
+        from test_golden import STREAM_SEED, STREAM_SPEC
+
+        built = 0
+        init = PrefixAlignment.__init__
+
+        def counting_init(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PrefixAlignment, "__init__", counting_init)
+        engine = ConformanceEngine(cyclic_sequence_net(10), PolicyConfig(Policy.BOUNDED_STATES, w=2))
+        extended = truncated = 0
+        for event in replay(generate_log(STREAM_SPEC, seed=STREAM_SEED)):
+            before = built
+            outcome = engine.process(event.case_id, event.activity, event.arrival_index)
+            if outcome.method is Method.MODEL_SEMANTICS:
+                assert built - before == 1, f"event {event.arrival_index} built {built - before} alignments"
+                extended += 1
+                pa = engine.store[event.case_id].prefix_alignment
+                truncated += pa.summary is not None and pa.state_count == 2
+        assert extended == engine.extension_count > 500
+        # most extended events forgot a state: the one alignment was built truncated
+        assert truncated > extended // 2
 
 
 class TestForgettingCriteria:
