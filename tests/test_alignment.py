@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from streamcc import (
+    DEFAULT_COST_MODEL,
     ConformanceEngine,
     CostModel,
     PetriNet,
@@ -25,7 +27,7 @@ from streamcc import (
 from streamcc.alignment import AlignmentState, MoveKind
 from streamcc.errors import BoundBelowOptimum
 from streamcc.petri import Marking
-from streamcc.policies import truncate_states
+from streamcc.policies import Method, truncate_states
 
 from oracles import brute_force_min_cost, consumes_event, log_step, random_net, random_trace
 
@@ -633,3 +635,156 @@ class TestBoundedSearch:
             shortest_path_prefix_alignment(seq_abc, seq_abc.initial_marking, ["A", "C"], upper_bound=0.5)
         assert raised.value.bound == 0.5
         assert not isinstance(raised.value, SearchBudgetExceeded)
+
+
+def _long_cycle10_trace(rotation: int, length: int = 400) -> list[str]:
+    """A conforming cycle10 trace with one edit at 1/4, 1/2 and 3/4 of its length.
+
+    The edits are the long-traces benchmark workload's: the kinds alien,
+    skip, duplicate and swap taken in turn from ``rotation``, applied from
+    the last position back.
+    """
+    kinds = ("alien", "skip", "duplicate", "swap")
+    trace = [f"A{i % 10}" for i in range(length)]
+    for j, fraction in reversed(list(enumerate((0.25, 0.5, 0.75)))):
+        position = round(length * fraction)
+        kind = kinds[(rotation + j) % len(kinds)]
+        if kind == "alien":
+            trace.insert(position, "X")
+        elif kind == "skip":
+            del trace[position]
+        elif kind == "duplicate":
+            trace.insert(position, trace[position])
+        else:
+            trace[position], trace[position + 1] = trace[position + 1], trace[position]
+    return trace
+
+
+def _counting_expansions(patch) -> list[int]:
+    """Count ``enabled_transitions`` calls, one per search expansion, in the returned one-item list."""
+    calls = [0]
+    enabled = PetriNet.enabled_transitions
+
+    def counting(self, marking):
+        calls[0] += 1
+        return enabled(self, marking)
+
+    patch.setattr(PetriNet, "enabled_transitions", counting)
+    return calls
+
+
+# sha256 of the expansion counts of every search in
+# TestBoundedSearch::test_pruned_search_returns_the_unpruned_alignment, one
+# line per search, in its order: the unpruned one, then one per bound
+EXPANSION_DIGESTS = {  # 2,133 searches per cost model
+    "cheap-log": "3d9a94f99cca66ec287c4ebc7926f2eed93d0492cd3809433a4b4d502d0ad6ec",  # 7,326 expansions
+    "cheap-model": "a00b7a3676be755e4d92d62b1065113fb96ab7cd68cfa3595ba0f8660a8d1ca0",  # 12,255
+    "default": "f7cd830a533e63d59d7eafaf7db2a9e7b1eadee98c2917a429ca17c4be3e1157",  # 9,265
+    "fractional": "f3cce114dab715120aa4ed0e65f31a88fedd3fcbd187f7b2997da9d8b051ca3d",  # 7,063
+    "sync-half": "c0f9a2ab5790455da980d8f83b63c984b7cb2317acd5db1ead8d76e067cf5db4",  # 8,303
+    "unit-silent": "e516106441fce32cef47a6f13dc14d9f58839889a25a2c5b69527b96ad24e11c",  # 9,664
+}
+
+# expansions of each search a baseline engine makes on _long_cycle10_trace(rotation)
+LONG_TRACE_SEARCH_EXPANSIONS = {
+    0: [101, 205, 709],
+    1: [102, 404, 906, 1407, 1510],
+    2: [103, 406, 809, 811, 909],
+    3: [102, 304, 306, 404, 713],
+}
+
+
+class TestSearchExpandsTheSameNodes:
+    """Pins the work of the search, not only its result: its expansion count per search.
+
+    The golden digests pin results, so a search that expanded more nodes
+    to return the same alignment would pass them.
+    """
+
+    @pytest.mark.parametrize("cost_name", sorted(PRUNED_COST_MODELS))
+    def test_oracle_expansion_counts(self, cost_name, monkeypatch):
+        cm = PRUNED_COST_MODELS[cost_name]
+        lines = []
+        for seed in ORACLE_SEEDS:
+            rng = random.Random(seed)
+            net = random_net(rng)
+            trace = [(activity, i) for i, activity in enumerate(random_trace(net, rng))]
+            previous_cost = 0.0
+            for end in range(1, len(trace) + 1):
+                expected, expansions = _search_counting_expansions(monkeypatch, net, trace[:end], cm)
+                lines.append(f"{expansions}\n")
+                for bound in (previous_cost + cm.log_cost, expected.fitness_cost):
+                    _, expansions = _search_counting_expansions(
+                        monkeypatch, net, trace[:end], cm, upper_bound=bound
+                    )
+                    lines.append(f"{expansions}\n")
+                previous_cost = expected.fitness_cost
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == EXPANSION_DIGESTS[cost_name], (cost_name, len(lines))
+
+    @pytest.mark.parametrize("rotation", sorted(LONG_TRACE_SEARCH_EXPANSIONS))
+    def test_long_cycle10_trace_search_expansions(self, rotation, monkeypatch):
+        engine = ConformanceEngine(cyclic_sequence_net(10))
+        calls = _counting_expansions(monkeypatch)
+        counts = []
+        for i, activity in enumerate(_long_cycle10_trace(rotation)):
+            calls[0] = 0
+            outcome = engine.process("c", activity, i)
+            if outcome.method is Method.SHORTEST_PATH:
+                counts.append(calls[0])
+            else:
+                assert calls[0] == 0
+        assert counts == LONG_TRACE_SEARCH_EXPANSIONS[rotation]
+
+
+def _engine_state(engine: ConformanceEngine) -> tuple:
+    """Everything a processed event changes in an engine, as comparable values."""
+    return (
+        repr(dict(engine.store)),
+        repr(dict(engine.repo)),
+        repr(engine._buckets),
+        engine.stored_state_count,
+        engine.events_processed,
+        engine.search_count,
+        engine.extension_count,
+    )
+
+
+class TestBudgetBoundary:
+    """A search of E expansions passes with budget E and fails with E - 1."""
+
+    TRACE = [f"A{i % 10}" for i in range(25)]
+    del TRACE[13]  # a skipped event: the engine's one search
+
+    def test_public_search(self, monkeypatch):
+        net = cyclic_sequence_net(10)
+        expected, made = _search_counting_expansions(monkeypatch, net, self.TRACE, DEFAULT_COST_MODEL)
+        assert made > 1
+        assert shortest_path_prefix_alignment(net, net.initial_marking, self.TRACE, budget=made) == expected
+        with pytest.raises(SearchBudgetExceeded) as raised:
+            shortest_path_prefix_alignment(net, net.initial_marking, self.TRACE, budget=made - 1)
+        assert raised.value.budget == made - 1
+
+    def test_engine_process(self, monkeypatch):
+        searched_at = 13
+        with monkeypatch.context() as patch:
+            calls = _counting_expansions(patch)
+            engine = ConformanceEngine(cyclic_sequence_net(10))
+            outcomes = []
+            for i, activity in enumerate(self.TRACE):
+                if i == searched_at:
+                    calls[0] = 0
+                outcomes.append(engine.process("c", activity, i))
+                if i == searched_at:
+                    made = calls[0]
+        assert [i for i, o in enumerate(outcomes) if o.method is Method.SHORTEST_PATH] == [searched_at]
+        enough = ConformanceEngine(cyclic_sequence_net(10), search_budget=made)
+        assert [enough.process("c", a, i) for i, a in enumerate(self.TRACE)] == outcomes
+        short = ConformanceEngine(cyclic_sequence_net(10), search_budget=made - 1)
+        for i, activity in enumerate(self.TRACE[:searched_at]):
+            short.process("c", activity, i)
+        before = _engine_state(short)
+        with pytest.raises(SearchBudgetExceeded) as raised:
+            short.process("c", self.TRACE[searched_at], searched_at)
+        assert (raised.value.budget, raised.value.case_id) == (made - 1, "c")
+        assert _engine_state(short) == before

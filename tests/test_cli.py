@@ -147,6 +147,21 @@ class TestCheck:
         assert code == 3
         assert "case '1'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    @pytest.mark.parametrize("log", ["sample", "missing"])
+    def test_budget_that_cannot_search_exit_2_before_reading(
+        self, branching_model, sample_log, log, budget, capsys
+    ):
+        # a missing log shows the budget is checked before any file is read
+        path = sample_log if log == "sample" else "no-such-log.csv"
+        code = main(
+            ["check", "--model", branching_model, "--log", path, "--policy", "baseline", "--budget", budget]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"search budget must be at least 1 expansion, not {budget}" in captured.err
+
 
 class TestReplayCommand:
     def test_prints_ordered_stream(self, sample_log, capsys):

@@ -126,6 +126,16 @@ class TestEvaluatePolicies:
         assert [w.rmse_fitness for w in run.windows] == [0.0] * len(run.windows)
         assert [w.f1_classification for w in run.windows] == [1.0] * len(run.windows)
 
+    def test_budget_that_cannot_search_rejected_before_the_reference_pass(self):
+        with pytest.raises(ValueError, match="search budget must be at least 1 expansion, not 0"):
+            evaluate_policies(
+                cyclic_sequence_net(10),
+                small_stream(seed=13),
+                [PolicyConfig(Policy.BASELINE)],
+                search_budget=0,
+                reference_search_budget=1_000_000,
+            )
+
     def test_budget_failure_midway_through_the_first_copy(self):
         # the run stops at the failed event of the first copy: it reports
         # the windows completed before it, and the counts at that point
@@ -377,6 +387,12 @@ class TestExperimentConfig:
     def test_non_integer_setting_rejected(self, tmp_path, key):
         path = self.config_payload(tmp_path, **{key: 20.5})
         with pytest.raises(ParseError, match=f"'{key}' must be an integer"):
+            ExperimentConfig.from_json(path)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_that_cannot_search_rejected(self, tmp_path, budget):
+        path = self.config_payload(tmp_path, search_budget=budget)
+        with pytest.raises(ParseError, match=f"search budget must be at least 1 expansion, not {budget}"):
             ExperimentConfig.from_json(path)
 
     def test_duplicate_policy_rejected(self, tmp_path):

@@ -110,7 +110,7 @@ class TestBaseline:
         assert outcomes[2].method is Method.MODEL_SEMANTICS
 
     def test_process_goes_on_after_a_failed_event(self, seq_abc):
-        engine = ConformanceEngine(seq_abc, search_budget=0)
+        engine = ConformanceEngine(seq_abc, search_budget=1)
 
         def snapshot():
             records = [(r.case_id, r.prefix_alignment) for r in engine.store.records()]
@@ -118,11 +118,32 @@ class TestBaseline:
 
         before = snapshot()
         with pytest.raises(SearchBudgetExceeded):
-            engine.process("a", "X", 0)  # "X" needs a search
+            engine.process("a", "B", 0)  # "B" skips "A": its search expands two markings
         assert snapshot() == before
         outcome = engine.process("b", "A", 1)
         assert (outcome.case_id, outcome.effective_cost) == ("b", 0.0)
         assert engine.stored_state_count == 1
+
+
+class TestSearchBudget:
+    @pytest.mark.parametrize(
+        "budget, message",
+        [
+            (0, "at least 1 expansion, not 0"),
+            (-5, "at least 1 expansion, not -5"),
+            (2.5, "an int, not 2.5"),
+            (True, "an int, not True"),
+            ("10", "an int, not '10'"),
+        ],
+    )
+    def test_rejects_a_budget_that_cannot_search(self, seq_abc, budget, message):
+        with pytest.raises(ValueError, match=f"search budget must be {message}"):
+            ConformanceEngine(seq_abc, search_budget=budget)
+
+    def test_budget_of_one_expansion_is_accepted(self, seq_abc):
+        engine = ConformanceEngine(seq_abc, search_budget=1)
+        (outcome,) = run_stream(engine, [("1", "X")])  # pruned to the log move: one expansion
+        assert (outcome.method, outcome.effective_cost) == (Method.SHORTEST_PATH, 1.0)
 
 
 class TestTruncateStates:
@@ -411,10 +432,10 @@ class TestBoundedCases:
 
     def test_failed_first_event_admits_nothing(self, seq_abc):
         engine = ConformanceEngine(
-            seq_abc, PolicyConfig(Policy.BOUNDED_CASES, n=1), search_budget=0
+            seq_abc, PolicyConfig(Policy.BOUNDED_CASES, n=1), search_budget=1
         )
         with pytest.raises(SearchBudgetExceeded):
-            engine.process("a", "X", 0)  # alien: needs a search
+            engine.process("a", "B", 0)  # skips "A": its search expands two markings
         outcome = engine.process("b", "A", 0)
         assert outcome.effective_cost == 0.0
         assert [r.case_id for r in engine.store.records()] == ["b"]
@@ -422,7 +443,7 @@ class TestBoundedCases:
 
     def test_failed_event_leaves_engine_unchanged(self, seq_abc):
         engine = ConformanceEngine(
-            seq_abc, PolicyConfig(Policy.BOUNDED_CASES, n=1), search_budget=0
+            seq_abc, PolicyConfig(Policy.BOUNDED_CASES, n=1), search_budget=1
         )
         engine.process("a", "A", 0)
         engine.process("b", "A", 1)  # evicts a into the repository
@@ -441,8 +462,9 @@ class TestBoundedCases:
             )
 
         before = snapshot()
-        # a new case, the stored case, and a case resumed from its summary
-        for case_id, activity in (("c", "X"), ("b", "C"), ("a", "X")):
+        # a new case, the stored case, and a case resumed from its summary;
+        # each event's search expands two markings
+        for case_id, activity in (("c", "B"), ("b", "C"), ("a", "C")):
             with pytest.raises(SearchBudgetExceeded):
                 engine.process(case_id, activity, 2)
             assert snapshot() == before
