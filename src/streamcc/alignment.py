@@ -20,20 +20,21 @@ move, which is feasible over the same trace.
 The search is one flat loop, because an event the extension cannot
 explain pays at least one expansion per event of the case's retained
 prefix. The costs, the net's tables and the heap functions are bound
-once per search, and the push of each move kind is written out in the
-loop: a popped entry is closed with one ``setdefault``, the marking's
-successor entry is read from the net's table once, and the pruning
-lookahead asks whether a marking lets an activity through from a
-per-search memo, which keeps for each marking it is asked about the
-labels it lets through, filled from the successor entry on the
-marking's first lookup. Apart from ``Marking.__hash__``, a memo's first
-lookup of a marking and a marking past the table's cap, the one Python
-function an expansion calls is ``net.enabled_transitions(marking)``,
-whose transitions the loop iterates: the benchmark's tracer and the
-tests count expansions by it. One replay of the long-traces benchmark
-workload's stream made 217,351 ``Marking.__hash__`` calls for 30,633
-expansions, about 7.1 per expansion, where the loop with a push
-function made 246,904.
+once per search, and the loop pushes from three sites: a synchronous
+move, a move that stays at its position (a silent or a model move, which
+differ only in cost and kind rank), and a log move. A popped entry is
+closed with one ``setdefault``, the marking's successor entry is read
+from the net's table once, and the pruning lookahead asks whether a
+marking lets an activity through from a per-search memo, which keeps
+for each marking it is asked about the labels it lets through, filled
+from the successor entry on the marking's first lookup. Apart from
+``Marking.__hash__``, a memo's first lookup of a marking and a marking
+past the table's cap, the one Python function an expansion calls is
+``net.enabled_transitions(marking)``, whose transitions the loop
+iterates: the benchmark's tracer and the tests count expansions by it.
+One replay of the long-traces benchmark workload's stream made 217,351
+``Marking.__hash__`` calls for 30,633 expansions, about 7.1 per
+expansion.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from itertools import count
 from typing import Iterable, Sequence
 
 from . import petri
-from .errors import BoundBelowOptimum, SearchBudgetExceeded
+from .errors import BoundBelowOptimum, SearchBudgetExceeded, check_int
 from .petri import ActivityLabel, Marking, PetriNet
 
 DEFAULT_SEARCH_BUDGET = 1_000_000
@@ -140,7 +141,7 @@ class AlignmentState:
     ``AlignmentState(move=Move(kind=..., ...), move_cost=..., marking_after=...)``,
     because digests of search results hash that text. A step with no
     ``event_ref`` is a value a net shares: the extension and the search
-    take it from the net's step table (see :func:`_new_step`), and the
+    take it from the net's step table (see :func:`_shared_step`), and the
     alignment keeps its events' refs in ``PrefixAlignment.refs``.
     """
 
@@ -180,17 +181,20 @@ class AlignmentState:
 _STEP_SETTERS = slot_setters(AlignmentState)
 
 
-def _new_step(steps: dict, key: tuple, cost: float, stored: AlignmentState | None) -> AlignmentState:
-    """A step with no event ref for a miss in a net's step table ``steps``.
+def _shared_step(steps: dict, key: tuple, cost: float) -> AlignmentState:
+    """The step with no event ref of ``key`` and move cost ``cost``, from a net's step table ``steps``.
 
     The table maps ``key``, ``(kind, activity, transition, marking_after)``,
-    to the one step of that value. Its callers reuse the ``stored`` step
-    only when its ``move_cost`` is their ``cost`` itself, because equal
-    costs of another type or sign (``1`` and ``1.0``, ``0.0`` and
-    ``-0.0``) print and add differently. On a miss they call this, which
-    builds a fresh step and stores it only when no step holds the key and
-    the table has fewer than :data:`petri.STEP_TABLE_CAP` steps.
+    to the one step of that value. A stored step serves only when its
+    ``move_cost`` is ``cost`` itself, because equal costs of another type
+    or sign (``1`` and ``1.0``, ``0.0`` and ``-0.0``) print and add
+    differently. Otherwise a fresh step is built, and stored only when no
+    step holds the key and the table has fewer than
+    :data:`petri.STEP_TABLE_CAP` steps.
     """
+    stored = steps.get(key)
+    if stored is not None and stored.move_cost is cost:
+        return stored
     kind, activity, transition, marking_after = key
     step = AlignmentState(kind, activity, transition, None, cost, marking_after)
     if stored is None and len(steps) < petri.STEP_TABLE_CAP:
@@ -306,18 +310,14 @@ _PREFIX_SETTERS = slot_setters(PrefixAlignment)
 
 def check_search_budget(budget: int) -> None:
     """Raise ValueError unless ``budget`` lets a search expand: an int, not a bool, of at least 1."""
-    # bool is a subclass of int
-    if isinstance(budget, bool) or not isinstance(budget, int):
-        raise ValueError(f"search budget must be an int, not {budget!r}")
+    check_int(budget, "search budget")
     if budget < 1:
         raise ValueError(f"search budget must be at least 1 expansion, not {budget!r}")
 
 
 def _check_state_limit(w: int) -> None:
     """Raise ValueError unless ``w`` is a state limit: an int, not a bool, of at least 1."""
-    # bool is a subclass of int
-    if isinstance(w, bool) or not isinstance(w, int):
-        raise ValueError(f"limit w must be an int, not {w!r}")
+    check_int(w, "limit w")
     if w < 1:
         raise ValueError(f"truncation requires a state limit w >= 1, not {w!r}")
 
@@ -382,7 +382,7 @@ def extend_model_semantics(
     ``activity`` is enabled in the current marking (no tau-closure is
     explored). When several enabled transitions share the label, the
     lowest transition id fires. The move is a step with no event ref
-    from the net's step table (see :func:`_new_step`), and
+    from the net's step table (see :func:`_shared_step`), and
     ``event_ref`` goes to the alignment's ``refs``.
 
     With a state limit ``w``, the extended alignment is built already
@@ -397,11 +397,7 @@ def extend_model_semantics(
         reached = successors.get(transition)
         if reached is not None:
             cost = cost_model.sync_cost
-            key = (_SYNCHRONOUS, activity, transition, reached)
-            steps = net._steps
-            step = steps.get(key)
-            if step is None or step.move_cost is not cost:
-                step = _new_step(steps, key, cost, step)
+            step = _shared_step(net._steps, (_SYNCHRONOUS, activity, transition, reached), cost)
             states = pa.states + (step,)
             refs = pa.refs + (event_ref,)
             if w is not None:
@@ -433,7 +429,7 @@ def shortest_path_prefix_alignment(
     identical alignments. The result explains
     every trace event; its model projection is firable from ``start``.
     A consuming move of an event with a ref carries that ref; every other
-    move is a step with no ref from the net's step table.
+    move is a step with no ref that the net shares (see :func:`_shared_step`).
 
     ``upper_bound`` is a cost some alignment of ``trace`` from ``start``
     does not exceed. The search then drops every entry whose g plus a
@@ -450,8 +446,8 @@ def shortest_path_prefix_alignment(
 
     Each expansion closes its entry with one ``setdefault``, calls
     ``net.enabled_transitions(marking)`` once, reads the marking's
-    successor entry once from the net's table, and pushes each move
-    inline (see the module docstring).
+    successor entry once from the net's table, and pushes from three
+    sites: sync, silent or model, and log (see the module docstring).
 
     Raises SearchBudgetExceeded once an expansion would exceed
     ``budget`` expansions (a search of E expansions passes with budget
@@ -523,35 +519,29 @@ def shortest_path_prefix_alignment(
             fired = successors[t]
             label = label_of(t)
             if label is None:
-                if fired not in here:
-                    ng = g + silent_cost
-                    gh = ng + forced_here
+                cost, rank = silent_cost, _SILENT
+            else:
+                cost, rank = model_cost, _MODEL
+                if label == activity and fired not in ahead:
+                    ng = g + sync_cost
+                    gh = ng + forced_ahead
                     if not (
                         gh > limit
-                        or gh + lookahead > limit and carried[pos] and activity not in passes[fired]
+                        or gh + lookahead > limit and carried[next_pos]
+                        and activities[next_pos] not in passes[fired]
                     ):
-                        nf = ng + h_unit * (total - pos) if h_unit else ng
-                        heappush(frontier, (nf, _SILENT, next_ticket(), ng, fired, pos, marking, t))
-                continue
-            if label == activity and fired not in ahead:
-                ng = g + sync_cost
-                gh = ng + forced_ahead
-                if not (
-                    gh > limit
-                    or gh + lookahead > limit and carried[next_pos]
-                    and activities[next_pos] not in passes[fired]
-                ):
-                    nf = ng + h_unit * (total - next_pos) if h_unit else ng
-                    heappush(frontier, (nf, _SYNC, next_ticket(), ng, fired, next_pos, marking, t))
+                        nf = ng + h_unit * (total - next_pos) if h_unit else ng
+                        heappush(frontier, (nf, _SYNC, next_ticket(), ng, fired, next_pos, marking, t))
+            # a silent or model move stays at the position
             if fired not in here:
-                ng = g + model_cost
+                ng = g + cost
                 gh = ng + forced_here
                 if not (
                     gh > limit
                     or gh + lookahead > limit and carried[pos] and activity not in passes[fired]
                 ):
                     nf = ng + h_unit * (total - pos) if h_unit else ng
-                    heappush(frontier, (nf, _MODEL, next_ticket(), ng, fired, pos, marking, t))
+                    heappush(frontier, (nf, rank, next_ticket(), ng, fired, pos, marking, t))
         if marking not in ahead:
             ng = g + log_cost
             gh = ng + forced_ahead
@@ -670,10 +660,7 @@ def _reconstruct(
         kind = _KINDS_BY_RANK[rank]
         cost = step_costs[rank]
         if ref is None:
-            key = (kind, activity, transition, marking)
-            step = steps.get(key)
-            if step is None or step.move_cost is not cost:
-                step = _new_step(steps, key, cost, step)
+            step = _shared_step(steps, (kind, activity, transition, marking), cost)
         else:
             step = AlignmentState(kind, activity, transition, ref, cost, marking)
         states.append(step)

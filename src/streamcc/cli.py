@@ -13,7 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from collections import Counter, defaultdict, deque
+from collections import deque
 from pathlib import Path
 from typing import Sequence
 
@@ -22,7 +22,7 @@ from .errors import SearchBudgetExceeded, StreamccError
 from .evaluation import ExperimentConfig, config_echo, run_experiment, write_results
 from .petri import Marking, PetriNet
 from .pnml import load_model
-from .policies import ConformanceEngine, EventOutcome, Policy, PolicyConfig
+from .policies import ConformanceEngine, Method, Policy, PolicyConfig
 from .streams import CsvColumns, read_log, replay
 
 EXIT_OK = 0
@@ -98,25 +98,30 @@ def _cmd_check(args: argparse.Namespace) -> int:
     log = read_log(args.log, _columns(args))
     engine = ConformanceEngine(net, config, search_budget=args.budget)
 
-    last_outcome: dict[str, EventOutcome] = {}
-    methods_per_case: defaultdict[str, Counter] = defaultdict(Counter)  # a Counter per new case only
+    # case id -> [model-semantics events, shortest-path events, last cost, last conformant]
+    cases: dict[str, list] = {}
     for event in replay(log):
         outcome = engine.process(event.case_id, event.activity, event.arrival_index)
-        last_outcome[outcome.case_id] = outcome
-        methods_per_case[outcome.case_id][outcome.method.value] += 1
+        case = cases.get(outcome.case_id)
+        if case is None:
+            case = cases[outcome.case_id] = [0, 0, None, None]
+        case[outcome.method is Method.SHORTEST_PATH] += 1
+        case[2] = outcome.effective_cost
+        case[3] = outcome.conformant
 
     rows = []
-    for case_id in sorted(last_outcome):
-        methods = methods_per_case[case_id]
+    for case_id in sorted(cases):
+        model_semantics, shortest_path, cost, conformant = cases[case_id]
         rows.append(
             {
                 "case_id": case_id,
-                "events": methods.total(),  # every outcome has exactly one method
-                "effective_cost": last_outcome[case_id].effective_cost,
-                "conformant": last_outcome[case_id].conformant,
+                "events": model_semantics + shortest_path,  # every outcome has exactly one method
+                "effective_cost": cost,
+                "conformant": conformant,
+                # an evicted case's R_C summary carries a cost its last outcome does not hold
                 "residual_cost": engine.residual_cost(case_id),
-                "model_semantics": methods["model-semantics"],
-                "shortest_path": methods["shortest-path"],
+                "model_semantics": model_semantics,
+                "shortest_path": shortest_path,
             }
         )
     if args.format == "json":

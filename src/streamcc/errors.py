@@ -1,6 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one int check of its arguments."""
 
 from __future__ import annotations
+
+
+def check_int(value: object, name: str) -> None:
+    """Raise ValueError, calling ``value`` ``name``, unless it is an int and not a bool (an int subclass)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, not {value!r}")
 
 
 class StreamccError(Exception):

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
 from .alignment import DEFAULT_COST_MODEL, DEFAULT_SEARCH_BUDGET, CostModel, check_search_budget
-from .errors import EmptyWindow, ParseError, SearchBudgetExceeded, TimestampError
+from .errors import EmptyWindow, ParseError, SearchBudgetExceeded, TimestampError, check_int
 from .petri import PetriNet
 from .pnml import json_int, load_model
 from .policies import ConformanceEngine, Policy, PolicyConfig
@@ -220,6 +220,7 @@ def _check_run_settings(
     policies: Sequence[PolicyConfig], *, window_size: int, replication: int, search_budget: int, jobs: int = 1
 ) -> None:
     for name, value in (("window_size", window_size), ("replication", replication), ("jobs", jobs)):
+        check_int(value, name)
         if value < 1:
             raise ValueError(f"{name} must be >= 1")
     check_search_budget(search_budget)

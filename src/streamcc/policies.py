@@ -29,7 +29,7 @@ from .alignment import (
     slot_setters,
     truncated_alignment,
 )
-from .errors import SearchBudgetExceeded
+from .errors import SearchBudgetExceeded, check_int
 from .petri import ActivityLabel, Marking, PetriNet
 
 
@@ -60,9 +60,8 @@ class PolicyConfig:
         needs_w = self.policy in (Policy.BOUNDED_STATES, Policy.COMBINED)
         needs_n = self.policy in (Policy.BOUNDED_CASES, Policy.COMBINED)
         for name, limit in (("w", self.w), ("n", self.n)):
-            # bool is a subclass of int
-            if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int)):
-                raise ValueError(f"limit {name} must be an int, not {limit!r}")
+            if limit is not None:
+                check_int(limit, f"limit {name}")
         if needs_w and (self.w is None or self.w < 1):
             raise ValueError(f"{self.policy.value} requires a state limit w >= 1")
         if needs_n and (self.n is None or self.n < 1):

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import IO, Iterator, Sequence
 from xml.etree import ElementTree as ET
 
-from .errors import ParseError, TimestampError
+from .errors import ParseError, TimestampError, check_int
 from .petri import ActivityLabel
 
 
@@ -205,9 +205,17 @@ def replay(log: EventLog, *, pace: float | None = None) -> Iterator[StreamEvent]
 
 
 def replicate_events(events: Sequence[StreamEvent], k: int) -> Iterator[StreamEvent]:
-    """Concatenate k copies of a stream; copies after the first rename cases."""
+    """Concatenate k copies of a stream; copies after the first rename cases.
+
+    ``k`` is checked on the call, before the copies are iterated.
+    """
+    check_int(k, "replication count")
     if k < 1:
         raise ValueError("replication count must be >= 1")
+    return _copies(events, k)
+
+
+def _copies(events: Sequence[StreamEvent], k: int) -> Iterator[StreamEvent]:
     index = 0
     for copy in range(1, k + 1):
         for event in events:

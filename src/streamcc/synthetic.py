@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
+from .errors import check_int
 from .petri import PetriNet
 from .streams import Event, EventLog
 
@@ -32,6 +33,7 @@ def cyclic_sequence_net(steps: int = 10) -> PetriNet:
     ``s<i>`` to ``s<i+1 mod steps>``; the initial and final markings both
     put one token on ``s0``, completed laps end where they started.
     """
+    check_int(steps, "steps")
     if steps < 2:
         raise ValueError("steps must be >= 2")
     places = [f"s{i}" for i in range(steps)]
@@ -69,6 +71,8 @@ class StreamSpec:
     step_seconds: int = 30
 
     def __post_init__(self) -> None:
+        check_int(self.cases, "cases")
+        check_int(self.open_cases, "open_cases")
         if self.cases < 1 or self.open_cases < 1:
             raise ValueError("cases and open_cases must be >= 1")
         unknown = set(self.kinds) - set(NOISE_KINDS)
