@@ -41,10 +41,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from enum import Enum
 from itertools import count
-from typing import Iterable, Sequence
+from types import MethodType
+from typing import Iterable, NamedTuple, Sequence
 
 from . import petri
 from .errors import BoundBelowOptimum, SearchBudgetExceeded, check_int
@@ -104,13 +105,25 @@ def slot_setters(cls: type) -> tuple:
 
     A frozen dataclass's generated ``__init__`` stores each field through
     ``object.__setattr__`` with the field's name. On a 2-CPU x86-64 Xeon
-    with CPython 3.11 that made one ``AlignmentState`` cost 2.3-2.7 us and
-    one ``EventOutcome`` 1.7-2.4 us, and an event builds one of each;
-    through these setters they cost 1.2 us and 1.2-1.4 us. So the values
-    built on every event set their slots through them in a hand-written
-    ``__init__``, and keep the generated frozen ``__setattr__``.
+    with CPython 3.11 that made one ``AlignmentState`` cost 2.3-2.7 us,
+    and through these setters 1.2 us. So :class:`AlignmentState` sets its
+    slots through them in a hand-written ``__init__``, and keeps the
+    generated frozen ``__setattr__``. The two values built on every event,
+    :class:`PrefixAlignment` and ``policies.EventOutcome``, are named
+    tuples built in C instead; a step stays a dataclass because a
+    tuple-backed value is 8 B larger, and alignments store steps.
     """
     return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+def frozen_setattr(self: object, name: str, value: object) -> None:
+    """A named tuple's ``__setattr__`` that refuses as a frozen dataclass's does."""
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def frozen_delattr(self: object, name: str) -> None:
+    """A named tuple's ``__delattr__`` that refuses as a frozen dataclass's does."""
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 @dataclass(frozen=True)
@@ -215,8 +228,17 @@ def fold_move_costs(states: Iterable[AlignmentState]) -> float:
     return total
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class PrefixAlignment:
+class _PrefixAlignmentFields(NamedTuple):
+    """The fields of :class:`PrefixAlignment`, in order, with its constructor's defaults."""
+
+    base_marking: Marking
+    states: tuple[AlignmentState, ...] = ()
+    summary: float | None = None
+    moves_cost: float | None = None
+    refs: tuple[EventRef | None, ...] | None = None
+
+
+class PrefixAlignment(_PrefixAlignmentFields):
     """Ordered alignment states, optionally led by a summary state.
 
     ``base_marking`` is the marking from which the first state proceeds:
@@ -236,33 +258,61 @@ class PrefixAlignment:
     :func:`extend_model_semantics`), which carry no ref of their own, so
     the alignment keeps its events' refs next to them. When omitted,
     ``refs`` is computed from the states' own ``event_ref``.
+
+    It is a frozen named tuple. Equality, the hash and the repr leave
+    ``moves_cost`` out, as the dataclass it used to be did, and assigning
+    or deleting a field raises ``dataclasses.FrozenInstanceError``; it
+    also indexes, iterates and orders like the tuple of its five fields,
+    ``moves_cost`` included.
+    Every alignment is built by ``PrefixAlignment._from_fields``,
+    ``tuple.__new__`` over all five fields, which runs no Python frame:
+    the extension, truncation, the search and eviction call it directly,
+    and the constructor calls it once it has worked out the omitted
+    fields.
     """
 
-    base_marking: Marking
-    states: tuple[AlignmentState, ...] = ()
-    summary: float | None = None
-    moves_cost: float = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
-    refs: tuple[EventRef | None, ...] = field(default=None)  # type: ignore[assignment]
+    __slots__ = ()
+    __setattr__ = frozen_setattr
+    __delattr__ = frozen_delattr
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         base_marking: Marking,
         states: tuple[AlignmentState, ...] = (),
         summary: float | None = None,
         moves_cost: float | None = None,
         refs: tuple[EventRef | None, ...] | None = None,
-    ) -> None:
-        set_base_marking, set_states, set_summary, set_moves_cost, set_refs = _PREFIX_SETTERS
-        set_base_marking(self, base_marking)
-        set_states(self, states)
-        set_summary(self, summary)
-        set_moves_cost(self, fold_move_costs(states) if moves_cost is None else moves_cost)
+    ) -> "PrefixAlignment":
+        if moves_cost is None:
+            moves_cost = fold_move_costs(states)
         if refs is None:
             # from a list, not a generator: tuple() sizes a generator's result
             # at 10 and shrinks it, and once freed, the shrunk block stays on
             # CPython's free list for its size; one per search added up
             refs = tuple([s.event_ref for s in states if s.kind in CONSUMING_KINDS])
-        set_refs(self, refs)
+        return PrefixAlignment._from_fields((base_marking, states, summary, moves_cost, refs))
+
+    def __repr__(self) -> str:
+        return (
+            f"PrefixAlignment(base_marking={self.base_marking!r}, states={self.states!r}, "
+            f"summary={self.summary!r}, refs={self.refs!r})"
+        )
+
+    def _compared(self) -> tuple:
+        # moves_cost is not compared: it is a function of the states
+        return (self.base_marking, self.states, self.summary, self.refs)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
 
     @classmethod
     def empty(cls, start: Marking) -> "PrefixAlignment":
@@ -300,12 +350,16 @@ class PrefixAlignment:
         refs = self.refs
         if state.kind in CONSUMING_KINDS:
             refs += (state.event_ref,)
-        return PrefixAlignment(
-            self.base_marking, self.states + (state,), self.summary, self.moves_cost + state.move_cost, refs
+        return PrefixAlignment._from_fields(
+            (self.base_marking, self.states + (state,), self.summary, self.moves_cost + state.move_cost, refs)
         )
 
 
-_PREFIX_SETTERS = slot_setters(PrefixAlignment)
+# The one point every alignment is built at: (base_marking, states, summary,
+# moves_cost, refs) -> a PrefixAlignment of them. A method bound once, so a
+# call is tuple.__new__'s and no Python frame runs; tests count alignments
+# by patching it.
+PrefixAlignment._from_fields = MethodType(tuple.__new__, PrefixAlignment)
 
 
 def check_search_budget(budget: int) -> None:
@@ -358,13 +412,16 @@ def truncated_alignment(
     for s in dropped:
         if s.kind in CONSUMING_KINDS:
             forgotten_events += 1
+    kept = states[-keep:]
     carried = summary if summary is not None else 0.0
-    return PrefixAlignment(
-        dropped[-1].marking_after,
-        states[-keep:],
-        carried + fold_move_costs(dropped),
-        None,
-        refs[forgotten_events:],
+    return PrefixAlignment._from_fields(
+        (
+            dropped[-1].marking_after,
+            kept,
+            carried + fold_move_costs(dropped),
+            fold_move_costs(kept),
+            refs[forgotten_events:],
+        )
     )
 
 
@@ -404,7 +461,7 @@ def extend_model_semantics(
                 truncated = truncated_alignment(pa.base_marking, states, pa.summary, refs, w)
                 if truncated is not None:
                     return truncated
-            return PrefixAlignment(pa.base_marking, states, pa.summary, pa.moves_cost + cost, refs)
+            return PrefixAlignment._from_fields((pa.base_marking, states, pa.summary, pa.moves_cost + cost, refs))
     if w is not None:
         _check_state_limit(w)
     return None
@@ -668,4 +725,4 @@ def _reconstruct(
     states.reverse()
     refs.reverse()
     # the goal's g added the step costs left to right, as fold_move_costs does
-    return PrefixAlignment(start, tuple(states), None, goal[3], tuple(refs))
+    return PrefixAlignment._from_fields((start, tuple(states), None, goal[3], tuple(refs)))

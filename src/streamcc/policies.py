@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from types import MethodType
+from typing import NamedTuple
 
 from . import petri
 from .alignment import (
@@ -25,8 +27,9 @@ from .alignment import (
     PrefixAlignment,
     check_search_budget,
     extend_model_semantics,
+    frozen_delattr,
+    frozen_setattr,
     shortest_path_prefix_alignment,
-    slot_setters,
     truncated_alignment,
 )
 from .errors import SearchBudgetExceeded, check_int
@@ -111,9 +114,15 @@ class SummaryRepository(dict[str, PrefixAlignment]):
     pop = dict.pop
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class EventOutcome:
-    """Per-event result reported by an engine."""
+class EventOutcome(NamedTuple):
+    """Per-event result reported by an engine.
+
+    A frozen named tuple: assigning or deleting a field raises
+    ``dataclasses.FrozenInstanceError``, as the dataclass it used to be
+    did, and it also indexes, iterates and compares like the tuple of its
+    seven fields. The engine builds it with ``EventOutcome._from_fields``,
+    ``tuple.__new__`` over all seven fields, which runs no Python frame.
+    """
 
     case_id: str
     activity: ActivityLabel
@@ -123,35 +132,12 @@ class EventOutcome:
     method: Method
     residual_cost: float
 
-    def __init__(
-        self,
-        case_id: str,
-        activity: ActivityLabel,
-        arrival_index: int,
-        effective_cost: float,
-        conformant: bool,
-        method: Method,
-        residual_cost: float,
-    ) -> None:
-        (
-            set_case_id,
-            set_activity,
-            set_arrival_index,
-            set_effective_cost,
-            set_conformant,
-            set_method,
-            set_residual_cost,
-        ) = _OUTCOME_SETTERS
-        set_case_id(self, case_id)
-        set_activity(self, activity)
-        set_arrival_index(self, arrival_index)
-        set_effective_cost(self, effective_cost)
-        set_conformant(self, conformant)
-        set_method(self, method)
-        set_residual_cost(self, residual_cost)
+    __setattr__ = frozen_setattr
+    __delattr__ = frozen_delattr
 
 
-_OUTCOME_SETTERS = slot_setters(EventOutcome)
+# the seven fields, in order, in a tuple -> an outcome of them, by tuple.__new__
+EventOutcome._from_fields = MethodType(tuple.__new__, EventOutcome)
 
 
 def truncate_states(pa: PrefixAlignment, w: int) -> PrefixAlignment:
@@ -329,7 +315,7 @@ class ConformanceEngine:
         self.events_processed = index + 1
 
         cost = carried + new.moves_cost
-        return EventOutcome(case_id, activity, index, cost, cost == 0, method, carried)
+        return EventOutcome._from_fields((case_id, activity, index, cost, cost == 0, method, carried))
 
     def _search(
         self,
@@ -358,8 +344,8 @@ class ConformanceEngine:
         except SearchBudgetExceeded as exc:
             raise SearchBudgetExceeded(exc.budget, case_id) from exc
         self.search_count += 1
-        return PrefixAlignment(
-            fresh.base_marking, fresh.states, pa.summary, fresh.moves_cost, pa.refs + (event_ref,)
+        return PrefixAlignment._from_fields(
+            (fresh.base_marking, fresh.states, pa.summary, fresh.moves_cost, pa.refs + (event_ref,))
         )
 
     def _evict_one(self) -> None:
@@ -371,7 +357,7 @@ class ConformanceEngine:
         summary = self._shared_summaries.get(key)
         if summary is None:
             # a float kappa and the int 0 moves_cost of PrefixAlignment.empty: outcome digests hash their sums
-            summary = PrefixAlignment(marking, (), kappa, 0, ())
+            summary = PrefixAlignment._from_fields((marking, (), kappa, 0, ()))
             # capped like the net's tables: fractional costs give unboundedly many values
             if len(self._shared_summaries) < petri.SUCCESSOR_TABLE_CAP:
                 self._shared_summaries[key] = summary

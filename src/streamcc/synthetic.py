@@ -52,6 +52,19 @@ def cyclic_sequence_net(steps: int = 10) -> PetriNet:
     )
 
 
+# The fewest each StreamSpec count allows besides cases and open_cases; a
+# cyclic net needs two steps, as cyclic_sequence_net says.
+_FEWEST = {
+    "base_length": 1,
+    "length_jitter": 0,
+    "long_length": 1,
+    "max_edits": 1,
+    "min_gap": 0,
+    "model_steps": 2,
+    "step_seconds": 0,
+}
+
+
 @dataclass(frozen=True)
 class StreamSpec:
     """Shape of a generated stream; all randomness comes from the seed."""
@@ -80,6 +93,15 @@ class StreamSpec:
             raise ValueError(f"unknown noise kinds {sorted(unknown)}")
         if not self.kinds and self.noise_probability > 0:
             raise ValueError("kinds must name at least one noise kind when noise_probability > 0")
+        for name, fewest in _FEWEST.items():
+            value = getattr(self, name)
+            check_int(value, name)
+            if value < fewest:
+                raise ValueError(f"{name} must be >= {fewest}, not {value!r}")
+        for name in ("long_fraction", "noise_probability"):
+            value = getattr(self, name)
+            if not 0 <= value <= 1:  # NaN too
+                raise ValueError(f"{name} must lie in [0, 1], not {value!r}")
 
 
 def _case_trace(spec: StreamSpec, rng: random.Random) -> list[str]:

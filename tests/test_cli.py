@@ -403,6 +403,21 @@ class TestExperimentCommand:
         assert "kinds must name at least one noise kind" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_a_net_of_no_steps_exit_2_and_writes_nothing(self, data_dir, tmp_path, capsys):
+        config = {
+            "model": str(data_dir / "cycle10.pnml"),
+            "synthetic": {"cases": 5, "open_cases": 2, "model_steps": 0},
+            "policies": [{"policy": "baseline"}],
+            "output_dir": str(tmp_path / "out"),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["experiment", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid experiment config {path}: model_steps must be >= 2, not 0\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_2_and_writes_nothing(self, jobs, data_dir, tmp_path, capsys):
         config = {

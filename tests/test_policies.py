@@ -276,30 +276,41 @@ class TestBoundedStates:
         assert base_costs == bounded_costs
 
     def test_an_extended_event_builds_one_alignment(self, monkeypatch):
-        from test_golden import STREAM_SEED, STREAM_SPEC
+        from test_golden import CONFIGS, STREAM_SEED, STREAM_SPEC
 
-        built = 0
-        init = PrefixAlignment.__init__
+        # every alignment is built through this one point
+        built = []
 
-        def counting_init(self, *args, **kwargs):
-            nonlocal built
-            built += 1
-            init(self, *args, **kwargs)
+        def counting_from_fields(fields):
+            pa = tuple.__new__(PrefixAlignment, fields)
+            built.append(pa)
+            return pa
 
-        monkeypatch.setattr(PrefixAlignment, "__init__", counting_init)
-        engine = ConformanceEngine(cyclic_sequence_net(10), PolicyConfig(Policy.BOUNDED_STATES, w=2))
-        extended = truncated = 0
-        for event in replay(generate_log(STREAM_SPEC, seed=STREAM_SEED)):
-            before = built
-            outcome = engine.process(event.case_id, event.activity, event.arrival_index)
-            if outcome.method is Method.MODEL_SEMANTICS:
-                assert built - before == 1, f"event {event.arrival_index} built {built - before} alignments"
-                extended += 1
-                pa = engine.store[event.case_id].prefix_alignment
-                truncated += pa.summary is not None and pa.state_count == 2
-        assert extended == engine.extension_count > 500
-        # most extended events forgot a state: the one alignment was built truncated
-        assert truncated > extended // 2
+        monkeypatch.setattr(PrefixAlignment, "_from_fields", counting_from_fields)
+        events = list(replay(generate_log(STREAM_SPEC, seed=STREAM_SEED)))
+        # baseline, bounded-states-w2, bounded-cases-n5 and combined-w2-n5
+        for config in CONFIGS:
+            engine = ConformanceEngine(cyclic_sequence_net(10), config)
+            extended = truncated = 0
+            for event in events:
+                before = len(built)
+                outcome = engine.process(event.case_id, event.activity, event.arrival_index)
+                if outcome.method is Method.MODEL_SEMANTICS:
+                    pa = engine.store[event.case_id].prefix_alignment
+                    own, *evicted = built[before:]
+                    assert own is pa and all(not summary.states for summary in evicted), (
+                        f"{config.label}: event {event.arrival_index} built {len(built) - before} alignments"
+                    )
+                    # besides the case's one alignment, an eviction may build the
+                    # evicted case's summary-only R_C entry, and nothing else
+                    assert len(evicted) <= 1
+                    assert all(any(summary is entry for entry in engine.repo.values()) for summary in evicted)
+                    extended += 1
+                    truncated += pa.summary is not None and pa.state_count == 2
+            assert extended == engine.extension_count > 500, config.label
+            if config.w is not None:
+                # most extended events forgot a state: the one alignment was built truncated
+                assert truncated > extended // 2, config.label
 
 
 class TestForgettingCriteria:

@@ -1,11 +1,38 @@
 from __future__ import annotations
 
+import math
+import re
+
 import pytest
 
 from streamcc import ConformanceEngine, StreamSpec, cyclic_sequence_net, generate_log, replay
 from streamcc.synthetic import ALIEN_ACTIVITY, step_label
 
 from oracles import peak_concurrent_cases, replay_outcomes
+
+
+# a StreamSpec field, a value it refuses and the message that says why
+BAD_FIELDS = [
+    # a cycle of fewer than two steps divides by zero or is no net
+    ("model_steps", 0, "model_steps must be >= 2, not 0"),
+    ("model_steps", 1, "model_steps must be >= 2, not 1"),
+    # labels A0.0, A1.0, ... that no model step carries
+    ("model_steps", 2.5, "model_steps must be an int, not 2.5"),
+    # an empty range for the edit count
+    ("max_edits", 0, "max_edits must be >= 1, not 0"),
+    ("base_length", 0, "base_length must be >= 1, not 0"),
+    ("base_length", True, "base_length must be an int, not True"),
+    ("long_length", 0, "long_length must be >= 1, not 0"),
+    ("length_jitter", -3, "length_jitter must be >= 0, not -3"),
+    ("min_gap", -1, "min_gap must be >= 0, not -1"),
+    ("step_seconds", 2.5, "step_seconds must be an int, not 2.5"),
+    ("step_seconds", -1, "step_seconds must be >= 0, not -1"),
+    ("noise_probability", 1.5, "noise_probability must lie in [0, 1], not 1.5"),
+    ("noise_probability", -0.5, "noise_probability must lie in [0, 1], not -0.5"),
+    ("noise_probability", math.nan, "noise_probability must lie in [0, 1], not nan"),
+    ("long_fraction", 1.5, "long_fraction must lie in [0, 1], not 1.5"),
+    ("long_fraction", math.nan, "long_fraction must lie in [0, 1], not nan"),
+]
 
 
 class TestCyclicSequenceNet:
@@ -84,3 +111,20 @@ class TestGenerateLog:
     def test_rejects_unknown_noise_kind(self):
         with pytest.raises(ValueError):
             StreamSpec(kinds=("alien", "chaos"))
+
+    @pytest.mark.parametrize(
+        "field, value, message", BAD_FIELDS, ids=[f"{field}={value}" for field, value, _ in BAD_FIELDS]
+    )
+    def test_rejects_a_field_out_of_its_range(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StreamSpec(cases=3, open_cases=2, **{field: value})
+
+    def test_fields_at_their_limits_generate_a_log(self):
+        fewest = StreamSpec(
+            cases=3, open_cases=2, base_length=1, length_jitter=0, long_length=1, max_edits=1,
+            min_gap=0, model_steps=2, step_seconds=0, noise_probability=1.0, long_fraction=1.0,
+        )
+        log = generate_log(fewest, seed=1)
+        assert {event.case_id for event in log.events} == {"c1", "c2", "c3"}
+        assert len({event.timestamp for event in log.events}) == 1
+        assert {event.activity for event in log.events} <= {"A0", "A1", ALIEN_ACTIVITY}

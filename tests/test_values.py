@@ -1,11 +1,15 @@
 """The value types made per event or per state carry only their fields.
 
-They are slotted dataclasses: no instance ``__dict__``, so a stored
-state costs its fields and nothing more. ``experiment --jobs`` pickles
-nets, events and configs into worker processes, so each type must also
-survive a pickle round trip unchanged. All but the case record are
-frozen, and the three built on every event keep the generated
-constructor's parameters and ``moves_cost`` rule in their own ``__init__``.
+They are slotted dataclasses or named tuples: no instance ``__dict__``,
+so a stored state costs its fields and nothing more. ``experiment
+--jobs`` pickles nets, events and configs into worker processes, so
+each type must also survive a pickle round trip unchanged. All but the
+case record are frozen, and refuse assignment and deletion with a
+frozen dataclass's ``FrozenInstanceError``. The three built on every
+event keep their constructor's parameters, defaults and ``moves_cost``
+rule: ``AlignmentState`` in its own ``__init__``, and the named tuples
+``PrefixAlignment`` and ``EventOutcome`` in ``__new__``. Their reprs are
+pinned as the dataclasses printed them, because digests hash that text.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ _PREFIX = PrefixAlignment(
     ),
     _SUMMARY.summary,
 )
+_OUTCOME = EventOutcome("c1", "A", 7, 2.5, False, Method.SHORTEST_PATH, 1.5)
 _WHEN = datetime(2024, 1, 2, 3, 4, 5)
 
 VALUES = [
@@ -48,7 +53,7 @@ VALUES = [
     _SUMMARY,
     _PREFIX,
     CaseRecord("c1", _PREFIX, last_update=7),
-    EventOutcome("c1", "A", 7, 2.5, False, Method.SHORTEST_PATH, 1.5),
+    _OUTCOME,
     StreamEvent("c1", "A", 7, _WHEN),
     Event(3, "c1", "A", _WHEN),
 ]
@@ -56,6 +61,13 @@ VALUES = [
 
 def _value_id(value) -> str:
     return "summary-only-PrefixAlignment" if value is _SUMMARY else type(value).__name__
+
+
+def _field_names(value) -> list[str]:
+    """The value's field names in order, whether it is a dataclass or a named tuple."""
+    if dataclasses.is_dataclass(value):
+        return [f.name for f in dataclasses.fields(value)]
+    return list(value._fields)
 
 
 @pytest.mark.parametrize("value", VALUES, ids=_value_id)
@@ -79,12 +91,22 @@ MUTABLE = (CaseRecord,)
     "value", [v for v in VALUES if not isinstance(v, MUTABLE)], ids=_value_id
 )
 def test_fields_cannot_be_assigned(value):
-    for f in dataclasses.fields(value):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(value, f.name, getattr(value, f.name))
+    for name in _field_names(value):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field {name!r}$"):
+            setattr(value, name, getattr(value, name))
 
 
-# The values built on every event have a hand-written __init__.
+@pytest.mark.parametrize(
+    "value", [v for v in VALUES if not isinstance(v, MUTABLE)], ids=_value_id
+)
+def test_fields_cannot_be_deleted(value):
+    for name in _field_names(value):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field {name!r}$"):
+            delattr(value, name)
+
+
+# The values built on every event have a constructor of their own: a
+# dataclass's __init__, a named tuple's __new__.
 PER_EVENT_VALUES = [v for v in VALUES if isinstance(v, (AlignmentState, PrefixAlignment, EventOutcome))]
 
 
@@ -92,16 +114,41 @@ PER_EVENT_VALUES = [v for v in VALUES if isinstance(v, (AlignmentState, PrefixAl
 class TestPerEventConstructor:
     def test_parameters_are_the_fields_with_their_defaults(self, value):
         cls = type(value)
-        parameters = list(inspect.signature(cls.__init__).parameters.values())[1:]
-        assert [p.name for p in parameters] == [f.name for f in dataclasses.fields(cls)]
-        for p, f in zip(parameters, dataclasses.fields(cls)):
-            default = inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
-            assert p.default == default, p.name
+        if dataclasses.is_dataclass(cls):
+            constructor = cls.__init__
+            defaults = {f.name: f.default for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+        else:
+            constructor = cls.__new__
+            defaults = cls._field_defaults
+        parameters = list(inspect.signature(constructor).parameters.values())[1:]
+        assert [p.name for p in parameters] == _field_names(value)
+        for p in parameters:
+            assert p.default == defaults.get(p.name, inspect.Parameter.empty), p.name
 
     def test_replace_builds_an_equal_value(self, value):
-        copy = dataclasses.replace(value)
+        copy = dataclasses.replace(value) if dataclasses.is_dataclass(value) else value._replace()
         assert copy == value
         assert repr(copy) == repr(value)
+
+
+def test_per_event_values_print_as_the_dataclasses_did():
+    # outcome digests and search digests hash these reprs; moves_cost is not printed
+    assert repr(_OUTCOME) == (
+        "EventOutcome(case_id='c1', activity='A', arrival_index=7, effective_cost=2.5, "
+        "conformant=False, method=<Method.SHORTEST_PATH: 'shortest-path'>, residual_cost=1.5)"
+    )
+    marking = "Marking(entries=(('p1', 1), ('p2', 2)))"
+    assert repr(_SUMMARY) == f"PrefixAlignment(base_marking={marking}, states=(), summary=1.5, refs=())"
+    assert repr(_PREFIX) == (
+        f"PrefixAlignment(base_marking={marking}, states={_PREFIX.states!r}, summary=1.5, refs=(0, 1))"
+    )
+
+
+def test_per_event_values_index_and_iterate_like_tuples():
+    assert tuple(_OUTCOME) == ("c1", "A", 7, 2.5, False, Method.SHORTEST_PATH, 1.5)
+    assert _OUTCOME[2] == _OUTCOME.arrival_index == 7
+    # moves_cost is a field of the tuple, though not compared or printed
+    assert list(_PREFIX) == [_PREFIX.base_marking, _PREFIX.states, 1.5, 1.0, (0, 1)]
 
 
 _FRACTIONAL_STEPS = tuple(
@@ -122,6 +169,17 @@ def test_given_moves_cost_is_kept_as_given():
     assert PrefixAlignment(_MARKING, _FRACTIONAL_STEPS, moves_cost=9.5).moves_cost == 9.5
     # moves_cost is not compared: it is a function of the states
     assert pa == PrefixAlignment(_MARKING, _FRACTIONAL_STEPS)
+
+
+def test_moves_cost_is_left_out_of_the_hash():
+    pa = PrefixAlignment(_MARKING, _FRACTIONAL_STEPS, None, 1)
+    same = PrefixAlignment(_MARKING, _FRACTIONAL_STEPS, None, 1.0)
+    assert type(pa.moves_cost) is int and type(same.moves_cost) is float
+    assert pa == same and not pa != same
+    assert hash(pa) == hash(same)
+    other = PrefixAlignment(_MARKING, _FRACTIONAL_STEPS, None, 9.5)
+    assert pa == other and not pa != other
+    assert hash(pa) == hash(other) == hash(PrefixAlignment(_MARKING, _FRACTIONAL_STEPS))
 
 
 def test_step_prints_its_move_nested():
