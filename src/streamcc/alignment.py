@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import FrozenInstanceError, dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from itertools import count
 from types import MethodType
@@ -100,22 +100,6 @@ def _check_shape(kind: MoveKind, activity: ActivityLabel | None, transition: str
         raise ValueError(f"a {kind.value} move carries {has_activity} and names {has_transition}")
 
 
-def slot_setters(cls: type) -> tuple:
-    """The ``__set__`` of each of a slotted dataclass's field slots, in field order.
-
-    A frozen dataclass's generated ``__init__`` stores each field through
-    ``object.__setattr__`` with the field's name. On a 2-CPU x86-64 Xeon
-    with CPython 3.11 that made one ``AlignmentState`` cost 2.3-2.7 us,
-    and through these setters 1.2 us. So :class:`AlignmentState` sets its
-    slots through them in a hand-written ``__init__``, and keeps the
-    generated frozen ``__setattr__``. The two values built on every event,
-    :class:`PrefixAlignment` and ``policies.EventOutcome``, are named
-    tuples built in C instead; a step stays a dataclass because a
-    tuple-backed value is 8 B larger, and alignments store steps.
-    """
-    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
-
-
 def frozen_setattr(self: object, name: str, value: object) -> None:
     """A named tuple's ``__setattr__`` that refuses as a frozen dataclass's does."""
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -145,18 +129,8 @@ class CostModel:
 DEFAULT_COST_MODEL = CostModel()
 
 
-@dataclass(frozen=True, slots=True, repr=False, init=False)
-class AlignmentState:
-    """One alignment step: a move's fields, its cost and the marking it reaches.
-
-    The move is no object of its own, so a stored step is one slotted
-    object. The repr prints the move's fields nested,
-    ``AlignmentState(move=Move(kind=..., ...), move_cost=..., marking_after=...)``,
-    because digests of search results hash that text. A step with no
-    ``event_ref`` is a value a net shares: the extension and the search
-    take it from the net's step table (see :func:`_shared_step`), and the
-    alignment keeps its events' refs in ``PrefixAlignment.refs``.
-    """
+class _AlignmentStateFields(NamedTuple):
+    """The fields of :class:`AlignmentState`, in order."""
 
     kind: MoveKind
     activity: ActivityLabel | None
@@ -165,23 +139,36 @@ class AlignmentState:
     move_cost: float
     marking_after: Marking
 
-    def __init__(
-        self,
+
+class AlignmentState(_AlignmentStateFields):
+    """One alignment step: a move's fields, its cost and the marking it reaches.
+
+    A frozen named tuple, like :class:`PrefixAlignment`: ``__new__``
+    checks the move's shape, and assigning or deleting a field raises
+    ``dataclasses.FrozenInstanceError``. The move is no object of its
+    own. The repr prints the move's fields nested,
+    ``AlignmentState(move=Move(kind=..., ...), move_cost=..., marking_after=...)``,
+    because digests of search results hash that text. A step with no
+    ``event_ref`` is a value a net shares: the extension and the search
+    take it from the net's step table (see :func:`_shared_step`), and the
+    alignment keeps its events' refs in ``PrefixAlignment.refs``.
+    """
+
+    __slots__ = ()
+    __setattr__ = frozen_setattr
+    __delattr__ = frozen_delattr
+
+    def __new__(
+        cls,
         kind: MoveKind,
         activity: ActivityLabel | None,
         transition: str | None,
         event_ref: EventRef | None,
         move_cost: float,
         marking_after: Marking,
-    ) -> None:
+    ) -> "AlignmentState":
         _check_shape(kind, activity, transition)
-        set_kind, set_activity, set_transition, set_event_ref, set_move_cost, set_marking_after = _STEP_SETTERS
-        set_kind(self, kind)
-        set_activity(self, activity)
-        set_transition(self, transition)
-        set_event_ref(self, event_ref)
-        set_move_cost(self, move_cost)
-        set_marking_after(self, marking_after)
+        return tuple.__new__(cls, (kind, activity, transition, event_ref, move_cost, marking_after))
 
     def __repr__(self) -> str:
         return (
@@ -189,9 +176,6 @@ class AlignmentState:
             f"transition={self.transition!r}, event_ref={self.event_ref!r}), "
             f"move_cost={self.move_cost!r}, marking_after={self.marking_after!r})"
         )
-
-
-_STEP_SETTERS = slot_setters(AlignmentState)
 
 
 def _shared_step(steps: dict, key: tuple, cost: float) -> AlignmentState:

@@ -84,20 +84,19 @@ class PolicyConfig:
 
 @dataclass(slots=True)
 class CaseRecord:
-    """A case tracked in the multi-state store.
+    """A case tracked in the multi-state store: its id and its alignment, nothing more.
 
-    ``last_update`` is the arrival index of its most recent event;
-    ``rank`` is the forgetting-index bucket the case sits in, 0 while it
-    is in none (the engine has no case limit). Every event adds exactly
-    one event-consuming move, and only forgetting removes states, which
-    always leaves a summary: so while the alignment has no summary, it
-    holds one event-consuming move per event of the case.
+    What else the engine knows of the case it reads from the alignment
+    (its forgetting rank, see :func:`_forgetting_rank`) or from the
+    forgetting index (which case was updated least recently). Every
+    event adds exactly one event-consuming move, and only forgetting
+    removes states, which always leaves a summary: so while the
+    alignment has no summary, it holds one event-consuming move per
+    event of the case.
     """
 
     case_id: str
     prefix_alignment: PrefixAlignment
-    last_update: int
-    rank: int = 0
 
 
 class CaseStore(dict[str, CaseRecord]):
@@ -156,8 +155,8 @@ def truncate_states(pa: PrefixAlignment, w: int) -> PrefixAlignment:
     return pa if truncated is None else truncated
 
 
-def _forgetting_rank(record: CaseRecord) -> int:
-    """Forgetting preference 1..4 of one record; the lowest is forgotten first.
+def _forgetting_rank(pa: PrefixAlignment) -> int:
+    """Forgetting preference 1..4 of a stored case's alignment; the lowest is forgotten first.
 
     (1) a compliant monuple: a single event explained by one synchronous
     move from the initial marking; (2) a case whose forgotten prefix
@@ -166,8 +165,9 @@ def _forgetting_rank(record: CaseRecord) -> int:
 
     An alignment without a summary explains each event of its case (see
     :class:`CaseRecord`), so one synchronous state there is a monuple.
+    A pure O(1) function of the alignment, so the engine keeps no copy
+    of it: it finds a case's bucket by ranking the alignment it stores.
     """
-    pa = record.prefix_alignment
     summary = pa.summary
     if summary is None:
         states = pa.states
@@ -197,10 +197,11 @@ class ConformanceEngine:
     the least recently updated case, then to the smallest case id. So
     that eviction does not rescan the store on every orphan event, it
     keeps an incremental forgetting index: one insertion-ordered bucket
-    of case ids per rank, with each record's ``rank`` naming its bucket.
-    Every successful event moves its case to the end of its bucket, so
-    each bucket is in ``last_update`` order and the first case of the
-    first non-empty bucket is the victim.
+    of case ids per rank, a case sitting in the bucket of its stored
+    alignment's rank. Every successful event moves its case to the end
+    of the bucket of its new rank, so each bucket is in the order of its
+    cases' last updates, and the first case of the first non-empty
+    bucket is the victim.
 
     An evicted case's next event resumes from its summary-only
     :class:`PrefixAlignment` in R_C itself. Evicted cases with equal
@@ -299,19 +300,16 @@ class ConformanceEngine:
                 slots -= 1
             if n is not None and len(self.store) >= n:
                 self._evict_one()
-            record = CaseRecord(case_id, new, index)
-            self.store[case_id] = record
+            self.store[case_id] = CaseRecord(case_id, new)
         else:
             slots -= len(pa.states) + (pa.summary is not None)
             record.prefix_alignment = new
-            record.last_update = index
+            if n is not None:
+                del self._buckets[_forgetting_rank(pa)][case_id]
         self._stored_slots += slots
         if n is not None:
-            # move the case to the end of the bucket of its new rank
-            if record.rank:
-                del self._buckets[record.rank][case_id]
-            rank = record.rank = _forgetting_rank(record)
-            self._buckets[rank][case_id] = None
+            # the case goes to the end of the bucket of its new rank
+            self._buckets[_forgetting_rank(new)][case_id] = None
         self.events_processed = index + 1
 
         cost = carried + new.moves_cost
@@ -349,9 +347,9 @@ class ConformanceEngine:
         )
 
     def _evict_one(self) -> None:
-        victim = self.store.pop(self._pick_victim())
-        del self._buckets[victim.rank][victim.case_id]
-        pa = victim.prefix_alignment
+        case_id = self._pick_victim()
+        pa = self.store.pop(case_id).prefix_alignment
+        del self._buckets[_forgetting_rank(pa)][case_id]
         self._stored_slots += 1 - pa.state_count
         kappa, marking = key = (pa.fitness_cost, pa.current_marking)
         summary = self._shared_summaries.get(key)
@@ -361,7 +359,7 @@ class ConformanceEngine:
             # capped like the net's tables: fractional costs give unboundedly many values
             if len(self._shared_summaries) < petri.SUCCESSOR_TABLE_CAP:
                 self._shared_summaries[key] = summary
-        self.repo.put(victim.case_id, summary)
+        self.repo.put(case_id, summary)
 
     # -- forgetting index --------------------------------------------------
 

@@ -100,8 +100,12 @@ class StreamSpec:
                 raise ValueError(f"{name} must be >= {fewest}, not {value!r}")
         for name in ("long_fraction", "noise_probability"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, not {value!r}")
             if not 0 <= value <= 1:  # NaN too
                 raise ValueError(f"{name} must lie in [0, 1], not {value!r}")
+        if not isinstance(self.start, datetime):
+            raise ValueError(f"start must be a datetime, not {self.start!r}")
 
 
 def _case_trace(spec: StreamSpec, rng: random.Random) -> list[str]:

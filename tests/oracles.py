@@ -55,7 +55,7 @@ def stored_state_count(store: CaseStore, repo: SummaryRepository | None = None) 
     return total
 
 
-def select_forget_victim(store: CaseStore) -> str:
+def select_forget_victim(store: CaseStore, last_arrival: dict[str, int]) -> str:
     """Pick the case to forget, in a single pass over the store.
 
     Preference order: (1) a compliant monuple (single event explained by
@@ -63,16 +63,19 @@ def select_forget_victim(store: CaseStore) -> str:
     immediately; (2) cases whose forgotten prefix already carries cost;
     (3) fully conformant cases; (4) cases whose retained states are not
     fitting. Ties fall to the least recently updated case, then the
-    smallest case id.
+    smallest case id. ``last_arrival`` maps each stored case to the
+    arrival index of its last event the engine processed without error:
+    the caller tracks it from the stream, so the scan reads nothing of
+    the engine's forgetting index.
     """
     if len(store) == 0:
         raise ValueError("cannot select a victim from an empty store")
     best: tuple[int, int, str] | None = None
     for record in store.records():
-        rank = _forgetting_rank(record)
+        rank = _forgetting_rank(record.prefix_alignment)
         if rank == 1:
             return record.case_id
-        key = (rank, record.last_update, record.case_id)
+        key = (rank, last_arrival[record.case_id], record.case_id)
         if best is None or key < best:
             best = key
     assert best is not None

@@ -31,7 +31,7 @@ from streamcc import (
     shortest_path_prefix_alignment,
 )
 from streamcc.alignment import DEFAULT_COST_MODEL, DEFAULT_SEARCH_BUDGET
-from streamcc.policies import CaseRecord, CaseStore
+from streamcc.policies import CaseRecord, CaseStore, _forgetting_rank
 from streamcc.streams import StreamEvent
 
 from oracles import (
@@ -283,18 +283,17 @@ class TestCriterion6ForgettingCriteria:
 
         return make_seq_abc()
 
-    def monuple(self, net, case_id, last_update):
+    def monuple(self, net, case_id):
         pa = PrefixAlignment.empty(net.initial_marking).append(
             sync_step("A", "A", 0, 0.0, net.fire(net.initial_marking, "A"))
         )
-        return CaseRecord(case_id, pa, last_update=last_update)
+        return CaseRecord(case_id, pa)
 
-    def residual(self, net, case_id, kappa, last_update):
+    def residual(self, net, case_id, kappa):
         pa = PrefixAlignment(net.initial_marking, (), kappa, 0)
-        return CaseRecord(case_id, pa.append(log_step("X", 0.0, net.initial_marking)),
-                          last_update=last_update)
+        return CaseRecord(case_id, pa.append(log_step("X", 0.0, net.initial_marking)))
 
-    def conformant(self, net, case_id, last_update):
+    def conformant(self, net, case_id):
         after_a = net.fire(net.initial_marking, "A")
         after_b = net.fire(after_a, "B")
         pa = (
@@ -302,13 +301,13 @@ class TestCriterion6ForgettingCriteria:
             .append(sync_step("A", "A", 0, 0.0, after_a))
             .append(sync_step("B", "B", 1, 0.0, after_b))
         )
-        return CaseRecord(case_id, pa, last_update=last_update)
+        return CaseRecord(case_id, pa)
 
-    def costly(self, net, case_id, cost, last_update):
+    def costly(self, net, case_id, cost):
         pa = PrefixAlignment.empty(net.initial_marking)
         for i in range(int(cost)):
             pa = pa.append(log_step(f"X{i}", 1.0, net.initial_marking))
-        return CaseRecord(case_id, pa, last_update=last_update)
+        return CaseRecord(case_id, pa)
 
     def build_store(self, *records):
         store = CaseStore()
@@ -317,38 +316,37 @@ class TestCriterion6ForgettingCriteria:
         return store
 
     def test_condition_1_monuple_wins(self, seq):
-        store = self.build_store(
-            self.costly(seq, "bad", 3, last_update=0),
-            self.monuple(seq, "mono", last_update=9),
-        )
-        assert select_forget_victim(store) == "mono"
+        store = self.build_store(self.costly(seq, "bad", 3), self.monuple(seq, "mono"))
+        assert select_forget_victim(store, {"bad": 0, "mono": 9}) == "mono"
 
     def test_condition_1_early_stop_takes_first_in_scan_order(self, seq):
         store = self.build_store(
-            self.monuple(seq, "later-but-first-added", last_update=7),
-            self.monuple(seq, "older-update", last_update=1),
+            self.monuple(seq, "later-but-first-added"),
+            self.monuple(seq, "older-update"),
         )
-        assert select_forget_victim(store) == "later-but-first-added"
+        last_arrival = {"later-but-first-added": 7, "older-update": 1}
+        assert select_forget_victim(store, last_arrival) == "later-but-first-added"
 
     def test_condition_order_2_over_3_over_4(self, seq):
         store = self.build_store(
-            self.residual(seq, "kappa2", kappa=2.0, last_update=0),
-            self.conformant(seq, "cost0", last_update=1),
-            self.costly(seq, "kappa0cost3", 3, last_update=2),
+            self.residual(seq, "kappa2", kappa=2.0),
+            self.conformant(seq, "cost0"),
+            self.costly(seq, "kappa0cost3", 3),
         )
-        assert select_forget_victim(store) == "kappa2"
+        last_arrival = {"kappa2": 0, "cost0": 1, "kappa0cost3": 2}
+        assert select_forget_victim(store, last_arrival) == "kappa2"
         store.pop("kappa2")
-        assert select_forget_victim(store) == "cost0"
+        assert select_forget_victim(store, last_arrival) == "cost0"
         store.pop("cost0")
-        assert select_forget_victim(store) == "kappa0cost3"
+        assert select_forget_victim(store, last_arrival) == "kappa0cost3"
 
     def test_conditions_2_to_4_are_exhaustive(self, seq):
         records = [
-            self.monuple(seq, "m", 0),
-            self.residual(seq, "r", 1.0, 1),
-            self.conformant(seq, "c", 2),
-            self.costly(seq, "x", 2, 3),
-            self.residual(seq, "rz", 0.0, 4),
+            self.monuple(seq, "m"),
+            self.residual(seq, "r", 1.0),
+            self.conformant(seq, "c"),
+            self.costly(seq, "x", 2),
+            self.residual(seq, "rz", 0.0),
         ]
         for record in records:
             pa = record.prefix_alignment
@@ -357,16 +355,10 @@ class TestCriterion6ForgettingCriteria:
             assert sum(classes) == 1
 
     def test_lru_tie_break(self, seq):
-        store = self.build_store(
-            self.conformant(seq, "recent", last_update=9),
-            self.conformant(seq, "stale", last_update=3),
-        )
-        assert select_forget_victim(store) == "stale"
-        store = self.build_store(
-            self.conformant(seq, "zz", last_update=5),
-            self.conformant(seq, "aa", last_update=5),
-        )
-        assert select_forget_victim(store) == "aa"
+        store = self.build_store(self.conformant(seq, "recent"), self.conformant(seq, "stale"))
+        assert select_forget_victim(store, {"recent": 9, "stale": 3}) == "stale"
+        store = self.build_store(self.conformant(seq, "zz"), self.conformant(seq, "aa"))
+        assert select_forget_victim(store, {"zz": 5, "aa": 5}) == "aa"
 
     def test_engine_index_matches_scan(self, seq):
         net = cyclic_sequence_net(10)
@@ -406,10 +398,12 @@ class TestCriterion6ForgettingCriteria:
             checked = 0
             failed = 0
             digest = hashlib.sha256()
+            # each case's last event the engine processed, read from the stream
+            last_arrival: dict[str, int] = {}
 
             def checked_evict():
                 nonlocal checked
-                assert engine._pick_victim() == select_forget_victim(engine.store)
+                assert engine._pick_victim() == select_forget_victim(engine.store, last_arrival)
                 checked += 1
                 evict()
 
@@ -418,14 +412,15 @@ class TestCriterion6ForgettingCriteria:
                 try:
                     outcome = engine.process(e.case_id, e.activity, e.arrival_index)
                     digest.update((repr(outcome) + "\n").encode())
+                    last_arrival[e.case_id] = e.arrival_index
                 except SearchBudgetExceeded:
                     failed += 1
-                # exactly one index entry per stored case, in the bucket of its rank
+                # exactly one index entry per stored case, in the bucket of its alignment's rank
                 entries = sorted(c for bucket in engine._buckets.values() for c in bucket)
                 assert entries == sorted(r.case_id for r in engine.store.records())
-                assert {r.case_id: r.rank for r in engine.store.records()} == {
-                    c: rank for rank, bucket in engine._buckets.items() for c in bucket
-                }
+                for rank, bucket in engine._buckets.items():
+                    for c in bucket:
+                        assert rank == _forgetting_rank(engine.store[c].prefix_alignment), c
                 assert engine.stored_state_count == stored_state_count(engine.store, engine.repo)
             assert checked >= min_checked
             assert (failed > 0) == (budget < DEFAULT_SEARCH_BUDGET)

@@ -450,14 +450,14 @@ class TestSearchBuildsOnlyTheResult:
     @staticmethod
     def _search_counting_states(monkeypatch, net, trace):
         built = 0
-        init = AlignmentState.__init__
+        new = AlignmentState.__new__
 
-        def counting_init(self, *args, **kwargs):
+        def counting_new(cls, *args, **kwargs):
             nonlocal built
             built += 1
-            init(self, *args, **kwargs)
+            return new(cls, *args, **kwargs)
 
-        monkeypatch.setattr(AlignmentState, "__init__", counting_init)
+        monkeypatch.setattr(AlignmentState, "__new__", counting_new)
         result = shortest_path_prefix_alignment(net, net.initial_marking, trace)
         return result, built
 

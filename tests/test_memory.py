@@ -8,6 +8,12 @@ Each bound was set from a measurement on CPython 3.11 plus about 10%:
   ref, holds 93 B per slot there and fails it; a step that is two
   objects, a separate move object and an ``AlignmentState`` pointing at
   it, held 133 B.
+- 327 B held per stored case on a stream of short cases, where the
+  case record holds only its id and its alignment. A record that also
+  kept its last update (an int of its own) and its forgetting rank held
+  374 B per case and fails it. Unlike the other bounds this one has
+  about 7% of headroom, not 10%: Python 3.10's dicts, whose entries
+  are 8 B larger, add about 8 B per case in the store.
 - 420 B held per marking of the parallel net's filled successor and
   intern tables. Markings that each hold their own ``(place, count)``
   pairs take 699 B and fail it.
@@ -41,14 +47,15 @@ from streamcc.synthetic import step_label
 from conftest import make_parallel_net
 
 HELD_BYTES_PER_SLOT_BOUND = 24
+HELD_BYTES_PER_CASE_BOUND = 350
 HELD_BYTES_PER_MARKING_BOUND = 462
 SEARCH_PEAK_BYTES_PER_EXPANSION_BOUND = 465
 CONFORMING_SEARCH_PEAK_BYTES_PER_EVENT_BOUND = 500
 
 
-def test_baseline_holds_few_bytes_per_stored_slot():
+def _baseline_replay_held_bytes(spec: StreamSpec) -> tuple[ConformanceEngine, int]:
+    """A baseline engine after a replay of the spec's seed-3 log, and the bytes it holds."""
     net = cyclic_sequence_net(10)
-    spec = StreamSpec(cases=30, open_cases=6, base_length=60, length_jitter=4, noise_probability=0.5)
     events = list(replay(generate_log(spec, seed=3)))
     # fill the net's successor, intern and step tables first: they are the net's, not the engine's
     warm = ConformanceEngine(net)
@@ -66,9 +73,29 @@ def test_baseline_holds_few_bytes_per_stored_slot():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return engine, held
+
+
+def test_baseline_holds_few_bytes_per_stored_slot():
+    spec = StreamSpec(cases=30, open_cases=6, base_length=60, length_jitter=4, noise_probability=0.5)
+    engine, held = _baseline_replay_held_bytes(spec)
     slots = engine.stored_state_count
     assert slots > 1000
     assert held / slots <= HELD_BYTES_PER_SLOT_BOUND, f"{held / slots:.1f} B per slot"
+
+
+def test_baseline_holds_few_bytes_per_stored_case():
+    # short cases, so a case's fixed cost outweighs its slots
+    spec = StreamSpec(cases=1300, open_cases=50, base_length=4, length_jitter=1, noise_probability=0.3)
+    engine, held = _baseline_replay_held_bytes(spec)
+    cases = len(engine.store)
+    assert cases == spec.cases
+    assert held / cases <= HELD_BYTES_PER_CASE_BOUND, f"{held / cases:.1f} B per case"
+    # a record refers to its case id, its alignment and its type, and to nothing else
+    for case_id, record in engine.store.items():
+        assert record.case_id == case_id
+        referents = [id(ref) for ref in gc.get_referents(record)]
+        assert sorted(referents) == sorted(map(id, (record.case_id, record.prefix_alignment, type(record))))
 
 
 def test_filled_tables_hold_few_bytes_per_marking():

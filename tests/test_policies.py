@@ -318,87 +318,87 @@ class TestForgettingCriteria:
         store[record.case_id] = record
         return record
 
-    def monuple(self, net, case_id, last_update):
+    def monuple(self, net, case_id):
         pa = PrefixAlignment.empty(net.initial_marking).append(
             sync_step("A", "A", 0, 0.0, net.fire(net.initial_marking, "A"))
         )
-        return CaseRecord(case_id, pa, last_update=last_update)
+        return CaseRecord(case_id, pa)
 
-    def with_residual(self, net, case_id, kappa, last_update, extra_cost=0.0):
+    def with_residual(self, net, case_id, kappa, extra_cost=0.0):
         pa = PrefixAlignment(net.initial_marking, (), kappa, 0)
         pa = pa.append(log_step("X", extra_cost, net.initial_marking))
-        return CaseRecord(case_id, pa, last_update=last_update)
+        return CaseRecord(case_id, pa)
 
-    def conformant(self, net, case_id, last_update, events=2):
+    def conformant(self, net, case_id, events=2):
         pa = PrefixAlignment.empty(net.initial_marking)
         marking = net.initial_marking
         for i, t in enumerate(["A", "B"][:events]):
             marking = net.fire(marking, t)
             pa = pa.append(sync_step(t, t, i, 0.0, marking))
-        return CaseRecord(case_id, pa, last_update=last_update)
+        return CaseRecord(case_id, pa)
 
-    def nonconformant(self, net, case_id, cost, last_update):
+    def nonconformant(self, net, case_id, cost):
         pa = PrefixAlignment.empty(net.initial_marking)
         for i in range(int(cost)):
             pa = pa.append(log_step(f"X{i}", 1.0, net.initial_marking))
-        return CaseRecord(case_id, pa, last_update=last_update)
+        return CaseRecord(case_id, pa)
 
     def test_monuple_beats_everything(self, seq_abc):
         store = CaseStore()
-        self.add(store, self.nonconformant(seq_abc, "bad", 3, last_update=0))
-        self.add(store, self.monuple(seq_abc, "mono", last_update=9))
-        assert select_forget_victim(store) == "mono"
+        self.add(store, self.nonconformant(seq_abc, "bad", 3))
+        self.add(store, self.monuple(seq_abc, "mono"))
+        assert select_forget_victim(store, {"bad": 0, "mono": 9}) == "mono"
 
     def test_monuple_scan_stops_at_first(self, seq_abc):
         store = CaseStore()
-        self.add(store, self.monuple(seq_abc, "m1", last_update=5))
-        self.add(store, self.monuple(seq_abc, "m0", last_update=1))
+        self.add(store, self.monuple(seq_abc, "m1"))
+        self.add(store, self.monuple(seq_abc, "m0"))
         # earlier in scan order wins even though m0 is older
-        assert select_forget_victim(store) == "m1"
+        assert select_forget_victim(store, {"m1": 5, "m0": 1}) == "m1"
 
     def test_residual_over_conformant_over_costly(self, seq_abc):
         store = CaseStore()
-        self.add(store, self.with_residual(seq_abc, "resid", kappa=2.0, last_update=0))
-        self.add(store, self.conformant(seq_abc, "clean", last_update=1))
-        self.add(store, self.nonconformant(seq_abc, "costly", 3, last_update=2))
-        assert select_forget_victim(store) == "resid"
+        self.add(store, self.with_residual(seq_abc, "resid", kappa=2.0))
+        self.add(store, self.conformant(seq_abc, "clean"))
+        self.add(store, self.nonconformant(seq_abc, "costly", 3))
+        assert select_forget_victim(store, {"resid": 0, "clean": 1, "costly": 2}) == "resid"
 
     def test_conformant_over_costly(self, seq_abc):
         store = CaseStore()
-        self.add(store, self.nonconformant(seq_abc, "costly", 3, last_update=0))
-        self.add(store, self.conformant(seq_abc, "clean", last_update=5))
-        assert select_forget_victim(store) == "clean"
+        self.add(store, self.nonconformant(seq_abc, "costly", 3))
+        self.add(store, self.conformant(seq_abc, "clean"))
+        assert select_forget_victim(store, {"costly": 0, "clean": 5}) == "clean"
 
     def test_lru_tie_break_within_class(self, seq_abc):
         store = CaseStore()
-        self.add(store, self.conformant(seq_abc, "newer", last_update=8))
-        self.add(store, self.conformant(seq_abc, "older", last_update=2))
-        assert select_forget_victim(store) == "older"
+        self.add(store, self.conformant(seq_abc, "newer"))
+        self.add(store, self.conformant(seq_abc, "older"))
+        assert select_forget_victim(store, {"newer": 8, "older": 2}) == "older"
 
     def test_case_id_breaks_equal_recency(self, seq_abc):
         store = CaseStore()
-        self.add(store, self.conformant(seq_abc, "zz", last_update=4))
-        self.add(store, self.conformant(seq_abc, "aa", last_update=4))
-        assert select_forget_victim(store) == "aa"
+        self.add(store, self.conformant(seq_abc, "zz"))
+        self.add(store, self.conformant(seq_abc, "aa"))
+        assert select_forget_victim(store, {"zz": 4, "aa": 4}) == "aa"
 
     def test_zero_residual_summary_is_not_condition_two(self, seq_abc):
         store = CaseStore()
         # summary with kappa 0 and non-zero retained cost: condition 4
-        self.add(store, self.with_residual(seq_abc, "zero-res", kappa=0.0, last_update=0, extra_cost=1.0))
-        self.add(store, self.conformant(seq_abc, "clean", last_update=9))
-        assert select_forget_victim(store) == "clean"
+        self.add(store, self.with_residual(seq_abc, "zero-res", kappa=0.0, extra_cost=1.0))
+        self.add(store, self.conformant(seq_abc, "clean"))
+        assert select_forget_victim(store, {"zero-res": 0, "clean": 9}) == "clean"
 
     def test_empty_store_rejected(self):
         with pytest.raises(ValueError):
-            select_forget_victim(CaseStore())
+            select_forget_victim(CaseStore(), {})
 
     def test_conditions_two_to_four_partition_everything(self, seq_abc):
         records = [
-            self.with_residual(seq_abc, "a", kappa=2.0, last_update=0),
-            self.with_residual(seq_abc, "b", kappa=0.0, last_update=1, extra_cost=1.0),
-            self.conformant(seq_abc, "c", last_update=2),
-            self.nonconformant(seq_abc, "d", 1, last_update=3),
-            self.monuple(seq_abc, "e", last_update=4),
+            self.with_residual(seq_abc, "a", kappa=2.0),
+            self.with_residual(seq_abc, "b", kappa=0.0, extra_cost=1.0),
+            self.conformant(seq_abc, "c"),
+            self.nonconformant(seq_abc, "d", 1),
+            self.monuple(seq_abc, "e"),
         ]
         for record in records:
             pa = record.prefix_alignment
@@ -460,12 +460,11 @@ class TestBoundedCases:
         engine.process("b", "A", 1)  # evicts a into the repository
 
         def snapshot():
-            records = [
-                (r.case_id, r.prefix_alignment, r.last_update, r.rank)
-                for r in engine.store.records()
-            ]
+            records = [(r.case_id, r.prefix_alignment) for r in engine.store.records()]
             return (
                 records,
+                # the forgetting index, each bucket in its order
+                {rank: list(bucket) for rank, bucket in engine._buckets.items()},
                 list(engine.repo.items()),
                 engine.stored_state_count,
                 engine._pick_victim(),
@@ -559,8 +558,8 @@ class TestAccessors:
         repo = SummaryRepository()
         assert stored_state_count(store, repo) == 0
         pa3 = make_pa(seq_abc, ["A", "B", "C"])
-        store["1"] = CaseRecord("1", pa3, last_update=0)
-        store["2"] = CaseRecord("2", pa3, last_update=1)
+        store["1"] = CaseRecord("1", pa3)
+        store["2"] = CaseRecord("2", pa3)
         for i in range(5):
             repo.put(f"r{i}", PrefixAlignment(seq_abc.initial_marking, (), 0.0, 0))
         assert stored_state_count(store, repo) == 11

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+from datetime import date
 
 import pytest
 
@@ -32,6 +33,11 @@ BAD_FIELDS = [
     ("noise_probability", math.nan, "noise_probability must lie in [0, 1], not nan"),
     ("long_fraction", 1.5, "long_fraction must lie in [0, 1], not 1.5"),
     ("long_fraction", math.nan, "long_fraction must lie in [0, 1], not nan"),
+    ("noise_probability", True, "noise_probability must be a number, not True"),
+    ("long_fraction", "0.5", "long_fraction must be a number, not '0.5'"),
+    # the generator adds timedeltas to it; a string raised TypeError from inside generate_log
+    ("start", "2021-10-01", "start must be a datetime, not '2021-10-01'"),
+    ("start", date(2021, 10, 1), "start must be a datetime, not datetime.date(2021, 10, 1)"),
 ]
 
 

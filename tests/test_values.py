@@ -4,12 +4,13 @@ They are slotted dataclasses or named tuples: no instance ``__dict__``,
 so a stored state costs its fields and nothing more. ``experiment
 --jobs`` pickles nets, events and configs into worker processes, so
 each type must also survive a pickle round trip unchanged. All but the
-case record are frozen, and refuse assignment and deletion with a
-frozen dataclass's ``FrozenInstanceError``. The three built on every
-event keep their constructor's parameters, defaults and ``moves_cost``
-rule: ``AlignmentState`` in its own ``__init__``, and the named tuples
-``PrefixAlignment`` and ``EventOutcome`` in ``__new__``. Their reprs are
-pinned as the dataclasses printed them, because digests hash that text.
+case record, which holds only its case's id and alignment, are frozen,
+and refuse assignment and deletion with a frozen dataclass's
+``FrozenInstanceError``. The three built on every event are named
+tuples, ``AlignmentState``, ``PrefixAlignment`` and ``EventOutcome``,
+and keep their constructor's parameters, defaults and ``moves_cost``
+rule in ``__new__``. Their reprs are pinned as the dataclasses printed
+them, because digests hash that text.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ VALUES = [
     _PREFIX.states[0],
     _SUMMARY,
     _PREFIX,
-    CaseRecord("c1", _PREFIX, last_update=7),
+    CaseRecord("c1", _PREFIX),
     _OUTCOME,
     StreamEvent("c1", "A", 7, _WHEN),
     Event(3, "c1", "A", _WHEN),
@@ -105,8 +106,7 @@ def test_fields_cannot_be_deleted(value):
             delattr(value, name)
 
 
-# The values built on every event have a constructor of their own: a
-# dataclass's __init__, a named tuple's __new__.
+# The values built on every event are named tuples with a __new__ of their own.
 PER_EVENT_VALUES = [v for v in VALUES if isinstance(v, (AlignmentState, PrefixAlignment, EventOutcome))]
 
 
@@ -114,19 +114,13 @@ PER_EVENT_VALUES = [v for v in VALUES if isinstance(v, (AlignmentState, PrefixAl
 class TestPerEventConstructor:
     def test_parameters_are_the_fields_with_their_defaults(self, value):
         cls = type(value)
-        if dataclasses.is_dataclass(cls):
-            constructor = cls.__init__
-            defaults = {f.name: f.default for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
-        else:
-            constructor = cls.__new__
-            defaults = cls._field_defaults
-        parameters = list(inspect.signature(constructor).parameters.values())[1:]
-        assert [p.name for p in parameters] == _field_names(value)
+        parameters = list(inspect.signature(cls.__new__).parameters.values())[1:]
+        assert [p.name for p in parameters] == list(cls._fields)
         for p in parameters:
-            assert p.default == defaults.get(p.name, inspect.Parameter.empty), p.name
+            assert p.default == cls._field_defaults.get(p.name, inspect.Parameter.empty), p.name
 
     def test_replace_builds_an_equal_value(self, value):
-        copy = dataclasses.replace(value) if dataclasses.is_dataclass(value) else value._replace()
+        copy = value._replace()
         assert copy == value
         assert repr(copy) == repr(value)
 
@@ -196,7 +190,7 @@ def test_step_prints_its_move_nested():
 def test_step_is_one_object():
     step = _PREFIX.states[0]
     # it refers to its field values and its type, and to no nested move object
-    held = [getattr(step, f.name) for f in dataclasses.fields(step)] + [type(step)]
+    held = [getattr(step, name) for name in step._fields] + [type(step)]
     assert all(any(ref is value for value in held) for ref in gc.get_referents(step))
     assert not hasattr(step, "move")
 
