@@ -6,6 +6,16 @@ marking, and an A*-style shortest-path search over the synchronous
 product for everything else. The search goal is "all trace events
 explained"; the model part does not have to reach the final marking.
 
+The extension is one read of the net's synchronous-step table (see
+:mod:`streamcc.petri`): two dict lookups, label then marking, and a
+check that the stored step's cost is the caller's cost object. Only a
+marking the table holds nothing for, or a step stored at another cost,
+takes the miss path, :func:`_sync_step`, which reads the successor
+entry, finds the lowest enabled transition id with the label, and takes
+the step from :func:`_shared_step`. One replay of the benchmark's
+parallel-alien workload's 4,500 events misses 1,953 times, once per
+entry it stores.
+
 The search uses two heuristics for two jobs. Entries are ordered by
 g + ``h_unit`` x remaining events, with ``h_unit`` = min(sync_cost,
 log_cost), a consistent order for every cost model. Given an upper bound
@@ -150,8 +160,9 @@ class AlignmentState(_AlignmentStateFields):
     ``AlignmentState(move=Move(kind=..., ...), move_cost=..., marking_after=...)``,
     because digests of search results hash that text. A step with no
     ``event_ref`` is a value a net shares: the extension and the search
-    take it from the net's step table (see :func:`_shared_step`), and the
-    alignment keeps its events' refs in ``PrefixAlignment.refs``.
+    take it from the net's step table (see :func:`_shared_step`), the
+    extension through its synchronous-step table (see :func:`_sync_step`),
+    and the alignment keeps its events' refs in ``PrefixAlignment.refs``.
     """
 
     __slots__ = ()
@@ -196,6 +207,38 @@ def _shared_step(steps: dict, key: tuple, cost: float) -> AlignmentState:
     step = AlignmentState(kind, activity, transition, None, cost, marking_after)
     if stored is None and len(steps) < petri.STEP_TABLE_CAP:
         steps[key] = step
+    return step
+
+
+# What a label's synchronous-step table gives for a marking it holds no entry for.
+_UNSEEN = object()
+
+
+def _sync_step(
+    net: PetriNet, by_marking: dict, activity: ActivityLabel, marking: Marking, cost: float
+) -> AlignmentState | None:
+    """The synchronous step of ``activity`` at ``marking`` with move cost ``cost``, or None.
+
+    The miss path of the extension's read of ``net._sync_steps``, whose
+    entry for ``activity`` is ``by_marking``. None when no transition
+    labeled ``activity`` is enabled at ``marking``; otherwise the lowest
+    enabled transition id fires, and the step comes from
+    :func:`_shared_step`, whose rule also decides when a stored entry
+    serves: only when its ``move_cost`` is ``cost`` itself. The result is
+    stored under the marking only when the marking has no entry, so an
+    entry is never replaced, and only under one of the first
+    :data:`petri.SUCCESSOR_TABLE_CAP` tickets the net issues for the
+    whole table.
+    """
+    successors = net.successors(marking)
+    step = None
+    for transition in net.transitions_labeled(activity):
+        reached = successors.get(transition)
+        if reached is not None:
+            step = _shared_step(net._steps, (_SYNCHRONOUS, activity, transition, reached), cost)
+            break
+    if marking not in by_marking and next(net._sync_tickets) < petri.SUCCESSOR_TABLE_CAP:
+        by_marking[net._intern(marking)] = step
     return step
 
 
@@ -422,9 +465,17 @@ def extend_model_semantics(
     Returns the extended alignment, or None when no transition labeled
     ``activity`` is enabled in the current marking (no tau-closure is
     explored). When several enabled transitions share the label, the
-    lowest transition id fires. The move is a step with no event ref
-    from the net's step table (see :func:`_shared_step`), and
-    ``event_ref`` goes to the alignment's ``refs``.
+    lowest transition id fires. The move is a step with no event ref,
+    and ``event_ref`` goes to the alignment's ``refs``.
+
+    The step, or the None, is read from the net's synchronous-step
+    table by label and then by marking. A stored step serves only when
+    its ``move_cost`` is ``cost_model.sync_cost`` itself, the rule of
+    :func:`_shared_step`; a stored None serves every caller. A label no
+    transition carries has no entry in the table and gives None at once;
+    any other miss goes to :func:`_sync_step`, which computes the step
+    from the successor entry and the step table and stores it if the
+    marking has no entry.
 
     With a state limit ``w``, the extended alignment is built already
     truncated by :func:`truncated_alignment`, the rule
@@ -433,22 +484,27 @@ def extend_model_semantics(
     in every field, and is one alignment where those are two. A ``w``
     that is not a state limit raises ValueError, on a miss too.
     """
-    successors = net.successors(pa.current_marking)
-    for transition in net.transitions_labeled(activity):
-        reached = successors.get(transition)
-        if reached is not None:
-            cost = cost_model.sync_cost
-            step = _shared_step(net._steps, (_SYNCHRONOUS, activity, transition, reached), cost)
-            states = pa.states + (step,)
-            refs = pa.refs + (event_ref,)
-            if w is not None:
-                truncated = truncated_alignment(pa.base_marking, states, pa.summary, refs, w)
-                if truncated is not None:
-                    return truncated
-            return PrefixAlignment._from_fields((pa.base_marking, states, pa.summary, pa.moves_cost + cost, refs))
+    cost = cost_model.sync_cost
+    states = pa.states
+    marking = states[-1].marking_after if states else pa.base_marking
+    by_marking = net._sync_steps.get(activity)
+    if by_marking is None:  # no transition carries the label
+        step = None
+    else:
+        step = by_marking.get(marking, _UNSEEN)
+        if step is _UNSEEN or step is not None and step.move_cost is not cost:
+            step = _sync_step(net, by_marking, activity, marking, cost)
+    if step is None:
+        if w is not None:
+            _check_state_limit(w)
+        return None
+    states += (step,)
+    refs = pa.refs + (event_ref,)
     if w is not None:
-        _check_state_limit(w)
-    return None
+        truncated = truncated_alignment(pa.base_marking, states, pa.summary, refs, w)
+        if truncated is not None:
+            return truncated
+    return PrefixAlignment._from_fields((pa.base_marking, states, pa.summary, pa.moves_cost + cost, refs))
 
 
 def shortest_path_prefix_alignment(

@@ -36,6 +36,23 @@ heap of 0.950, 0.919, 0.927 and 1.014 MB at caps 64, 256, 1,024 and
 4,096 (0.965 MB with no table; tracemalloc, CPython 3.11), and a p50
 latency of 7.5, 7.5, 6.5 and 6.2 us (7.0 us with no table).
 
+A fourth table, the synchronous-step table, makes the extension of
+:mod:`streamcc.alignment` one read: it maps an activity, then a
+marking, to the synchronous step the extension appends there, or to
+None when no transition with that label is enabled. It is nested, label
+first, so a lookup builds no key tuple. It holds a dict for each label
+some transition carries, made with the net, and nothing for any other
+label, so alien labels cannot grow it. ``alignment._sync_step`` is its
+one write, and a stored step serves only under ``_shared_step``'s
+cost rule. One replay of the benchmark's parallel-alien workload
+stores 1,953 entries over its 15 labels, 30 of them None; its stored
+alignments then hold 2,067 step objects for 2,003 step values, where
+they held 2,334 without the table, because the table also keeps the
+steps met after the step table is full. The whole table, all labels
+together, keeps at most :data:`SUCCESSOR_TABLE_CAP` entries: the net
+issues one ticket per entry stored, from an ``itertools.count``, and
+stores nothing under a ticket past the cap, so the count costs O(1).
+
 A net is safe to share between threads. Two threads that fill the same
 entry at once store value-equal entries, so whichever store wins, every
 caller sees the same transitions and equal markings, or steps of equal
@@ -43,7 +60,11 @@ value that each caller checks against its own cost; only the sharing
 of objects is lost. Threads that pass the cap check together each
 store their entry, so n threads keep at most
 ``SUCCESSOR_TABLE_CAP + n - 1`` markings, and likewise for the step
-table's cap. A pickled net carries none of the three tables.
+table's cap. The synchronous-step table takes a ticket per entry
+instead, and no two threads get the same ticket (``next`` on an
+``itertools.count`` runs in C, under the GIL), so it keeps at most its
+cap, within that bound too. A pickled net carries none of the four
+tables.
 
 Markings are immutable multisets of tokens over place ids, kept in a
 canonical sorted form so they can serve as dictionary keys. A marking
@@ -68,8 +89,9 @@ for such a tuple subclass. The benchmark's cycle nets hold markings of
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from itertools import count
 from typing import TypeVar
 
 from .errors import FiringNotEnabled, ValidationError
@@ -78,8 +100,9 @@ from .errors import FiringNotEnabled, ValidationError
 # case-sensitive.
 ActivityLabel = str
 
-# Most markings a net's successor table keeps, and most markings and
-# (place, count) pairs its intern table keeps.
+# Most markings a net's successor table keeps, most markings and
+# (place, count) pairs its intern table keeps, and most entries its
+# synchronous-step table keeps over all labels.
 SUCCESSOR_TABLE_CAP = 4096
 
 # Most alignment steps a net's step table keeps (see the module docstring).
@@ -170,6 +193,8 @@ class PetriNet:
     its size and thread safety). ``enabled_transitions``, ``is_enabled``
     and ``fire`` are views of the entry it returns. ``fire`` returns the
     table's interned marking, so ``net.fire(m, t) is net.fire(m, t)``.
+    The step table and the synchronous-step table are filled and read by
+    :mod:`streamcc.alignment`.
     """
 
     places: frozenset[str]
@@ -199,6 +224,18 @@ class PetriNet:
     _steps: dict[tuple, object] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    # activity -> {marking -> the synchronous step the extension appends
+    # there, or None when no transition with the label is enabled}, one
+    # dict per label some transition carries; :mod:`streamcc.alignment`
+    # fills and reads it
+    _sync_steps: dict[ActivityLabel, dict[Marking, object]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    # one ticket per entry stored in _sync_steps, all labels together; an
+    # entry is stored only under a ticket below SUCCESSOR_TABLE_CAP
+    _sync_tickets: Iterator[int] = field(
+        init=False, repr=False, compare=False, default_factory=count
+    )
 
     def __post_init__(self) -> None:
         self._validate()
@@ -218,6 +255,7 @@ class PetriNet:
             if label is not None:
                 by_label.setdefault(label, []).append(t)
         object.__setattr__(self, "_by_label", {a: tuple(v) for a, v in by_label.items()})
+        object.__setattr__(self, "_sync_steps", {a: {} for a in by_label})
 
     def _validate(self) -> None:
         overlap = self.places & self.transitions
@@ -338,7 +376,13 @@ class PetriNet:
     def __getstate__(self) -> dict:
         # a net unpickles with empty tables: they refill on use, so workers
         # are not sent the markings and steps the sender happened to look up
-        return self.__dict__ | {"_table": {}, "_interned": {}, "_steps": {}}
+        empty = {"_table": {}, "_interned": {}, "_steps": {}, "_sync_steps": {a: {} for a in self._by_label}}
+        state = self.__dict__ | empty
+        del state["_sync_tickets"]  # itertools objects stop pickling in Python 3.14
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _sync_tickets=count())
 
     def is_final(self, marking: Marking) -> bool:
         return marking == self.final_marking

@@ -130,8 +130,13 @@ class TestExtendModelSemantics:
             initial={"p": 1},
             final={"q1": 1},
         )
-        pa = extend_model_semantics(net, PrefixAlignment.empty(net.initial_marking), "A", 0)
-        assert pa.states[0].transition == "t1"
+        # the second call is served by the net's synchronous-step table
+        first, second = (
+            extend_model_semantics(net, PrefixAlignment.empty(net.initial_marking), "A", ref)
+            for ref in (0, 1)
+        )
+        assert first.states[0].transition == second.states[0].transition == "t1"
+        assert net._sync_steps["A"][net.initial_marking] is first.states[0] is second.states[0]
         # t1 waits for a token on r, so the next transition carrying A fires
         net = PetriNet.build(
             places=["p", "r", "q1", "q2"],
@@ -140,9 +145,13 @@ class TestExtendModelSemantics:
             initial={"p": 1},
             final={"q2": 1},
         )
-        pa = extend_model_semantics(net, PrefixAlignment.empty(net.initial_marking), "A", 0)
-        assert pa.states[0].transition == "t2"
-        assert pa.current_marking == Marking.of({"q2": 1})
+        first, second = (
+            extend_model_semantics(net, PrefixAlignment.empty(net.initial_marking), "A", ref)
+            for ref in (0, 1)
+        )
+        assert first.states[0].transition == second.states[0].transition == "t2"
+        assert net._sync_steps["A"][net.initial_marking] is first.states[0] is second.states[0]
+        assert second.current_marking == Marking.of({"q2": 1})
 
     def test_no_tau_closure(self):
         # B is only reachable through a silent hop; direct enabledness fails
@@ -480,22 +489,34 @@ class TestSearchBuildsOnlyTheResult:
         assert built == len(set(result.states))
 
 
+def _check_at_most(size: int, cap: int) -> None:
+    assert size <= cap
+
+
 _TABLE_STREAM = StreamSpec(cases=40, open_cases=8, base_length=12, noise_probability=0.5)
 
 
-def _replay_reprs(net, config: PolicyConfig, cap_check: int | None = None):
-    """The engine, its outcome reprs and its stored alignments' reprs after one replay."""
+def _replay_reprs(net, config: PolicyConfig, after_event=None):
+    """The engine, its outcome reprs and its stored alignments' reprs after one replay.
+
+    ``after_event``, when given, is called with no argument after every event.
+    """
     engine = ConformanceEngine(net, config)
     outcomes = []
     for e in replay(generate_log(_TABLE_STREAM, seed=5)):
         outcomes.append(repr(engine.process(e.case_id, e.activity, e.arrival_index)))
-        if cap_check is not None:
-            assert len(net._steps) <= cap_check
+        if after_event is not None:
+            after_event()
     return engine, outcomes, [repr(r.prefix_alignment) for r in engine.store.values()]
 
 
 def _stored_steps(engine: ConformanceEngine) -> list[AlignmentState]:
     return [s for r in engine.store.values() for s in r.prefix_alignment.states]
+
+
+def _sync_entries(net: PetriNet) -> int:
+    """Entries in the net's synchronous-step table, all labels together."""
+    return sum(len(by_marking) for by_marking in net._sync_steps.values())
 
 
 class TestStepTable:
@@ -515,17 +536,27 @@ class TestStepTable:
         shared = cyclic_sequence_net(10)
         for cost_model in (first, second):
             config = PolicyConfig(Policy.BASELINE, cost_model=cost_model)
-            _, outcomes, alignments = _replay_reprs(shared, config)
+            engine, outcomes, alignments = _replay_reprs(shared, config)
             _, fresh_outcomes, fresh_alignments = _replay_reprs(cyclic_sequence_net(10), config)
             assert outcomes == fresh_outcomes
             assert alignments == fresh_alignments
+            # the second cost model runs on the synchronous-step table the first filled
+            synchronous = [s for s in _stored_steps(engine) if s.kind is MoveKind.SYNCHRONOUS]
+            assert synchronous
+            assert all(s.move_cost is cost_model.sync_cost for s in synchronous)
+        # and no entry the first stored was replaced
+        stored = [s for by_marking in shared._sync_steps.values() for s in by_marking.values() if s is not None]
+        assert stored
+        assert all(s.move_cost is first.sync_cost for s in stored)
 
     def test_table_stays_within_the_cap(self, monkeypatch):
         config = PolicyConfig(Policy.BOUNDED_STATES, w=3, cost_model=CostModel(0.05, 0.1, 0.3, 0.01))
         uncapped, uncapped_outcomes, uncapped_alignments = _replay_reprs(cyclic_sequence_net(10), config)
         monkeypatch.setattr(petri, "STEP_TABLE_CAP", 8)
         net = cyclic_sequence_net(10)
-        capped, capped_outcomes, capped_alignments = _replay_reprs(net, config, cap_check=8)
+        capped, capped_outcomes, capped_alignments = _replay_reprs(
+            net, config, lambda: _check_at_most(len(net._steps), 8)
+        )
         assert capped_outcomes == uncapped_outcomes
         assert capped_alignments == uncapped_alignments
         # the table is full, and past the cap equal steps are built afresh
@@ -533,6 +564,37 @@ class TestStepTable:
         steps = _stored_steps(capped)
         assert len(set(steps)) < len({id(s) for s in steps})
         assert len(set(_stored_steps(uncapped))) > 8
+
+    @pytest.mark.parametrize(
+        "config",
+        [PolicyConfig(Policy.BOUNDED_STATES, w=3), PolicyConfig(Policy.COMBINED, w=3, n=4)],
+        ids=["bounded-states", "combined"],
+    )
+    def test_synchronous_step_table_stays_within_its_one_cap(self, config, monkeypatch):
+        uncapped_net = cyclic_sequence_net(10)
+        _, uncapped_outcomes, uncapped_alignments = _replay_reprs(uncapped_net, config)
+        assert _sync_entries(uncapped_net) > 8
+        monkeypatch.setattr(petri, "SUCCESSOR_TABLE_CAP", 8)
+        net = cyclic_sequence_net(10)
+        _, capped_outcomes, capped_alignments = _replay_reprs(
+            net, config, lambda: _check_at_most(_sync_entries(net), 8)
+        )
+        assert capped_outcomes == uncapped_outcomes
+        assert capped_alignments == uncapped_alignments
+        # one cap for all labels together, not one per label
+        assert _sync_entries(net) == 8
+        assert sum(1 for by_marking in net._sync_steps.values() if by_marking) > 1
+
+    def test_labels_no_transition_carries_store_nothing(self):
+        net = cyclic_sequence_net(10)
+        engine, _, _ = _replay_reprs(net, PolicyConfig(Policy.BASELINE))
+        pa = next(iter(engine.store.values())).prefix_alignment
+        labels = set(net._sync_steps)
+        entries = _sync_entries(net)
+        for i in range(1000):
+            assert extend_model_semantics(net, pa, f"alien-{i}", i) is None
+        assert set(net._sync_steps) == labels
+        assert _sync_entries(net) == entries > 0
 
     def test_baseline_replay_stores_one_object_per_step_value(self):
         engine, _, _ = _replay_reprs(cyclic_sequence_net(10), PolicyConfig(Policy.BASELINE))

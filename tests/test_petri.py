@@ -12,10 +12,17 @@ from hypothesis import given, strategies as st
 from streamcc import (
     ConformanceEngine,
     PetriNet,
+    Policy,
+    PolicyConfig,
+    StreamSpec,
     ValidationError,
     cyclic_sequence_net,
+    extend_model_semantics,
+    generate_log,
+    replay,
     shortest_path_prefix_alignment,
 )
+from streamcc.alignment import PrefixAlignment
 from streamcc import petri
 from streamcc.errors import FiringNotEnabled
 from streamcc.petri import Marking
@@ -225,44 +232,79 @@ class TestSuccessorTable:
     def test_pickled_net_carries_no_table(self, branching_net):
         size = len(pickle.dumps(branching_net))
         shortest_path_prefix_alignment(branching_net, branching_net.initial_marking, list("AEFGH"))
+        pa = PrefixAlignment.empty(branching_net.initial_marking)
+        assert extend_model_semantics(branching_net, pa, "A", 0) is not None
+        assert extend_model_semantics(branching_net, pa, "E", 0) is None
         assert branching_net._table and branching_net._steps
+        assert len(branching_net._sync_steps["A"]) == len(branching_net._sync_steps["E"]) == 1
         # the intern table holds the (place, count) pairs as well as the markings
         assert ("p4", 1) in branching_net._interned and Marking.of(["p4", "p5"]) in branching_net._interned
         assert len(pickle.dumps(branching_net)) == size
         copy = pickle.loads(pickle.dumps(branching_net))
         assert copy == branching_net and not copy._table and not copy._interned and not copy._steps
+        assert set(copy._sync_steps) == set(branching_net._sync_steps)
+        assert not any(copy._sync_steps.values())
         assert copy.enabled_transitions(copy.initial_marking) == ("t1",)
+        # the copy fills its own tables
+        assert extend_model_semantics(copy, pa, "A", 0) == extend_model_semantics(branching_net, pa, "A", 0)
+        assert len(copy._sync_steps["A"]) == 1
 
     def test_threads_sharing_a_net_get_the_single_threaded_results(self):
         cases = _random_cases(40)
         nets = {seed: _seeded_net(seed) for seed, _ in cases}
         expected = {seed: _search_reprs(_seeded_net(seed), traces) for seed, traces in cases}
-        results: list[dict] = [{} for _ in range(4)]
-        errors: list[Exception] = []
-        # all threads start on the same empty tables, so they race to fill them
-        start = threading.Barrier(len(results), timeout=60)
-
-        def work(out: dict) -> None:
-            try:
-                start.wait()
-                for seed, traces in cases:
-                    out[seed] = _search_reprs(nets[seed], traces)
-            except Exception as exc:  # reported by the main thread
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(out,)) for out in results]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not errors
+        results = _in_threads(lambda: {seed: _search_reprs(nets[seed], traces) for seed, traces in cases})
         assert all(out == expected for out in results)
+
+    def test_engines_sharing_a_net_in_threads_get_the_single_threaded_outcomes(self, monkeypatch):
+        spec = StreamSpec(cases=40, open_cases=8, base_length=12, noise_probability=0.5)
+        events = list(replay(generate_log(spec, seed=5)))
+        config = PolicyConfig(Policy.COMBINED, w=3, n=4)
+
+        def outcomes(net: PetriNet) -> list[str]:
+            engine = ConformanceEngine(net, config)
+            return [repr(engine.process(e.case_id, e.activity, e.arrival_index)) for e in events]
+
+        expected = outcomes(cyclic_sequence_net(spec.model_steps))
+        # the threads race past the synchronous-step table's cap too; it takes
+        # one ticket per entry, so it keeps at most the cap
+        monkeypatch.setattr(petri, "SUCCESSOR_TABLE_CAP", 8)
+        shared = cyclic_sequence_net(spec.model_steps)
+        results = _in_threads(lambda: outcomes(shared))
+        assert all(out == expected for out in results)
+        assert sum(len(by_marking) for by_marking in shared._sync_steps.values()) <= 8
+
+
+def _in_threads(task, count: int = 4) -> list:
+    """What ``task()`` returns in each of ``count`` threads that start it together.
+
+    All threads start on the same empty tables, so they race to fill
+    them, switching as often as the interpreter lets them.
+    """
+    results: list = [None] * count
+    errors: list[Exception] = []
+    start = threading.Barrier(count, timeout=60)
+
+    def work(index: int) -> None:
+        try:
+            start.wait()
+            results[index] = task()
+        except Exception as exc:  # reported by the calling thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(index,)) for index in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    return results
 
 
 def _reachable(net: PetriNet) -> list[Marking]:
