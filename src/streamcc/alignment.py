@@ -37,28 +37,31 @@ closed with one ``setdefault``, the marking's successor entry is read
 from the net's table once, and the pruning lookahead asks whether a
 marking lets an activity through from a per-search memo, which keeps
 for each marking it is asked about the labels it lets through, filled
-from the successor entry on the marking's first lookup. Apart from
-``Marking.__hash__``, a memo's first lookup of a marking and a marking
-past the table's cap, the one Python function an expansion calls is
+from the successor entry on the marking's first lookup. Apart from a
+memo's first lookup of a marking and a marking past the table's cap,
+the one Python function an expansion calls is
 ``net.enabled_transitions(marking)``, whose transitions the loop
 iterates: the benchmark's tracer and the tests count expansions by it.
-One replay of the long-traces benchmark workload's stream made 217,351
-``Marking.__hash__`` calls for 30,633 expansions, about 7.1 per
-expansion.
+An expansion looks markings up about 7 times, and each lookup hashes
+in C (see :mod:`streamcc.petri`); a marking's Python ``__eq__`` runs
+only when a lookup meets an equal marking that is another object. One
+replay of the long-traces benchmark workload's stream made one
+``Marking.__eq__`` call for its 30,633 expansions, where a Python
+``Marking.__hash__`` was called 212,653 times.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from itertools import count
 from types import MethodType
 from typing import Iterable, NamedTuple, Sequence
 
 from . import petri
-from .errors import BoundBelowOptimum, SearchBudgetExceeded, check_int
+from .errors import BoundBelowOptimum, SearchBudgetExceeded, check_int, frozen_delattr, frozen_setattr
 from .petri import ActivityLabel, Marking, PetriNet
 
 DEFAULT_SEARCH_BUDGET = 1_000_000
@@ -108,16 +111,6 @@ def _check_shape(kind: MoveKind, activity: ActivityLabel | None, transition: str
         has_activity = "an activity" if shape[0] else "no activity"
         has_transition = "a transition" if shape[1] else "no transition"
         raise ValueError(f"a {kind.value} move carries {has_activity} and names {has_transition}")
-
-
-def frozen_setattr(self: object, name: str, value: object) -> None:
-    """A named tuple's ``__setattr__`` that refuses as a frozen dataclass's does."""
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def frozen_delattr(self: object, name: str) -> None:
-    """A named tuple's ``__delattr__`` that refuses as a frozen dataclass's does."""
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 @dataclass(frozen=True)

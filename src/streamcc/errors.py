@@ -1,12 +1,26 @@
-"""Exception types shared across the package, and the one int check of its arguments."""
+"""Exception types shared across the package, the one int check of its
+arguments, and the refusers its frozen value types assign to their
+``__setattr__`` and ``__delattr__``."""
 
 from __future__ import annotations
+
+from dataclasses import FrozenInstanceError
 
 
 def check_int(value: object, name: str) -> None:
     """Raise ValueError, calling ``value`` ``name``, unless it is an int and not a bool (an int subclass)."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an int, not {value!r}")
+
+
+def frozen_setattr(self: object, name: str, value: object) -> None:
+    """A frozen value's ``__setattr__`` that refuses as a frozen dataclass's does."""
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def frozen_delattr(self: object, name: str) -> None:
+    """A frozen value's ``__delattr__`` that refuses as a frozen dataclass's does."""
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class StreamccError(Exception):

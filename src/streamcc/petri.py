@@ -8,17 +8,16 @@ transitions, each with the marking firing it reaches.
 ``enabled_transitions``, ``is_enabled`` and ``fire`` are views of its
 entry. Successors are interned, so while the tables have room every
 caller that reaches a marking by firing holds the same ``Marking``
-object. Their ``(place, count)`` pairs go through the same intern table,
-so equal pairs in different markings are one tuple: the benchmark's
-parallel net has 1,026 reachable markings but 21 distinct pairs.
+object.
 
-The successor table keeps at most :data:`SUCCESSOR_TABLE_CAP` markings,
-and the intern table at most that many markings and pairs together,
-because a net need not be bounded. Filling both for all 1,026 reachable
-markings of the benchmark's parallel net took about 420 B per marking,
-markings, pairs and hashes included (tracemalloc, CPython 3.11; about
-700 B with a tuple per pair); at that size full tables hold about
-1.7 MB. Past the cap a marking's successors are computed on every
+The successor table and the intern table each keep at most
+:data:`SUCCESSOR_TABLE_CAP` markings, because a net need not be bounded.
+Filling both for all 1,026 reachable markings of the benchmark's
+parallel net took about 383 B per marking, the markings included
+(tracemalloc, CPython 3.11; 420 B when a marking held a tuple of
+``(place, count)`` pairs that the intern table shared, and about 700 B
+with a tuple per pair of its own); at that size full tables hold about
+1.6 MB. Past the cap a marking's successors are computed on every
 lookup and not stored; they are value-equal to what the table would
 hold.
 
@@ -67,24 +66,23 @@ cap, within that bound too. A pickled net carries none of the four
 tables.
 
 Markings are immutable multisets of tokens over place ids, kept in a
-canonical sorted form so they can serve as dictionary keys. A marking
-hashes its entries once, when it is built, because the search and both
-tables look markings up on every step. The hash is not pickled: ``str``
-hashes are salted per process, so an unpickled marking is hashed again
+canonical sorted form so they can serve as dictionary keys. The search
+and every table look markings up on every step, about 7 lookups per
+expansion on the benchmark's long-traces workload (see
+:mod:`streamcc.alignment`), so a marking is a ``str`` subclass whose
+value encodes its entries: it hashes in C, once, since a ``str`` keeps
+its hash, and a lookup that finds the same object compares nothing. Its
+``__eq__`` is a Python method, so that a marking never equals a plain
+string; a lookup calls it only when it meets an equal marking that is
+another object, as interning a freshly fired marking does. Dict
+membership, best of 7 ``timeit`` runs on a 2-CPU x86-64 Xeon with
+CPython 3.11, took 25-46 ns for a marking of 1 or 5 entries found by
+identity, and 188-205 ns for an equal copy; a frozen dataclass that
+returned a hash it stored from a Python ``__hash__`` took 74-78 ns and
+305-494 ns. The hash is not pickled: ``str`` hashes are salted per
+process, so an unpickled marking is rebuilt from its entries and hashed
 by the process that loads it, and finds the equal markings that process
 builds (``experiment --jobs`` sends nets and states to workers).
-
-``Marking.__hash__`` is a Python method that returns that stored hash,
-so each lookup keyed by a marking calls into Python: the search's
-flat loop makes about 7.1 per expansion on the benchmark's long-traces
-workload (see :mod:`streamcc.alignment`). A marking that subclassed
-``tuple`` would hash in C, but over all its entries on every lookup,
-and it would print and compare otherwise. Dict membership, best of 7
-``timeit`` runs on a 2-CPU x86-64 Xeon with CPython 3.11, took 75-78 ns
-for a ``Marking`` of 1, 3, 5 or 6 entries, and 44, 75, 106 and 123 ns
-for such a tuple subclass. The benchmark's cycle nets hold markings of
-1 entry, but 1,024 of the parallel net's 1,026 reachable markings hold
-5, so the hash stays stored.
 """
 
 from __future__ import annotations
@@ -92,72 +90,131 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from itertools import count
-from typing import TypeVar
 
-from .errors import FiringNotEnabled, ValidationError
+from .errors import FiringNotEnabled, ValidationError, check_int, frozen_delattr, frozen_setattr
 
 # Activity labels are plain non-empty strings; equality is exact and
 # case-sensitive.
 ActivityLabel = str
 
-# Most markings a net's successor table keeps, most markings and
-# (place, count) pairs its intern table keeps, and most entries its
-# synchronous-step table keeps over all labels.
+# Most markings a net's successor table keeps, most markings its intern
+# table keeps, and most entries its synchronous-step table keeps over all
+# labels.
 SUCCESSOR_TABLE_CAP = 4096
 
 # Most alignment steps a net's step table keeps (see the module docstring).
 STEP_TABLE_CAP = 1024
 
 
-@dataclass(frozen=True, slots=True)
-class Marking:
+def _check_entry(place: object, count: object) -> None:
+    """Raise ValueError, naming the place, unless it is a str and its count an int of at least 1."""
+    if not isinstance(place, str):
+        raise ValueError(f"place id must be a str, not {place!r}")
+    check_int(count, f"token count of place {place!r}")
+    if count <= 0:
+        raise ValueError(f"non-positive token count {count} for place {place!r}")
+
+
+def _encode(entries: Iterable[tuple[str, int]]) -> str:
+    # each entry as "<length of the place id>:<place id>", followed by
+    # "*<count>," unless the count is 1: the length says where the id ends,
+    # whatever it holds, and the comma where the count does
+    return "".join(
+        [f"{len(place)}:{place}" if count == 1 else f"{len(place)}:{place}*{count}," for place, count in entries]
+    )
+
+
+class Marking(str):
     """Multiset of tokens over place ids, in canonical form.
 
     Zero-count entries are never stored, and entries are sorted by place
-    id, so two markings are equal iff they contain the same tokens.
+    id, so two markings are equal iff they contain the same tokens. The
+    marking is a ``str`` whose value encodes its entries, one
+    ``"<len(place)>:<place>"`` per entry, followed by ``"*<count>,"``
+    unless the count is 1, so it hashes in C and caches its hash.
+    ``entries`` is decoded from that value on each read.
 
-    The hash of ``entries`` is computed once, when the marking is built,
-    and kept in ``_hash``; it takes no part in equality or ``repr``.
+    It is a value of its own, not a string: it equals only a marking
+    (never a plain ``str``, its own encoding included); its ``repr`` is
+    ``Marking(entries=(...))``, and ``str`` and ``format`` give
+    ``[p1, p2^2]``; it pickles as its entries, and assigning or deleting
+    an attribute raises ``dataclasses.FrozenInstanceError``.
     """
 
-    entries: tuple[tuple[str, int], ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
+    _fields = ("entries",)
+    __setattr__ = frozen_setattr
+    __delattr__ = frozen_delattr
+    # __eq__ is defined below, so the hash is named to keep str's C slot
+    __hash__ = str.__hash__
 
-    def __post_init__(self) -> None:
-        for place, count in self.entries:
-            if count <= 0:
-                raise ValueError(f"non-positive token count {count} for place {place!r}")
-        ids = [p for p, _ in self.entries]
+    def __new__(cls, entries: Iterable[tuple[str, int]] = ()) -> "Marking":
+        entries = tuple(entries)
+        for place, count in entries:
+            _check_entry(place, count)
+        ids = [p for p, _ in entries]
         if ids != sorted(ids) or len(set(ids)) != len(ids):
             raise ValueError("marking entries must be sorted and unique; use Marking.of()")
-        object.__setattr__(self, "_hash", hash(self.entries))
+        return cls._from_canonical(entries)
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Marking) and _str_eq(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not (isinstance(other, Marking) and _str_eq(self, other))
 
     def __reduce__(self) -> tuple:
-        # str hashes are salted per process, so a stored hash must not travel:
-        # the receiving process rebuilds the marking and hashes it again
-        return (Marking._from_canonical, (self.entries,))
+        # str hashes are salted per process: the receiving process rebuilds
+        # the marking from its entries and hashes it again
+        return (Marking, (self.entries,))
+
+    @property
+    def entries(self) -> tuple[tuple[str, int], ...]:
+        """The ``(place, count)`` pairs, sorted by place, decoded from the value."""
+        entries = []
+        start = 0
+        size = len(self)
+        while start < size:
+            colon = self.index(":", start)
+            start = colon + 1 + int(self[start:colon])
+            place = self[colon + 1 : start]
+            if start < size and self[start] == "*":
+                comma = self.index(",", start)
+                entries.append((place, int(self[start + 1 : comma])))
+                start = comma + 1
+            else:
+                entries.append((place, 1))
+        return tuple(entries)
 
     @classmethod
     def of(cls, tokens: Mapping[str, int] | Iterable[str]) -> "Marking":
-        """Build a marking from a place->count mapping or an iterable of places."""
+        """Build a marking from a place->count mapping or an iterable of places.
+
+        A count of 0 is dropped; any other count must be an int of at
+        least 1, and each place id a str.
+        """
+        if isinstance(tokens, str):
+            # a str, a marking among them, would be read as its characters
+            raise ValueError(f"tokens must be a mapping or an iterable of place ids, not a str: {tokens!r}")
         if isinstance(tokens, Mapping):
             counts = dict(tokens)
         else:
             counts = {}
             for place in tokens:
                 counts[place] = counts.get(place, 0) + 1
-        return cls(tuple(sorted((p, c) for p, c in counts.items() if c != 0)))
+        entries = []
+        for place, count in counts.items():
+            # an int 0 at a place id is dropped; anything else is checked
+            if count == 0 and type(count) is int and isinstance(place, str):
+                continue
+            _check_entry(place, count)
+            entries.append((place, count))
+        return cls._from_canonical(sorted(entries))
 
     @classmethod
-    def _from_canonical(cls, entries: tuple[tuple[str, int], ...]) -> "Marking":
+    def _from_canonical(cls, entries: Iterable[tuple[str, int]]) -> "Marking":
         # fast path for firing: entries are already sorted, unique, positive
-        marking = object.__new__(cls)
-        object.__setattr__(marking, "entries", entries)
-        object.__setattr__(marking, "_hash", hash(entries))
-        return marking
+        return str.__new__(cls, _encode(entries))
 
     @classmethod
     def empty(cls) -> "Marking":
@@ -166,18 +223,22 @@ class Marking:
     def as_dict(self) -> dict[str, int]:
         return dict(self.entries)
 
-    def __bool__(self) -> bool:
-        return bool(self.entries)
+    def __repr__(self) -> str:
+        return f"Marking(entries={self.entries!r})"
 
     def __str__(self) -> str:
-        if not self.entries:
+        entries = self.entries
+        if not entries:
             return "[]"
-        parts = [p if c == 1 else f"{p}^{c}" for p, c in self.entries]
+        parts = [p if c == 1 else f"{p}^{c}" for p, c in entries]
         return "[" + ", ".join(parts) + "]"
 
+    def __format__(self, format_spec: str) -> str:
+        # str's __format__ would format the encoding
+        return format(self.__str__(), format_spec)
 
-# What a net's intern table holds: markings and their (place, count) pairs.
-_Interned = TypeVar("_Interned", Marking, tuple[str, int])
+
+_str_eq = str.__eq__
 
 
 @dataclass(frozen=True)
@@ -216,7 +277,7 @@ class PetriNet:
     _table: dict[Marking, dict[str, Marking]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    _interned: dict[_Interned, _Interned] = field(
+    _interned: dict[Marking, Marking] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
     # (kind, activity, transition, marking_after) -> the one step with no
@@ -342,36 +403,33 @@ class PetriNet:
         entry = self._table.get(marking)
         if entry is not None:
             return entry
-        marked = {p for p, _ in marking.entries}
+        # decoded once per call, however many transitions are enabled
+        tokens = marking.as_dict()
+        marked = set(tokens)
         intern = self._intern
         entry = {}
         for t, pre in self._preset.items():
             if not marked.issuperset(pre):
                 continue
             # markings store no zero counts, and a place feeds a transition at most once
-            counts = marking.as_dict()
+            counts = tokens.copy()
             for p in pre:
                 counts[p] -= 1
             for p in self._postset[t]:
                 counts[p] = counts.get(p, 0) + 1
-            pairs = sorted(intern(pair) for pair in counts.items() if pair[1] != 0)
-            entry[t] = intern(Marking._from_canonical(tuple(pairs)))
+            entry[t] = intern(Marking._from_canonical(sorted([pair for pair in counts.items() if pair[1]])))
         if len(self._table) < SUCCESSOR_TABLE_CAP:
             self._table[intern(marking)] = entry
         return entry
 
-    def _intern(self, value: _Interned) -> _Interned:
-        """The one stored object equal to ``value``, stored now if there is room.
-
-        ``value`` is a marking or one of its ``(place, count)`` pairs; a
-        pair never equals a marking, so both share the one capped table.
-        """
-        interned = self._interned.get(value)
+    def _intern(self, marking: Marking) -> Marking:
+        """The one stored marking equal to ``marking``, stored now if there is room."""
+        interned = self._interned.get(marking)
         if interned is not None:
             return interned
         if len(self._interned) < SUCCESSOR_TABLE_CAP:
-            self._interned[value] = value
-        return value
+            self._interned[marking] = marking
+        return marking
 
     def __getstate__(self) -> dict:
         # a net unpickles with empty tables: they refill on use, so workers

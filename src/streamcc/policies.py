@@ -27,12 +27,10 @@ from .alignment import (
     PrefixAlignment,
     check_search_budget,
     extend_model_semantics,
-    frozen_delattr,
-    frozen_setattr,
     shortest_path_prefix_alignment,
     truncated_alignment,
 )
-from .errors import SearchBudgetExceeded, check_int
+from .errors import SearchBudgetExceeded, check_int, frozen_delattr, frozen_setattr
 from .petri import ActivityLabel, Marking, PetriNet
 
 

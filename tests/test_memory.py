@@ -15,8 +15,12 @@ Each bound was set from a measurement on CPython 3.11 plus about 10%:
   about 7% of headroom, not 10%: Python 3.10's dicts, whose entries
   are 8 B larger, add about 8 B per case in the store.
 - 420 B held per marking of the parallel net's filled successor and
-  intern tables. Markings that each hold their own ``(place, count)``
-  pairs take 699 B and fail it.
+  intern tables, when a marking held a tuple of ``(place, count)`` pairs
+  that the intern table shared. Markings that each hold their own pairs
+  take 699 B and fail it. A marking that is a ``str`` encoding its
+  entries holds 383 B there, and on CPython 3.11, where object sizes are
+  known, a second bound of 410 B, closer than 10%, fails the tuple
+  markings' 420 B.
 - 423 B of peak per expansion of the search below. Entries that carry a
   ``(marking, pos)`` key tuple and their move cost, closed in one dict
   keyed by those tuples, take 522 B and fail it.
@@ -29,7 +33,10 @@ Each bound was set from a measurement on CPython 3.11 plus about 10%:
 from __future__ import annotations
 
 import gc
+import sys
 import tracemalloc
+
+import pytest
 
 from streamcc import (
     ConformanceEngine,
@@ -49,6 +56,7 @@ from conftest import make_parallel_net
 HELD_BYTES_PER_SLOT_BOUND = 24
 HELD_BYTES_PER_CASE_BOUND = 350
 HELD_BYTES_PER_MARKING_BOUND = 462
+HELD_BYTES_PER_MARKING_AS_STRING_BOUND = 410
 SEARCH_PEAK_BYTES_PER_EXPANSION_BOUND = 465
 CONFORMING_SEARCH_PEAK_BYTES_PER_EVENT_BOUND = 500
 
@@ -98,7 +106,8 @@ def test_baseline_holds_few_bytes_per_stored_case():
         assert sorted(referents) == sorted(map(id, (record.case_id, record.prefix_alignment, type(record))))
 
 
-def test_filled_tables_hold_few_bytes_per_marking():
+def _filled_tables_bytes_per_marking() -> float:
+    """The bytes the successor and intern tables hold per marking once filled for the parallel net."""
     net = make_parallel_net(5, 3)
     gc.collect()
     tracemalloc.start()
@@ -117,8 +126,19 @@ def test_filled_tables_hold_few_bytes_per_marking():
         tracemalloc.stop()
     markings = len(net._table)
     # 4 ** 5 markings between the split and the join, and the two outside them
-    assert markings == 1026
-    assert held / markings <= HELD_BYTES_PER_MARKING_BOUND, f"{held / markings:.1f} B per marking"
+    assert markings == len(net._interned) == 1026
+    return held / markings
+
+
+def test_filled_tables_hold_few_bytes_per_marking():
+    per_marking = _filled_tables_bytes_per_marking()
+    assert per_marking <= HELD_BYTES_PER_MARKING_BOUND, f"{per_marking:.1f} B per marking"
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="object sizes differ between Python versions")
+def test_filled_tables_hold_markings_as_strings():
+    per_marking = _filled_tables_bytes_per_marking()
+    assert per_marking <= HELD_BYTES_PER_MARKING_AS_STRING_BOUND, f"{per_marking:.1f} B per marking"
 
 
 def test_search_peak_bytes_per_expansion(monkeypatch):
