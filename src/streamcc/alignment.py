@@ -42,6 +42,7 @@ memo's first lookup of a marking and a marking past the table's cap,
 the one Python function an expansion calls is
 ``net.enabled_transitions(marking)``, whose transitions the loop
 iterates: the benchmark's tracer and the tests count expansions by it.
+It reads the stored entry itself, so it costs one frame, not two.
 An expansion looks markings up about 7 times, and each lookup hashes
 in C (see :mod:`streamcc.petri`); a marking's Python ``__eq__`` runs
 only when a lookup meets an equal marking that is another object. One
@@ -474,8 +475,10 @@ def extend_model_semantics(
     truncated by :func:`truncated_alignment`, the rule
     ``policies.truncate_states`` applies: it equals
     ``truncate_states(extend_model_semantics(net, pa, activity, ...), w)``
-    in every field, and is one alignment where those are two. A ``w``
-    that is not a state limit raises ValueError, on a miss too.
+    in every field, and is one alignment where those are two. The rule
+    keeps max(w - 1, 1) states, so it is called only when the extended
+    states number at least ``w``. A ``w`` that is not a state limit
+    raises ValueError, on a miss too.
     """
     cost = cost_model.sync_cost
     states = pa.states
@@ -488,12 +491,14 @@ def extend_model_semantics(
         if step is _UNSEEN or step is not None and step.move_cost is not cost:
             step = _sync_step(net, by_marking, activity, marking, cost)
     if step is None:
-        if w is not None:
+        if w is not None and (type(w) is not int or w < 1):
             _check_state_limit(w)
         return None
     states += (step,)
     refs = pa.refs + (event_ref,)
-    if w is not None:
+    # the rule keeps max(w - 1, 1) states, so fewer than w states lose none;
+    # a w that is not an int goes to the rule, which checks it
+    if w is not None and (type(w) is not int or len(states) >= w):
         truncated = truncated_alignment(pa.base_marking, states, pa.summary, refs, w)
         if truncated is not None:
             return truncated
@@ -691,7 +696,7 @@ def _lookahead_tables(
     carried = bytearray(len(activities) + 1)
     carried_nowhere = 0
     for pos in range(len(activities) - 1, -1, -1):
-        if net.transitions_labeled(activities[pos]):
+        if activities[pos] in net._by_label:
             carried[pos] = 1
         else:
             carried_nowhere += 1

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from datetime import datetime, timezone
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -125,30 +125,48 @@ def _measured_pass(
     first copy, which is ``events`` itself; each window's APTE is the
     mean per-event processing time over every copy of that window.
     Only the windows whose first copy completed are reported.
+
+    The first copy runs window by window: per event it reads the clock
+    twice around ``process`` and keeps the cost and the slot peak, and
+    it writes each window's time, timed count and peak once. Later
+    copies only add each event's time to its window.
     """
     engine = ConformanceEngine(net, config, search_budget=search_budget)
     process = engine.process
     clock = time.perf_counter_ns
     length = len(events)
-    copies = islice(replicate_events(events, replication), length, None) if replication > 1 else ()
     costs: list[float] = []  # first copy's effective cost per event
+    append_cost = costs.append
     peaks = [0] * math.ceil(length / window_size)  # first copy's peak stored slots per window
     window_ns = [0] * len(peaks)  # processing time per window, all copies
     window_timed = [0] * len(peaks)  # events timed per window, all copies
     counts: tuple[int, int] | None = None
     error: str | None = None
     try:
-        for index, event in enumerate(chain(events, copies)):
-            window = index % length // window_size
-            started = clock()
-            outcome = process(event.case_id, event.activity, index)
-            window_ns[window] += clock() - started
-            window_timed[window] += 1
-            if index < length:
-                costs.append(outcome.effective_cost)
-                peaks[window] = max(peaks[window], engine.stored_state_count)
-                if index + 1 == length:
-                    counts = (engine.search_count, engine.extension_count)
+        for window, start in enumerate(range(0, length, window_size)):
+            stop = min(start + window_size, length)
+            elapsed = peak = 0
+            for index in range(start, stop):
+                event = events[index]
+                started = clock()
+                outcome = process(event.case_id, event.activity, index)
+                elapsed += clock() - started
+                append_cost(outcome.effective_cost)
+                slots = engine.stored_state_count
+                if slots > peak:
+                    peak = slots
+            window_ns[window] = elapsed
+            window_timed[window] = stop - start
+            peaks[window] = peak
+        counts = (engine.search_count, engine.extension_count)
+        if replication > 1:
+            copies = islice(replicate_events(events, replication), length, None)
+            for index, event in enumerate(copies, length):
+                window = index % length // window_size
+                started = clock()
+                process(event.case_id, event.activity, index)
+                window_ns[window] += clock() - started
+                window_timed[window] += 1
     except SearchBudgetExceeded as exc:
         error = str(exc)
 

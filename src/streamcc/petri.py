@@ -6,9 +6,11 @@ time a marking is looked up, that maps the marking to its enabled
 transitions, each with the marking firing it reaches.
 :meth:`PetriNet.successors` is the one read of that table;
 ``enabled_transitions``, ``is_enabled`` and ``fire`` are views of its
-entry. Successors are interned, so while the tables have room every
-caller that reaches a marking by firing holds the same ``Marking``
-object.
+entry, and ``enabled_transitions``, which a search calls once per
+expansion, reads a stored entry itself, calling ``successors`` only for
+a marking the table does not hold. Successors are interned, so while
+the tables have room every caller that reaches a marking by firing
+holds the same ``Marking`` object.
 
 The successor table and the intern table each keep at most
 :data:`SUCCESSOR_TABLE_CAP` markings, because a net need not be bounded.
@@ -138,7 +140,11 @@ class Marking(str):
     (never a plain ``str``, its own encoding included); its ``repr`` is
     ``Marking(entries=(...))``, and ``str`` and ``format`` give
     ``[p1, p2^2]``; it pickles as its entries, and assigning or deleting
-    an attribute raises ``dataclasses.FrozenInstanceError``.
+    an attribute raises ``dataclasses.FrozenInstanceError``. The ``str``
+    operations that would read the encoding are refused: ``in``,
+    ``len()`` and iteration raise TypeError, and the four orderings
+    return NotImplemented, so ordering two markings raises TypeError.
+    Only the empty marking is false.
     """
 
     __slots__ = ()
@@ -163,6 +169,25 @@ class Marking(str):
     def __ne__(self, other: object) -> bool:
         return not (isinstance(other, Marking) and _str_eq(self, other))
 
+    def __bool__(self) -> bool:
+        # only the empty marking is false; __len__ refuses
+        return _str_len(self) != 0
+
+    def __contains__(self, item: object) -> bool:
+        raise TypeError("a Marking is no container: read its entries or as_dict()")
+
+    def __len__(self) -> int:
+        raise TypeError("a Marking has no len(): read its entries or as_dict()")
+
+    def __iter__(self) -> Iterator[str]:
+        raise TypeError("a Marking is not iterable: read its entries or as_dict()")
+
+    # markings are not ordered; str would order them by their encodings
+    def __lt__(self, other: object) -> bool:
+        return NotImplemented
+
+    __le__ = __gt__ = __ge__ = __lt__
+
     def __reduce__(self) -> tuple:
         # str hashes are salted per process: the receiving process rebuilds
         # the marking from its entries and hashes it again
@@ -171,15 +196,16 @@ class Marking(str):
     @property
     def entries(self) -> tuple[tuple[str, int], ...]:
         """The ``(place, count)`` pairs, sorted by place, decoded from the value."""
+        # through str's own methods, since a Marking refuses len()
         entries = []
         start = 0
-        size = len(self)
+        size = _str_len(self)
         while start < size:
-            colon = self.index(":", start)
+            colon = _str_index(self, ":", start)
             start = colon + 1 + int(self[start:colon])
             place = self[colon + 1 : start]
             if start < size and self[start] == "*":
-                comma = self.index(",", start)
+                comma = _str_index(self, ",", start)
                 entries.append((place, int(self[start + 1 : comma])))
                 start = comma + 1
             else:
@@ -239,6 +265,8 @@ class Marking(str):
 
 
 _str_eq = str.__eq__
+_str_len = str.__len__
+_str_index = str.index
 
 
 @dataclass(frozen=True)
@@ -380,8 +408,16 @@ class PetriNet:
         return transition in self.successors(marking)
 
     def enabled_transitions(self, marking: Marking) -> tuple[str, ...]:
-        """Transitions with at least one token on every input place, in id order."""
-        return tuple(self.successors(marking))
+        """Transitions with at least one token on every input place, in id order.
+
+        The keys of the marking's successor entry. It reads the table
+        itself and calls :meth:`successors` only when the marking has no
+        entry, so a search expansion, which calls it once, pays one frame.
+        """
+        entry = self._table.get(marking)
+        if entry is None:
+            entry = self.successors(marking)
+        return tuple(entry)
 
     def fire(self, marking: Marking, transition: str) -> Marking:
         """Fire an enabled transition, consuming and producing one token per arc.

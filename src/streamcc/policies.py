@@ -199,7 +199,11 @@ class ConformanceEngine:
     alignment's rank. Every successful event moves its case to the end
     of the bucket of its new rank, so each bucket is in the order of its
     cases' last updates, and the first case of the first non-empty
-    bucket is the victim.
+    bucket is the victim. Eviction deletes the victim from that bucket,
+    so it does not rank the alignment again, and reads the victim's slot
+    count, kappa_o and carry marking from the alignment's fields with
+    the expressions of ``state_count``, ``fitness_cost`` and
+    ``current_marking``, calling none of those properties.
 
     An evicted case's next event resumes from its summary-only
     :class:`PrefixAlignment` in R_C itself. Evicted cases with equal
@@ -345,11 +349,17 @@ class ConformanceEngine:
         )
 
     def _evict_one(self) -> None:
-        case_id = self._pick_victim()
-        pa = self.store.pop(case_id).prefix_alignment
-        del self._buckets[_forgetting_rank(pa)][case_id]
-        self._stored_slots += 1 - pa.state_count
-        kappa, marking = key = (pa.fitness_cost, pa.current_marking)
+        bucket = self._victim_bucket()
+        case_id = next(iter(bucket))
+        del bucket[case_id]
+        base_marking, states, carried, moves_cost, _ = self.store.pop(case_id).prefix_alignment
+        # state_count, fitness_cost and current_marking, read from the fields
+        if carried is None:
+            carried = 0.0
+            self._stored_slots += 1 - len(states)
+        else:
+            self._stored_slots -= len(states)
+        kappa, marking = key = (carried + moves_cost, states[-1].marking_after if states else base_marking)
         summary = self._shared_summaries.get(key)
         if summary is None:
             # a float kappa and the int 0 moves_cost of PrefixAlignment.empty: outcome digests hash their sums
@@ -361,9 +371,13 @@ class ConformanceEngine:
 
     # -- forgetting index --------------------------------------------------
 
-    def _pick_victim(self) -> str:
-        """The first case of the first non-empty bucket: the case the forgetting criteria evict."""
+    def _victim_bucket(self) -> dict[str, None]:
+        """The first non-empty bucket: its first case is the one the forgetting criteria evict."""
         for bucket in self._buckets.values():
             if bucket:
-                return next(iter(bucket))
+                return bucket
         raise RuntimeError("no case to forget: the forgetting index is empty")
+
+    def _pick_victim(self) -> str:
+        """The first case of the first non-empty bucket: the case the forgetting criteria evict."""
+        return next(iter(self._victim_bucket()))

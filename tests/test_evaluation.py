@@ -13,6 +13,7 @@ from streamcc import (
     ParseError,
     Policy,
     PolicyConfig,
+    SearchBudgetExceeded,
     StreamSpec,
     cyclic_sequence_net,
     evaluate_policies,
@@ -164,6 +165,35 @@ class TestEvaluatePolicies:
             (4, 20, 18, 0.0, 1.0),
             (5, 20, 19, 0.0, 1.0),
             (6, 20, 23, 0.0, 1.0),
+        ]
+        assert all(w.apte_us > 0 for w in run.windows)
+
+    def test_budget_failure_in_a_later_copy(self, monkeypatch):
+        # the first copy completed: every window is reported, with its counts
+        events = small_stream(seed=13, noise=0.8)
+        config = PolicyConfig(Policy.COMBINED, w=2, n=3)
+        single = evaluate_policies(cyclic_sequence_net(10), events, [config], window_size=20)
+        failing_index = len(events) + 30  # an event of the second copy's second window
+
+        class FailingEngine(ConformanceEngine):
+            def process(self, case_id, activity, event_ref=None):
+                if event_ref == failing_index:
+                    raise SearchBudgetExceeded(self.search_budget, case_id)
+                return super().process(case_id, activity, event_ref)
+
+        monkeypatch.setattr(evaluation, "ConformanceEngine", FailingEngine)
+        result = evaluate_policies(cyclic_sequence_net(10), events, [config], window_size=20, replication=2)
+        (run,) = result.runs
+        (plain,) = single.runs
+        assert run.error is not None and "~r2" in run.error
+        assert len(run.windows) == len(plain.windows) == 10
+        assert (run.search_count, run.extension_count) == (plain.search_count, plain.extension_count)
+        assert [
+            (w.window_index, w.events_in_window, w.max_stored_states, w.rmse_fitness, w.f1_classification)
+            for w in run.windows
+        ] == [
+            (w.window_index, w.events_in_window, w.max_stored_states, w.rmse_fitness, w.f1_classification)
+            for w in plain.windows
         ]
         assert all(w.apte_us > 0 for w in run.windows)
 

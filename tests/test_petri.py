@@ -122,6 +122,38 @@ class TestMarking:
         assert Marking.__hash__ is str.__hash__
 
     @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda m: "p" in m,
+            len,
+            iter,
+            list,
+            lambda m: sorted([m, Marking.of({"aa": 1})]),
+            lambda m: m < Marking.of({"aa": 1}),
+            lambda m: m <= m,
+            lambda m: m > Marking.empty(),
+            lambda m: m >= m,
+        ],
+        ids=["contains", "len", "iter", "list", "sorted", "lt", "le", "gt", "ge"],
+    )
+    def test_refuses_the_str_operations_it_inherits(self, operation):
+        # str would answer each from the encoding: a substring test, the
+        # encoding's length or characters, the encodings' order
+        with pytest.raises(TypeError):
+            operation(Marking.of({"p1": 1, "b": 2}))
+
+    def test_orderings_are_not_implemented(self):
+        marking = Marking.of({"p1": 1})
+        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+            assert getattr(marking, name)(marking) is NotImplemented
+
+    def test_only_the_empty_marking_is_false(self):
+        assert bool(Marking.of({"p": 1})) is True
+        assert bool(Marking.of({"p": 3, "q": 1})) is True
+        assert bool(Marking.empty()) is False
+        assert bool(Marking.of({"p": 0})) is False
+
+    @pytest.mark.parametrize(
         "build, message",
         [
             (lambda: Marking.of({"p": 1.5}), r"^token count of place 'p' must be an int, not 1\.5$"),

@@ -18,7 +18,7 @@ from streamcc import (
     replay,
 )
 from streamcc.alignment import MoveKind
-from streamcc import policies
+from streamcc import alignment, policies
 from streamcc.petri import Marking, PetriNet
 from streamcc.policies import CaseRecord, CaseStore, Method, truncate_states
 
@@ -536,6 +536,72 @@ class TestCombined:
         assert engine.residual_cost("b") == 0.0
         with pytest.raises(KeyError):
             engine.residual_cost("never-seen")
+
+
+class TestForgettingPath:
+    """Eviction reads the victim's fields, and the extension truncates only what it can."""
+
+    @pytest.mark.parametrize(
+        "cost_model", [CostModel(), CostModel(0.05, 0.1, 0.3, 0.01)], ids=["unit", "fractional"]
+    )
+    def test_evicts_and_truncates_without_helper_calls(self, cost_model, monkeypatch):
+        w = 3
+        net = cyclic_sequence_net(10)
+        events = list(replay(generate_log(StreamSpec(cases=60, open_cases=12, noise_probability=0.3), seed=7)))
+        engine = ConformanceEngine(net, PolicyConfig(Policy.COMBINED, w=w, n=4, cost_model=cost_model))
+        evicting = False
+        helper_calls = []
+
+        def counting(name, original):
+            def counted(*args):
+                if evicting:
+                    helper_calls.append(name)
+                return original(*args)
+
+            return counted
+
+        monkeypatch.setattr(policies, "_forgetting_rank", counting("_forgetting_rank", policies._forgetting_rank))
+        for name in ("state_count", "fitness_cost", "carried_cost", "current_marking"):
+            monkeypatch.setattr(PrefixAlignment, name, property(counting(name, vars(PrefixAlignment)[name].fget)))
+        # the extension's calls: truncate_states reads the rule under the name policies imports
+        truncated_sizes = []
+        rule = alignment.truncated_alignment
+
+        def sized_rule(base_marking, states, summary, refs, limit):
+            truncated_sizes.append(len(states))
+            return rule(base_marking, states, summary, refs, limit)
+
+        monkeypatch.setattr(alignment, "truncated_alignment", sized_rule)
+        evict = engine._evict_one
+        evictions = 0
+
+        def watched_evict():
+            nonlocal evicting, evictions
+            victim = engine._pick_victim()
+            pa = engine.store[victim].prefix_alignment
+            evicting = True
+            try:
+                evict()
+            finally:
+                evicting = False
+            evictions += 1
+            summary = engine.repo[victim]
+            expected = PrefixAlignment(pa.current_marking, (), pa.fitness_cost, 0, ())
+            assert tuple(summary) == tuple(expected)
+            assert repr(summary) == repr(expected)
+            assert [type(field) for field in summary] == [type(field) for field in expected]
+
+        engine._evict_one = watched_evict
+        resumptions = 0
+        for event in events:
+            resumptions += event.case_id in engine.repo
+            engine.process(event.case_id, event.activity, event.arrival_index)
+            assert engine.stored_state_count == stored_state_count(engine.store, engine.repo)
+        assert evictions > 0 and resumptions > 0
+        assert helper_calls == []
+        assert truncated_sizes and min(truncated_sizes) >= w
+        # the rule forgot a state at most of the calls it got
+        assert engine.extension_count > len(truncated_sizes)
 
 
 class TestAccessors:
