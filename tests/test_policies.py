@@ -600,7 +600,7 @@ class TestForgettingPath:
         assert evictions > 0 and resumptions > 0
         assert helper_calls == []
         assert truncated_sizes and min(truncated_sizes) >= w
-        # the rule forgot a state at most of the calls it got
+        # extensions with fewer than w states did not call the rule
         assert engine.extension_count > len(truncated_sizes)
 
 
