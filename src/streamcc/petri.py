@@ -142,8 +142,8 @@ class Marking(str):
     ``[p1, p2^2]``; it pickles as its entries, and assigning or deleting
     an attribute raises ``dataclasses.FrozenInstanceError``. The ``str``
     operations that would read the encoding are refused: ``in``,
-    ``len()`` and iteration raise TypeError, and the four orderings
-    return NotImplemented, so ordering two markings raises TypeError.
+    ``len()`` and iteration raise TypeError, and so do the four orderings,
+    whatever the other operand is (a plain ``str`` included).
     Only the empty marking is false.
     """
 
@@ -182,9 +182,11 @@ class Marking(str):
     def __iter__(self) -> Iterator[str]:
         raise TypeError("a Marking is not iterable: read its entries or as_dict()")
 
-    # markings are not ordered; str would order them by their encodings
+    # markings are not ordered. Returning NotImplemented would let a plain
+    # str order against the encoding, so each ordering refuses any operand;
+    # a Marking subclasses str, so its reflected ordering runs first there too
     def __lt__(self, other: object) -> bool:
-        return NotImplemented
+        raise TypeError(f"markings are not ordered: cannot order a Marking and a {type(other).__name__}")
 
     __le__ = __gt__ = __ge__ = __lt__
 

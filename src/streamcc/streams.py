@@ -5,6 +5,22 @@ Logs come in as CSV (configurable columns) or a small XES subset;
 a timestamp-ordered pull stream, with stable ordering for equal
 timestamps. Replication concatenates renamed copies of the
 stream to mimic a larger one.
+
+Ingest builds one value per event and runs no Python frame per event
+beyond its loop body and :func:`parse_timestamp`. The CSV reader reads
+rows with ``csv.reader``, its column indices resolved once from the
+header. A logged :class:`Event` is a named tuple built by
+``Event._from_fields`` (``tuple.__new__``, in C), as the engine's
+``EventOutcome`` is. A :class:`StreamEvent` stays a frozen slotted
+dataclass: the engine's callers read its fields on every event, and on
+CPython 3.11 a slot's field read is specialized where a named tuple's is
+not; a prototype with a named-tuple ``StreamEvent`` read the experiment
+benchmark's ``events_per_s`` 1-3% lower in 5 of 5 pairs. ``replay`` and
+``replicate_events`` build it without its generated ``__init__``, by
+``object.__new__`` and its four slot descriptors' ``__set__``: 0.36 us an
+event where the ``__init__`` takes 0.71 us (CPython 3.11.7, one core of a
+2-CPU container). There, on the benchmark's 20,155-event churn log,
+parsing fell from about 60 to 27 ms and replay from 19 to 12 ms.
 """
 
 from __future__ import annotations
@@ -13,22 +29,37 @@ import csv
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from types import MethodType
+from typing import IO, Iterator, NamedTuple, Sequence
 from xml.etree import ElementTree as ET
 
-from .errors import ParseError, TimestampError, check_int
+from .errors import ParseError, TimestampError, check_int, frozen_delattr, frozen_setattr
 from .petri import ActivityLabel
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
-    """One logged activity execution. Every event is distinct via event_id."""
+class Event(NamedTuple):
+    """One logged activity execution. Every event is distinct via event_id.
+
+    A frozen named tuple: assigning or deleting a field raises
+    ``dataclasses.FrozenInstanceError``, as the dataclass it used to be
+    did. The parsers build it with ``Event._from_fields``, ``tuple.__new__``
+    over its four fields, which runs no Python frame.
+    """
 
     event_id: int
     case_id: str
     activity: ActivityLabel
     timestamp: datetime
+
+    __setattr__ = frozen_setattr
+    __delattr__ = frozen_delattr
+
+
+# the four fields, in order, in a tuple -> an event of them, by tuple.__new__
+Event._from_fields = MethodType(tuple.__new__, Event)
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,6 +74,15 @@ class StreamEvent:
     activity: ActivityLabel
     arrival_index: int
     timestamp: datetime | None = None
+
+
+# A StreamEvent built as its __init__ builds it, in C: object.__new__, then
+# each slot descriptor's __set__ (the frozen __setattr__ is not called)
+_new_object = object.__new__
+_set_case_id = StreamEvent.case_id.__set__
+_set_activity = StreamEvent.activity.__set__
+_set_arrival_index = StreamEvent.arrival_index.__set__
+_set_timestamp = StreamEvent.timestamp.__set__
 
 
 @dataclass(frozen=True)
@@ -84,31 +124,51 @@ def parse_csv_log(
     source: str | Path | IO[str],
     columns: CsvColumns = CsvColumns(),
 ) -> EventLog:
-    """Read a headered CSV of events; event ids are assigned sequentially."""
+    """Read a headered CSV of events; event ids are assigned sequentially.
+
+    A path is read as UTF-8, a leading byte-order mark dropped; from a
+    text stream, a U+FEFF that starts its first line is dropped.
+    Each cell reads as ``csv.DictReader`` reads it: blank lines are
+    skipped, a cell a short row lacks is empty, and a column named twice
+    reads from its last position. Rows are numbered from 1 after the
+    header, blank lines not counted.
+    """
     if isinstance(source, (str, Path)):
-        with open(source, newline="", encoding="utf-8") as handle:
+        with open(source, newline="", encoding="utf-8-sig") as handle:
             return parse_csv_log(handle, columns)
-    reader = csv.DictReader(source)
-    if reader.fieldnames is None:
+    lines = iter(source)
+    first = next(lines, None)
+    if first is None:
         raise ParseError("CSV log has no header row")
-    missing = [
-        c for c in (columns.case_id, columns.activity, columns.timestamp)
-        if c not in reader.fieldnames
-    ]
+    # a byte-order mark is dropped before the reader sees it, so a quoted
+    # first header cell still reads as quoted; a binary stream's bytes pass
+    # to the reader, which names the mistake
+    rows = csv.reader(chain((first[1:] if first[:1] == "\ufeff" else first,), lines))
+    header = next(rows)
+    names = (columns.case_id, columns.activity, columns.timestamp)
+    missing = [c for c in names if c not in header]
     if missing:
-        raise ParseError(f"CSV log is missing columns {missing}; found {reader.fieldnames}")
-    events = []
-    for row_number, row in enumerate(reader, start=1):
-        case_id = (row.get(columns.case_id) or "").strip()
-        activity = (row.get(columns.activity) or "").strip()
-        raw_ts = (row.get(columns.timestamp) or "").strip()
+        raise ParseError(f"CSV log is missing columns {missing}; found {header}")
+    position = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last
+    case_at, activity_at, timestamp_at = (position[c] for c in names)
+    width = max(case_at, activity_at, timestamp_at) + 1
+    new_event = Event._from_fields
+    events: list[Event] = []
+    append = events.append
+    for row in rows:
+        if len(row) < width:
+            if not row:
+                continue
+            row += [""] * (width - len(row))
+        case_id = row[case_at].strip()
+        activity = row[activity_at].strip()
         if not case_id or not activity:
-            raise ParseError(f"row {row_number}: empty case id or activity")
+            raise ParseError(f"row {len(events) + 1}: empty case id or activity")
         try:
-            timestamp = parse_timestamp(raw_ts)
+            timestamp = parse_timestamp(row[timestamp_at].strip())
         except TimestampError as exc:
-            raise TimestampError(f"row {row_number}: {exc}") from exc
-        events.append(Event(len(events) + 1, case_id, activity, timestamp))
+            raise TimestampError(f"row {len(events) + 1}: {exc}") from exc
+        append(new_event((len(events) + 1, case_id, activity, timestamp)))
     return EventLog(tuple(events))
 
 
@@ -131,17 +191,12 @@ def local_name(tag: str) -> str:
 def parse_xes_log(source: str | Path | bytes | IO[bytes]) -> EventLog:
     """Read the concept:name / time:timestamp subset of XES.
 
+    An attribute key given twice in one element reads its first value.
     Events lacking an activity or timestamp are collected and reported
     together in one ParseError.
     """
     root = xml_root(source, "XES")
-
-    def attribute(element: ET.Element, key: str) -> str | None:
-        for child in element:
-            if child.get("key") == key:
-                return child.get("value")
-        return None
-
+    new_event = Event._from_fields
     events: list[Event] = []
     problems: list[str] = []
     trace_number = 0
@@ -149,30 +204,34 @@ def parse_xes_log(source: str | Path | bytes | IO[bytes]) -> EventLog:
         if local_name(trace.tag) != "trace":
             continue
         trace_number += 1
-        case_id = attribute(trace, "concept:name")
+        case_id = next((c.get("value") for c in trace if c.get("key") == "concept:name"), None)
         if not case_id:
             problems.append(f"trace {trace_number}: missing concept:name")
             continue
         event_number = 0
         for element in trace:
-            if local_name(element.tag) != "event":
+            tag = element.tag  # local_name(tag) == "event", without a call per element
+            if tag != "event" and not tag.endswith("}event"):
                 continue
             event_number += 1
-            where = f"trace {case_id!r} event {event_number}"
-            activity = attribute(element, "concept:name")
-            raw_ts = attribute(element, "time:timestamp")
+            attributes: dict[str | None, str | None] = {}
+            for child in element:
+                attributes.setdefault(child.get("key"), child.get("value"))
+            activity = attributes.get("concept:name")
+            raw_ts = attributes.get("time:timestamp")
             if not activity:
-                problems.append(f"{where}: missing concept:name")
-                continue
-            if not raw_ts:
-                problems.append(f"{where}: missing time:timestamp")
-                continue
-            try:
-                timestamp = parse_timestamp(raw_ts)
-            except TimestampError:
-                problems.append(f"{where}: unparseable time:timestamp {raw_ts!r}")
-                continue
-            events.append(Event(len(events) + 1, case_id, activity, timestamp))
+                problem = "missing concept:name"
+            elif not raw_ts:
+                problem = "missing time:timestamp"
+            else:
+                try:
+                    timestamp = parse_timestamp(raw_ts)
+                except TimestampError:
+                    problem = f"unparseable time:timestamp {raw_ts!r}"
+                else:
+                    events.append(new_event((len(events) + 1, case_id, activity, timestamp)))
+                    continue
+            problems.append(f"trace {case_id!r} event {event_number}: {problem}")
     if problems:
         raise ParseError("rejected XES events:\n  " + "\n  ".join(problems))
     return EventLog(tuple(events))
@@ -185,6 +244,9 @@ def read_log(path: str | Path, columns: CsvColumns = CsvColumns()) -> EventLog:
     return parse_csv_log(path, columns)
 
 
+_BY_TIMESTAMP = attrgetter("timestamp")
+
+
 def replay(log: EventLog, *, pace: float | None = None) -> Iterator[StreamEvent]:
     """Emit the log as a stream ordered by timestamp.
 
@@ -193,15 +255,21 @@ def replay(log: EventLog, *, pace: float | None = None) -> Iterator[StreamEvent]
     sleeps ``pace`` wall seconds per log second between events (capped
     per gap), for demonstration purposes.
     """
-    ordered = sorted(log.events, key=lambda event: event.timestamp)
+    ordered = sorted(log.events, key=_BY_TIMESTAMP)
     previous: datetime | None = None
-    for index, event in enumerate(ordered):
-        if pace is not None and previous is not None:
-            gap = (event.timestamp - previous).total_seconds() * pace
-            if gap > 0:
-                time.sleep(min(gap, 0.25))
-        previous = event.timestamp
-        yield StreamEvent(event.case_id, event.activity, index, event.timestamp)
+    for index, (_, case_id, activity, timestamp) in enumerate(ordered):
+        if pace is not None:
+            if previous is not None:
+                gap = (timestamp - previous).total_seconds() * pace
+                if gap > 0:
+                    time.sleep(min(gap, 0.25))
+            previous = timestamp
+        event = _new_object(StreamEvent)
+        _set_case_id(event, case_id)
+        _set_activity(event, activity)
+        _set_arrival_index(event, index)
+        _set_timestamp(event, timestamp)
+        yield event
 
 
 def replicate_events(events: Sequence[StreamEvent], k: int) -> Iterator[StreamEvent]:
@@ -220,5 +288,10 @@ def _copies(events: Sequence[StreamEvent], k: int) -> Iterator[StreamEvent]:
     for copy in range(1, k + 1):
         for event in events:
             case_id = event.case_id if copy == 1 else f"{event.case_id}~r{copy}"
-            yield StreamEvent(case_id, event.activity, index, event.timestamp)
+            stream_event = _new_object(StreamEvent)
+            _set_case_id(stream_event, case_id)
+            _set_activity(stream_event, event.activity)
+            _set_arrival_index(stream_event, index)
+            _set_timestamp(stream_event, event.timestamp)
+            yield stream_event
             index += 1

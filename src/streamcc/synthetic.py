@@ -145,22 +145,28 @@ def generate_log(spec: StreamSpec, seed: int = 0) -> EventLog:
         f"c{str(i).zfill(width)}": _case_trace(spec, rng) for i in range(1, spec.cases + 1)
     }
     backlog = list(traces)
+    backlog.reverse()  # popped from the end: the first case first
+    open_cases = spec.open_cases
     open_pool: list[str] = []
     cursor: dict[str, int] = {}
+    new_event = Event._from_fields
     events: list[Event] = []
+    append = events.append
     clock = spec.start
+    step = timedelta(seconds=spec.step_seconds)
+    choice = rng.choice
     while backlog or open_pool:
-        while backlog and len(open_pool) < spec.open_cases:
-            case = backlog.pop(0)
+        while backlog and len(open_pool) < open_cases:
+            case = backlog.pop()
             open_pool.append(case)
             cursor[case] = 0
-        case = rng.choice(open_pool)
+        case = choice(open_pool)
         position = cursor[case]
-        activity = traces[case][position]
-        events.append(Event(len(events) + 1, case, activity, clock))
-        clock += timedelta(seconds=spec.step_seconds)
-        cursor[case] = position + 1
-        if cursor[case] >= len(traces[case]):
+        trace = traces[case]
+        append(new_event((len(events) + 1, case, trace[position], clock)))
+        clock += step
+        position += 1
+        cursor[case] = position
+        if position >= len(trace):
             open_pool.remove(case)
     return EventLog(tuple(events))
-

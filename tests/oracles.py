@@ -6,18 +6,23 @@ The brute-force alignment cost enumerates every move sequence directly
 from the net's firing semantics; it shares no code with the search under
 test. Random nets follow a fixed recipe: an entry transition, a choice
 of two branches (one bypassing), a parallel split/join pair, and one
-loop back to the choice.
+loop back to the choice. The CSV oracle is the log parser as it was
+written over ``csv.DictReader``.
 """
 
 from __future__ import annotations
 
+import csv
 import random
+from pathlib import Path
+from typing import IO
 
 from streamcc import DEFAULT_COST_MODEL, ConformanceEngine, CostModel, PetriNet
 from streamcc.alignment import AlignmentState, MoveKind
+from streamcc.errors import ParseError, TimestampError
 from streamcc.petri import Marking
 from streamcc.policies import CaseStore, EventOutcome, SummaryRepository, _forgetting_rank
-from streamcc.streams import EventLog, StreamEvent
+from streamcc.streams import CsvColumns, Event, EventLog, StreamEvent, parse_timestamp
 
 ALPHABET = ["A", "B", "C", "D", "E", "F", "G", "H", "K"]
 
@@ -80,6 +85,42 @@ def select_forget_victim(store: CaseStore, last_arrival: dict[str, int]) -> str:
             best = key
     assert best is not None
     return best[2]
+
+
+def dictreader_csv_log(
+    source: str | Path | IO[str],
+    columns: CsvColumns = CsvColumns(),
+) -> EventLog:
+    """Read a headered CSV of events; event ids are assigned sequentially.
+
+    The reference for :func:`streamcc.streams.parse_csv_log`, which reads
+    each cell as this reads it through ``csv.DictReader``, one dict per row.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, newline="", encoding="utf-8") as handle:
+            return dictreader_csv_log(handle, columns)
+    reader = csv.DictReader(source)
+    if reader.fieldnames is None:
+        raise ParseError("CSV log has no header row")
+    missing = [
+        c for c in (columns.case_id, columns.activity, columns.timestamp)
+        if c not in reader.fieldnames
+    ]
+    if missing:
+        raise ParseError(f"CSV log is missing columns {missing}; found {reader.fieldnames}")
+    events = []
+    for row_number, row in enumerate(reader, start=1):
+        case_id = (row.get(columns.case_id) or "").strip()
+        activity = (row.get(columns.activity) or "").strip()
+        raw_ts = (row.get(columns.timestamp) or "").strip()
+        if not case_id or not activity:
+            raise ParseError(f"row {row_number}: empty case id or activity")
+        try:
+            timestamp = parse_timestamp(raw_ts)
+        except TimestampError as exc:
+            raise TimestampError(f"row {row_number}: {exc}") from exc
+        events.append(Event(len(events) + 1, case_id, activity, timestamp))
+    return EventLog(tuple(events))
 
 
 def peak_concurrent_cases(log: EventLog) -> int:

@@ -142,10 +142,36 @@ class TestMarking:
         with pytest.raises(TypeError):
             operation(Marking.of({"p1": 1, "b": 2}))
 
-    def test_orderings_are_not_implemented(self):
+    @pytest.mark.parametrize(
+        "other", [Marking.of({"p1": 1}), "x", "", 1, None], ids=["marking", "str", "empty-str", "int", "none"]
+    )
+    def test_orderings_refuse_any_operand(self, other):
+        # a NotImplemented here would let str order the marking's encoding
+        # against a plain str, so every operand is refused
         marking = Marking.of({"p1": 1})
         for name in ("__lt__", "__le__", "__gt__", "__ge__"):
-            assert getattr(marking, name)(marking) is NotImplemented
+            with pytest.raises(TypeError, match="^markings are not ordered"):
+                getattr(marking, name)(other)
+
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda m: m < "x",
+            lambda m: m <= "x",
+            lambda m: m > "x",
+            lambda m: m >= "x",
+            lambda m: "x" < m,
+            lambda m: "x" <= m,
+            lambda m: "x" > m,
+            lambda m: "x" >= m,
+            lambda m: sorted([m, "x"]),
+            lambda m: sorted(["x", m]),
+        ],
+        ids=["lt", "le", "gt", "ge", "str-lt", "str-le", "str-gt", "str-ge", "sorted", "sorted-str-first"],
+    )
+    def test_does_not_order_against_a_str(self, operation):
+        with pytest.raises(TypeError, match="^markings are not ordered"):
+            operation(Marking.of({"p": 1}))
 
     def test_only_the_empty_marking_is_false(self):
         assert bool(Marking.of({"p": 1})) is True

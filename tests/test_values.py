@@ -6,11 +6,14 @@ so a stored state costs its fields and nothing more. ``experiment
 each type must also survive a pickle round trip unchanged. All but the
 case record, which holds only its case's id and alignment, are frozen,
 and refuse assignment and deletion with a frozen dataclass's
-``FrozenInstanceError``. The three built on every event are named
-tuples, ``AlignmentState``, ``PrefixAlignment`` and ``EventOutcome``,
-and keep their constructor's parameters, defaults and ``moves_cost``
-rule in ``__new__``. Their reprs are pinned as the dataclasses printed
-them, because digests hash that text.
+``FrozenInstanceError``. The four built on every event are named
+tuples, ``AlignmentState``, ``PrefixAlignment``, ``EventOutcome`` and
+the logged ``Event``, and keep their constructor's parameters, defaults
+and ``moves_cost`` rule in ``__new__``. Their reprs are pinned as the
+dataclasses printed them, because digests hash that text. A
+``StreamEvent`` stays a slotted dataclass; ``replay`` and
+``replicate_events`` build it without its ``__init__``, and what they
+build must equal, print and pickle as what the constructor builds.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from streamcc import PrefixAlignment, cyclic_sequence_net
 from streamcc.alignment import AlignmentState, MoveKind, fold_move_costs
 from streamcc.petri import Marking
 from streamcc.policies import CaseRecord, EventOutcome, Method
-from streamcc.streams import Event, StreamEvent
+from streamcc.streams import Event, EventLog, StreamEvent, replay, replicate_events
 
 _MARKING = Marking.of({"p1": 1, "p2": 2})
 # the summary repository's entry for a forgotten case: a summary-only alignment
@@ -47,6 +50,7 @@ _PREFIX = PrefixAlignment(
 )
 _OUTCOME = EventOutcome("c1", "A", 7, 2.5, False, Method.SHORTEST_PATH, 1.5)
 _WHEN = datetime(2024, 1, 2, 3, 4, 5)
+_EVENT = Event(3, "c1", "A", _WHEN)
 
 VALUES = [
     _MARKING,
@@ -56,7 +60,7 @@ VALUES = [
     CaseRecord("c1", _PREFIX),
     _OUTCOME,
     StreamEvent("c1", "A", 7, _WHEN),
-    Event(3, "c1", "A", _WHEN),
+    _EVENT,
 ]
 
 
@@ -107,7 +111,9 @@ def test_fields_cannot_be_deleted(value):
 
 
 # The values built on every event are named tuples with a __new__ of their own.
-PER_EVENT_VALUES = [v for v in VALUES if isinstance(v, (AlignmentState, PrefixAlignment, EventOutcome))]
+PER_EVENT_VALUES = [
+    v for v in VALUES if isinstance(v, (AlignmentState, PrefixAlignment, EventOutcome, Event))
+]
 
 
 @pytest.mark.parametrize("value", PER_EVENT_VALUES, ids=_value_id)
@@ -125,6 +131,15 @@ class TestPerEventConstructor:
         assert repr(copy) == repr(value)
 
 
+@pytest.mark.parametrize("value", [_PREFIX, _OUTCOME, _EVENT], ids=_value_id)
+def test_from_fields_builds_an_equal_value(value):
+    # the builder the engine and the parsers call: tuple.__new__ over all the fields
+    built = type(value)._from_fields(tuple(value))
+    assert type(built) is type(value)
+    assert built == value
+    assert repr(built) == repr(value)
+
+
 def test_per_event_values_print_as_the_dataclasses_did():
     # outcome digests and search digests hash these reprs; moves_cost is not printed
     assert repr(_OUTCOME) == (
@@ -136,6 +151,9 @@ def test_per_event_values_print_as_the_dataclasses_did():
     assert repr(_PREFIX) == (
         f"PrefixAlignment(base_marking={marking}, states={_PREFIX.states!r}, summary=1.5, refs=(0, 1))"
     )
+    assert repr(_EVENT) == (
+        "Event(event_id=3, case_id='c1', activity='A', timestamp=datetime.datetime(2024, 1, 2, 3, 4, 5))"
+    )
 
 
 def test_per_event_values_index_and_iterate_like_tuples():
@@ -143,6 +161,32 @@ def test_per_event_values_index_and_iterate_like_tuples():
     assert _OUTCOME[2] == _OUTCOME.arrival_index == 7
     # moves_cost is a field of the tuple, though not compared or printed
     assert list(_PREFIX) == [_PREFIX.base_marking, _PREFIX.states, 1.5, 1.0, (0, 1)]
+
+
+_LOG = EventLog(
+    tuple(Event(i + 1, f"c{i % 2}", f"A{i}", datetime(2024, 1, 1, 0, 0, 5 - i)) for i in range(4))
+)
+_BUILT = {
+    "replay": lambda: list(replay(_LOG)),
+    "paced-replay": lambda: list(replay(_LOG, pace=1e-6)),
+    "replicate_events": lambda: list(replicate_events(list(replay(_LOG)), 3)),
+}
+
+
+@pytest.mark.parametrize("build", _BUILT.values(), ids=_BUILT.keys())
+def test_built_stream_events_are_as_the_constructor_builds_them(build):
+    built = build()
+    assert len(built) in (4, 12)
+    for event in built:
+        fresh = StreamEvent(event.case_id, event.activity, event.arrival_index, event.timestamp)
+        assert type(event) is StreamEvent
+        assert event == fresh and hash(event) == hash(fresh)
+        assert repr(event) == repr(fresh)
+        assert pickle.dumps(event) == pickle.dumps(fresh)
+        assert pickle.loads(pickle.dumps(event)) == fresh
+        for name in ("case_id", "activity", "arrival_index", "timestamp"):
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field {name!r}$"):
+                setattr(event, name, getattr(event, name))
 
 
 _FRACTIONAL_STEPS = tuple(
