@@ -47,8 +47,7 @@ An expansion looks markings up about 7 times, and each lookup hashes
 in C (see :mod:`streamcc.petri`); a marking's Python ``__eq__`` runs
 only when a lookup meets an equal marking that is another object. One
 replay of the long-traces benchmark workload's stream made one
-``Marking.__eq__`` call for its 30,633 expansions, where a Python
-``Marking.__hash__`` was called 212,653 times.
+``Marking.__eq__`` call for its 30,633 expansions.
 """
 
 from __future__ import annotations
@@ -280,11 +279,13 @@ class PrefixAlignment(_PrefixAlignmentFields):
     the alignment keeps its events' refs next to them. When omitted,
     ``refs`` is computed from the states' own ``event_ref``.
 
-    It is a frozen named tuple. Equality, the hash and the repr leave
-    ``moves_cost`` out, as the dataclass it used to be did, and assigning
-    or deleting a field raises ``dataclasses.FrozenInstanceError``; it
-    also indexes, iterates and orders like the tuple of its five fields,
-    ``moves_cost`` included.
+    It is a frozen named tuple: it compares, hashes, prints, indexes,
+    iterates and orders as the tuple of its five fields, and assigning or
+    deleting a field raises ``dataclasses.FrozenInstanceError``. Every
+    alignment the library builds carries ``fold_move_costs(states)`` as
+    its ``moves_cost`` (an int 0 where it has no states, which equals 0.0
+    and hashes alike), so two of them with equal states, summary, base
+    marking and refs are equal.
     Every alignment is built by ``PrefixAlignment._from_fields``,
     ``tuple.__new__`` over all five fields, which runs no Python frame:
     the extension, truncation, the search and eviction call it directly,
@@ -312,28 +313,6 @@ class PrefixAlignment(_PrefixAlignmentFields):
             # CPython's free list for its size; one per search added up
             refs = tuple([s.event_ref for s in states if s.kind in CONSUMING_KINDS])
         return PrefixAlignment._from_fields((base_marking, states, summary, moves_cost, refs))
-
-    def __repr__(self) -> str:
-        return (
-            f"PrefixAlignment(base_marking={self.base_marking!r}, states={self.states!r}, "
-            f"summary={self.summary!r}, refs={self.refs!r})"
-        )
-
-    def _compared(self) -> tuple:
-        # moves_cost is not compared: it is a function of the states
-        return (self.base_marking, self.states, self.summary, self.refs)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._compared() == other._compared()
-
-    def __ne__(self, other: object) -> bool:
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    def __hash__(self) -> int:
-        return hash(self._compared())
 
     @classmethod
     def empty(cls, start: Marking) -> "PrefixAlignment":

@@ -10,7 +10,9 @@ invalid input, 3 search budget exhausted.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import sys
 from collections import deque
@@ -100,8 +102,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     # case id -> [model-semantics events, shortest-path events, last cost, last conformant]
     cases: dict[str, list] = {}
+    # no event ref: no output reads the refs an alignment keeps
     for event in replay(log):
-        outcome = engine.process(event.case_id, event.activity, event.arrival_index)
+        outcome = engine.process(event.case_id, event.activity)
         case = cases.get(outcome.case_id)
         if case is None:
             case = cases[outcome.case_id] = [0, 0, None, None]
@@ -127,14 +130,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.format == "json":
         text = json.dumps({"policy": config.label, "cases": rows}, indent=2) + "\n"
     else:
-        lines = ["case_id,events,effective_cost,conformant,residual_cost,model_semantics,shortest_path"]
+        # quoted as the log's reader expects, so a case id may hold a comma or a quote
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(
+            ("case_id", "events", "effective_cost", "conformant", "residual_cost", "model_semantics", "shortest_path")
+        )
         for r in rows:
-            lines.append(
-                f"{r['case_id']},{r['events']},{r['effective_cost']:.6g},"
-                f"{str(r['conformant']).lower()},{r['residual_cost']:.6g},"
-                f"{r['model_semantics']},{r['shortest_path']}"
+            cost, residual = f"{r['effective_cost']:.6g}", f"{r['residual_cost']:.6g}"
+            conformant = str(r["conformant"]).lower()
+            writer.writerow(
+                (r["case_id"], r["events"], cost, conformant, residual, r["model_semantics"], r["shortest_path"])
             )
-        text = "\n".join(lines) + "\n"
+        text = buffer.getvalue()
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out} ({len(rows)} cases, policy {config.label})")

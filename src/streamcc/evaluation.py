@@ -104,10 +104,8 @@ def reference_costs(
     engine = ConformanceEngine(
         net, PolicyConfig(Policy.BASELINE, cost_model=cost_model), search_budget=search_budget
     )
-    return [
-        engine.process(ev.case_id, ev.activity, ev.arrival_index).effective_cost
-        for ev in events
-    ]
+    # no event ref: no result reads the refs an alignment keeps
+    return [engine.process(ev.case_id, ev.activity).effective_cost for ev in events]
 
 
 def _measured_pass(
@@ -129,7 +127,9 @@ def _measured_pass(
     The first copy runs window by window: per event it reads the clock
     twice around ``process`` and keeps the cost and the slot peak, and
     it writes each window's time, timed count and peak once. Later
-    copies only add each event's time to its window.
+    copies only add each event's time to its window. ``process`` gets no
+    event ref, because nothing reads the refs an alignment keeps, and a
+    fresh int per event would live as long as its stored move.
     """
     engine = ConformanceEngine(net, config, search_budget=search_budget)
     process = engine.process
@@ -149,7 +149,7 @@ def _measured_pass(
             for index in range(start, stop):
                 event = events[index]
                 started = clock()
-                outcome = process(event.case_id, event.activity, index)
+                outcome = process(event.case_id, event.activity)
                 elapsed += clock() - started
                 append_cost(outcome.effective_cost)
                 slots = engine.stored_state_count
@@ -164,7 +164,7 @@ def _measured_pass(
             for index, event in enumerate(copies, length):
                 window = index % length // window_size
                 started = clock()
-                process(event.case_id, event.activity, index)
+                process(event.case_id, event.activity)
                 window_ns[window] += clock() - started
                 window_timed[window] += 1
     except SearchBudgetExceeded as exc:

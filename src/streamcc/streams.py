@@ -135,7 +135,12 @@ def parse_csv_log(
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8-sig") as handle:
-            return parse_csv_log(handle, columns)
+            return _parse_csv_lines(handle, columns)
+    return _parse_csv_lines(source, columns)
+
+
+def _parse_csv_lines(source: IO[str], columns: CsvColumns) -> EventLog:
+    """The log :func:`parse_csv_log` reads from the text stream ``source``."""
     lines = iter(source)
     first = next(lines, None)
     if first is None:

@@ -7,7 +7,8 @@ from the net's firing semantics; it shares no code with the search under
 test. Random nets follow a fixed recipe: an entry transition, a choice
 of two branches (one bypassing), a parallel split/join pair, and one
 loop back to the choice. The CSV oracle is the log parser as it was
-written over ``csv.DictReader``.
+written over ``csv.DictReader``. The lockstep replay holds a lossy
+policy's costs against the baseline's, event by event.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import random
 from pathlib import Path
 from typing import IO
 
-from streamcc import DEFAULT_COST_MODEL, ConformanceEngine, CostModel, PetriNet
+from streamcc import DEFAULT_COST_MODEL, ConformanceEngine, CostModel, PetriNet, Policy, PolicyConfig
 from streamcc.alignment import AlignmentState, MoveKind
 from streamcc.errors import ParseError, TimestampError
 from streamcc.petri import Marking
@@ -180,6 +181,37 @@ def checked_replay(engine: ConformanceEngine, events: list[StreamEvent]) -> list
             assert case_id not in engine.store, f"case {case_id} in both stores"
         assert engine.stored_state_count == stored_state_count(engine.store, engine.repo)
     return outcomes
+
+
+def below_baseline(
+    net: PetriNet, events: list[StreamEvent], configs: list[PolicyConfig]
+) -> list[tuple[str, int, float, float]]:
+    """Replay the baseline and each policy in lockstep; every event a policy costs less than the baseline.
+
+    A policy's case holds a summary (the cost of the prefix it forgot
+    and the marking that prefix reached) and the states it kept after
+    it, which together align the case's whole prefix, so its cost is
+    never below the optimal cost the baseline holds. The baseline's cost
+    is optimal when ``sync_cost <= log_cost``, which is required here.
+    Each problem is ``(policy label, arrival index, policy cost,
+    baseline cost)``, and a cost counts as below when it is more than
+    the search's relative slack, 1e-9 x max(1, baseline cost), under.
+    The configs must share one cost model, which the baseline uses too.
+    """
+    (cost_model,) = {config.cost_model for config in configs}
+    assert cost_model.sync_cost <= cost_model.log_cost, "the baseline's cost need not be optimal"
+    baseline = ConformanceEngine(net, PolicyConfig(Policy.BASELINE, cost_model=cost_model))
+    engines = [(config.label, ConformanceEngine(net, config).process) for config in configs]
+    problems = []
+    for event in events:
+        case_id, activity, index = event.case_id, event.activity, event.arrival_index
+        base = baseline.process(case_id, activity).effective_cost
+        floor = base - 1e-9 * max(1.0, base)
+        for label, process in engines:
+            cost = process(case_id, activity).effective_cost
+            if cost < floor:
+                problems.append((label, index, cost, base))
+    return problems
 
 
 def brute_force_min_cost(

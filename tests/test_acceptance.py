@@ -30,11 +30,14 @@ from streamcc import (
     replicate_events,
     shortest_path_prefix_alignment,
 )
+from streamcc import alignment, policies
 from streamcc.alignment import DEFAULT_COST_MODEL, DEFAULT_SEARCH_BUDGET
+from streamcc.evaluation import ExperimentConfig, load_experiment_inputs
 from streamcc.policies import CaseRecord, CaseStore, _forgetting_rank
 from streamcc.streams import StreamEvent
 
 from oracles import (
+    below_baseline,
     brute_force_min_cost,
     checked_replay,
     log_step,
@@ -201,21 +204,25 @@ def test_criterion_2_degenerate_limit_equivalence(net):
 # -- criterion 3: bound enforcement ------------------------------------------
 
 
+BOUND_CONFIGS = (
+    PolicyConfig(Policy.BOUNDED_STATES, w=1),
+    PolicyConfig(Policy.BOUNDED_STATES, w=3),
+    PolicyConfig(Policy.BOUNDED_CASES, n=1),
+    PolicyConfig(Policy.BOUNDED_CASES, n=100),
+    PolicyConfig(Policy.COMBINED, w=2, n=2),
+    PolicyConfig(Policy.COMBINED, w=5, n=100),
+)
+
+
+def _bound_streams() -> list[list[StreamEvent]]:
+    """Four small noisy streams, which criteria 3 and 10 replay under ``BOUND_CONFIGS``."""
+    spec = StreamSpec(cases=40, open_cases=12, noise_probability=0.6)
+    return [list(replay(generate_log(spec, seed=seed))) for seed in range(4)]
+
+
 def test_criterion_3_bound_enforcement(net, churn_events):
-    configs = (
-        PolicyConfig(Policy.BOUNDED_STATES, w=1),
-        PolicyConfig(Policy.BOUNDED_STATES, w=3),
-        PolicyConfig(Policy.BOUNDED_CASES, n=1),
-        PolicyConfig(Policy.BOUNDED_CASES, n=100),
-        PolicyConfig(Policy.COMBINED, w=2, n=2),
-        PolicyConfig(Policy.COMBINED, w=5, n=100),
-    )
-    for seed in range(4):
-        log = generate_log(
-            StreamSpec(cases=40, open_cases=12, noise_probability=0.6), seed=seed
-        )
-        events = list(replay(log))
-        for config in configs:
+    for events in _bound_streams():
+        for config in BOUND_CONFIGS:
             checked_replay(ConformanceEngine(net, config), events)
     checked_replay(
         ConformanceEngine(net, PolicyConfig(Policy.COMBINED, w=5, n=100)),
@@ -536,3 +543,60 @@ def test_criterion_9_format_fidelity(data_dir):
     # events 8 and 9 share a timestamp; log order decides
     assert log.events[7].timestamp == log.events[8].timestamp
     report("ACCEPTANCE 9 format-fidelity: PASS (arrival order 1-9, tie by log order)")
+
+
+# -- criterion 10: a lossy policy never costs less than the baseline ----------
+
+# unit costs on every move but the synchronous one, silent moves included
+UNIT_MODEL_COSTS = CostModel(0.0, 1.0, 1.0, 1.0)
+
+
+def _experiment_policies(data_dir) -> tuple:
+    """The shipped experiment's net and stream, and its 35 bounded policies."""
+    config = ExperimentConfig.from_json(data_dir / "experiment_example.json")
+    net, events = load_experiment_inputs(config)
+    bounded = [policy for policy in config.policies if policy.policy is not Policy.BASELINE]
+    assert len(bounded) == 35
+    return net, events, bounded
+
+
+def test_criterion_10_never_below_the_baseline(net, churn_events, data_dir):
+    started = time.monotonic()
+    experiment_net, experiment_events, bounded = _experiment_policies(data_dir)
+    compared = 0
+    for cost_model in (DEFAULT_COST_MODEL, UNIT_MODEL_COSTS):
+        configs = [replace(config, cost_model=cost_model) for config in bounded]
+        assert below_baseline(experiment_net, experiment_events, configs) == []
+        compared += len(configs) * len(experiment_events)
+    for events in _bound_streams():
+        assert below_baseline(net, events, list(BOUND_CONFIGS)) == []
+        compared += len(BOUND_CONFIGS) * len(events)
+    assert below_baseline(net, churn_events, [PolicyConfig(Policy.COMBINED, w=5, n=100)]) == []
+    compared += len(churn_events)
+    elapsed = time.monotonic() - started
+    assert elapsed < 60
+    report(
+        "ACCEPTANCE 10 never-below-baseline: PASS "
+        f"({compared} policy events in lockstep with the baseline, {elapsed:.1f}s)"
+    )
+
+
+def test_criterion_10_catches_a_summary_without_the_forgotten_moves_cost(data_dir, monkeypatch):
+    # truncation that keeps only the carried cost in the summary: the
+    # forgotten moves' cost is lost, so a deviating case's cost drops
+    truncate = alignment.truncated_alignment
+
+    def forgets_the_moves_cost(base_marking, states, summary, refs, w):
+        truncated = truncate(base_marking, states, summary, refs, w)
+        if truncated is None:
+            return None
+        return truncated._replace(summary=0.0 if summary is None else summary)
+
+    monkeypatch.setattr(alignment, "truncated_alignment", forgets_the_moves_cost)
+    monkeypatch.setattr(policies, "truncated_alignment", forgets_the_moves_cost)
+    experiment_net, experiment_events, bounded = _experiment_policies(data_dir)
+    problems = below_baseline(experiment_net, experiment_events, bounded)
+    assert problems
+    # only policies with a state limit truncate
+    assert {label for label, *_ in problems} <= {config.label for config in bounded if config.w is not None}
+    report(f"ACCEPTANCE 10 mutant: {len(problems)} of {35 * len(experiment_events)} policy events below the baseline")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import shutil
 from pathlib import Path
@@ -136,6 +138,16 @@ class TestCheck:
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[1].startswith("9,2,0,true")
+
+    def test_case_ids_that_need_quoting_read_back(self, branching_model, tmp_path, capsys):
+        log = tmp_path / "quoted.csv"
+        log.write_text('case_id,activity,timestamp\n"a,b",A,2021-01-01 08:00\n"q""x",A,2021-01-01 08:05\n')
+        code = main(["check", "--model", branching_model, "--log", str(log), "--policy", "baseline"])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [len(row) for row in rows] == [7, 7, 7]
+        assert [row[0] for row in rows[1:]] == ["a,b", 'q"x']
+        assert rows[1][1:] == ["1", "0", "true", "0", "1", "0"]
 
     def test_budget_exit_3(self, branching_model, tmp_path, capsys):
         bad_log = tmp_path / "bad.csv"

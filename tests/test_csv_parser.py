@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import dictreader_csv_log
+from streamcc import streams
 from streamcc.cli import main
 from streamcc.errors import ParseError
 from streamcc.streams import CsvColumns, parse_csv_log, read_log
@@ -136,6 +137,23 @@ def _bom_copy(source: Path, directory: Path, name: str = "bom.csv") -> Path:
     copy = directory / name
     copy.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
     return copy
+
+
+def test_a_path_is_parsed_by_one_call(data_dir, monkeypatch):
+    # parse_csv_log reads the file's handle without calling itself, so a
+    # wrapper of the module's name, as a tracer installs, counts one parse
+    calls = []
+    parse = streams.parse_csv_log
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(streams, "parse_csv_log", counted)
+    path = data_dir / "sample_stream.csv"
+    log = read_log(path)
+    assert calls == [path]
+    assert log == parse(io.StringIO(path.read_text(encoding="utf-8")))
 
 
 def test_bom_prefixed_path_reads_as_the_plain_log(data_dir, tmp_path):

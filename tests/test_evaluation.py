@@ -177,7 +177,8 @@ class TestEvaluatePolicies:
 
         class FailingEngine(ConformanceEngine):
             def process(self, case_id, activity, event_ref=None):
-                if event_ref == failing_index:
+                # the engine's count of the events before this one: its arrival index
+                if self.events_processed == failing_index:
                     raise SearchBudgetExceeded(self.search_budget, case_id)
                 return super().process(case_id, activity, event_ref)
 

@@ -28,6 +28,12 @@ Each bound was set from a measurement on CPython 3.11 plus about 10%:
   which expands about one entry per event. A search that builds an
   ``(activity, None)`` pair per event and one lookahead float per
   position takes 542 B and fails it.
+- 43.8 B held per stored slot after the experiment harness's measured
+  pass of the shipped experiment stream under the baseline, which
+  passes ``process`` no event ref. A pass that gives each event a fresh
+  int ref, which its stored alignment keeps alive, holds 73.2 B and
+  fails it. Object sizes differ between Python versions, so only 3.11
+  checks this one.
 """
 
 from __future__ import annotations
@@ -48,7 +54,8 @@ from streamcc import (
     generate_log,
     replay,
 )
-from streamcc import PetriNet, PrefixAlignment, petri, shortest_path_prefix_alignment
+from streamcc import PetriNet, PrefixAlignment, evaluation, petri, shortest_path_prefix_alignment
+from streamcc.evaluation import ExperimentConfig, load_experiment_inputs, reference_costs
 from streamcc.synthetic import step_label
 
 from conftest import make_parallel_net
@@ -59,6 +66,7 @@ HELD_BYTES_PER_MARKING_BOUND = 462
 HELD_BYTES_PER_MARKING_AS_STRING_BOUND = 410
 SEARCH_PEAK_BYTES_PER_EXPANSION_BOUND = 465
 CONFORMING_SEARCH_PEAK_BYTES_PER_EVENT_BOUND = 500
+MEASURED_PASS_HELD_BYTES_PER_SLOT_BOUND = 48
 
 
 def _baseline_replay_held_bytes(spec: StreamSpec) -> tuple[ConformanceEngine, int]:
@@ -217,3 +225,39 @@ def test_evicted_cases_share_equal_summaries_up_to_the_cap(monkeypatch):
         for _, summary in engine.repo.items():
             assert isinstance(summary, PrefixAlignment)
             assert type(summary.summary) is float
+
+
+def _measured_pass_held_bytes(data_dir, monkeypatch) -> tuple[int, int]:
+    """Bytes held after the harness's measured pass of the experiment stream's baseline, and its slots."""
+    config = ExperimentConfig.from_json(data_dir / "experiment_example.json")
+    net, events = load_experiment_inputs(config)
+    # the reference pass fills the net's tables, which are the net's, not the engine's
+    ref_costs = reference_costs(net, events)
+    engines = []
+
+    class KeptEngine(ConformanceEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(evaluation, "ConformanceEngine", KeptEngine)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run = evaluation._measured_pass(
+            net, events, ref_costs, config.window_size, config.search_budget, 1, PolicyConfig(Policy.BASELINE)
+        )
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert run.error is None
+    (engine,) = engines
+    return held, engine.stored_state_count
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="object sizes differ between Python versions")
+def test_measured_pass_holds_no_ref_per_stored_slot(data_dir, monkeypatch):
+    held, slots = _measured_pass_held_bytes(data_dir, monkeypatch)
+    assert slots > 4000
+    assert held / slots <= MEASURED_PASS_HELD_BYTES_PER_SLOT_BOUND, f"{held / slots:.1f} B per slot"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import random
 import sys
@@ -381,6 +382,16 @@ class TestSuccessorTable:
         # the copy fills its own tables
         assert extend_model_semantics(copy, pa, "A", 0) == extend_model_semantics(branching_net, pa, "A", 0)
         assert len(copy._sync_steps["A"]) == 1
+
+    def test_net_pickles_as_its_fields(self, branching_net):
+        # everything else is derived again by the net that loads the pickle
+        shortest_path_prefix_alignment(branching_net, branching_net.initial_marking, list("AEFGH"))
+        state = branching_net.__getstate__()
+        assert list(state) == [f.name for f in dataclasses.fields(PetriNet)]
+        assert all(state[name] is getattr(branching_net, name) for name in state)
+        copy = pickle.loads(pickle.dumps(branching_net))
+        for name in ("_preset", "_postset", "_by_label"):
+            assert getattr(copy, name) == getattr(branching_net, name)
 
     def test_threads_sharing_a_net_get_the_single_threaded_results(self):
         cases = _random_cases(40)

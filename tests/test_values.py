@@ -9,8 +9,10 @@ and refuse assignment and deletion with a frozen dataclass's
 ``FrozenInstanceError``. The four built on every event are named
 tuples, ``AlignmentState``, ``PrefixAlignment``, ``EventOutcome`` and
 the logged ``Event``, and keep their constructor's parameters, defaults
-and ``moves_cost`` rule in ``__new__``. Their reprs are pinned as the
-dataclasses printed them, because digests hash that text. A
+and ``moves_cost`` rule in ``__new__``. The reprs of ``EventOutcome``
+and ``AlignmentState`` are pinned as the dataclasses printed them,
+because digests hash that text; a ``PrefixAlignment`` compares, hashes
+and prints as the named tuple of its five fields. A
 ``StreamEvent`` stays a slotted dataclass; ``replay`` and
 ``replicate_events`` build it without its ``__init__``, and what they
 build must equal, print and pickle as what the constructor builds.
@@ -141,15 +143,19 @@ def test_from_fields_builds_an_equal_value(value):
 
 
 def test_per_event_values_print_as_the_dataclasses_did():
-    # outcome digests and search digests hash these reprs; moves_cost is not printed
+    # outcome digests and search digests hash the outcome's and the steps' reprs;
+    # an alignment prints as the named tuple of its five fields, moves_cost included
     assert repr(_OUTCOME) == (
         "EventOutcome(case_id='c1', activity='A', arrival_index=7, effective_cost=2.5, "
         "conformant=False, method=<Method.SHORTEST_PATH: 'shortest-path'>, residual_cost=1.5)"
     )
     marking = "Marking(entries=(('p1', 1), ('p2', 2)))"
-    assert repr(_SUMMARY) == f"PrefixAlignment(base_marking={marking}, states=(), summary=1.5, refs=())"
+    assert repr(_SUMMARY) == (
+        f"PrefixAlignment(base_marking={marking}, states=(), summary=1.5, moves_cost=0, refs=())"
+    )
     assert repr(_PREFIX) == (
-        f"PrefixAlignment(base_marking={marking}, states={_PREFIX.states!r}, summary=1.5, refs=(0, 1))"
+        f"PrefixAlignment(base_marking={marking}, states={_PREFIX.states!r}, summary=1.5, "
+        "moves_cost=1.0, refs=(0, 1))"
     )
     assert repr(_EVENT) == (
         "Event(event_id=3, case_id='c1', activity='A', timestamp=datetime.datetime(2024, 1, 2, 3, 4, 5))"
@@ -159,7 +165,7 @@ def test_per_event_values_print_as_the_dataclasses_did():
 def test_per_event_values_index_and_iterate_like_tuples():
     assert tuple(_OUTCOME) == ("c1", "A", 7, 2.5, False, Method.SHORTEST_PATH, 1.5)
     assert _OUTCOME[2] == _OUTCOME.arrival_index == 7
-    # moves_cost is a field of the tuple, though not compared or printed
+    # moves_cost is a field of the tuple like the others
     assert list(_PREFIX) == [_PREFIX.base_marking, _PREFIX.states, 1.5, 1.0, (0, 1)]
 
 
@@ -205,19 +211,24 @@ def test_given_moves_cost_is_kept_as_given():
     pa = PrefixAlignment(_MARKING, _FRACTIONAL_STEPS, None, 1.0)
     assert pa.moves_cost == 1.0
     assert PrefixAlignment(_MARKING, _FRACTIONAL_STEPS, moves_cost=9.5).moves_cost == 9.5
-    # moves_cost is not compared: it is a function of the states
-    assert pa == PrefixAlignment(_MARKING, _FRACTIONAL_STEPS)
+    # moves_cost is compared: 1.0 is not the fold of these costs, which rounds below it
+    assert pa != PrefixAlignment(_MARKING, _FRACTIONAL_STEPS)
+    assert pa == PrefixAlignment(_MARKING, _FRACTIONAL_STEPS, moves_cost=1.0)
 
 
-def test_moves_cost_is_left_out_of_the_hash():
+def test_moves_cost_is_compared_and_hashed():
+    # the empty and summary-only alignments carry the int 0, and an int
+    # moves_cost equals and hashes as the float of the same value
     pa = PrefixAlignment(_MARKING, _FRACTIONAL_STEPS, None, 1)
     same = PrefixAlignment(_MARKING, _FRACTIONAL_STEPS, None, 1.0)
     assert type(pa.moves_cost) is int and type(same.moves_cost) is float
     assert pa == same and not pa != same
     assert hash(pa) == hash(same)
+    empty, zero = PrefixAlignment.empty(_MARKING), PrefixAlignment(_MARKING, (), None, 0.0)
+    assert type(empty.moves_cost) is int and type(zero.moves_cost) is float
+    assert empty == zero and hash(empty) == hash(zero)
     other = PrefixAlignment(_MARKING, _FRACTIONAL_STEPS, None, 9.5)
-    assert pa == other and not pa != other
-    assert hash(pa) == hash(other) == hash(PrefixAlignment(_MARKING, _FRACTIONAL_STEPS))
+    assert pa != other and not pa == other
 
 
 def test_step_prints_its_move_nested():
