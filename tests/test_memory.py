@@ -227,8 +227,8 @@ def test_evicted_cases_share_equal_summaries_up_to_the_cap(monkeypatch):
             assert type(summary.summary) is float
 
 
-def _measured_pass_held_bytes(data_dir, monkeypatch) -> tuple[int, int]:
-    """Bytes held after the harness's measured pass of the experiment stream's baseline, and its slots."""
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="object sizes differ between Python versions")
+def test_measured_pass_holds_no_ref_per_stored_slot(data_dir, monkeypatch):
     config = ExperimentConfig.from_json(data_dir / "experiment_example.json")
     net, events = load_experiment_inputs(config)
     # the reference pass fills the net's tables, which are the net's, not the engine's
@@ -253,11 +253,6 @@ def _measured_pass_held_bytes(data_dir, monkeypatch) -> tuple[int, int]:
         tracemalloc.stop()
     assert run.error is None
     (engine,) = engines
-    return held, engine.stored_state_count
-
-
-@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="object sizes differ between Python versions")
-def test_measured_pass_holds_no_ref_per_stored_slot(data_dir, monkeypatch):
-    held, slots = _measured_pass_held_bytes(data_dir, monkeypatch)
+    slots = engine.stored_state_count
     assert slots > 4000
     assert held / slots <= MEASURED_PASS_HELD_BYTES_PER_SLOT_BOUND, f"{held / slots:.1f} B per slot"
