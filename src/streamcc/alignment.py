@@ -12,9 +12,7 @@ check that the stored step's cost is the caller's cost object. Only a
 marking the table holds nothing for, or a step stored at another cost,
 takes the miss path, :func:`_sync_step`, which reads the successor
 entry, finds the lowest enabled transition id with the label, and takes
-the step from :func:`_shared_step`. One replay of the benchmark's
-parallel-alien workload's 4,500 events misses 1,953 times, once per
-entry it stores.
+the step from :func:`_shared_step`. It misses once per entry it stores.
 
 The search uses two heuristics for two jobs. Entries are ordered by
 g + ``h_unit`` x remaining events, with ``h_unit`` = min(sync_cost,
@@ -43,11 +41,9 @@ the one Python function an expansion calls is
 ``net.enabled_transitions(marking)``, whose transitions the loop
 iterates: the benchmark's tracer and the tests count expansions by it.
 It reads the stored entry itself, so it costs one frame, not two.
-An expansion looks markings up about 7 times, and each lookup hashes
+An expansion looks markings up several times, and each lookup hashes
 in C (see :mod:`streamcc.petri`); a marking's Python ``__eq__`` runs
-only when a lookup meets an equal marking that is another object. One
-replay of the long-traces benchmark workload's stream made one
-``Marking.__eq__`` call for its 30,633 expansions.
+only when a lookup meets an equal marking that is another object.
 """
 
 from __future__ import annotations

@@ -168,8 +168,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     log = read_log(args.log, _columns(args))
+    # quoted as CSV, so an id holding a tab, a line break or a quote stays one field
+    writer = csv.writer(sys.stdout, delimiter="\t", lineterminator="\n")
     for event in replay(log, pace=1e-3 if args.paced else None):
-        print(f"{event.arrival_index}\t{event.case_id}\t{event.activity}\t{event.timestamp.isoformat()}")
+        writer.writerow((event.arrival_index, event.case_id, event.activity, event.timestamp.isoformat()))
     return EXIT_OK
 
 

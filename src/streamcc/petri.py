@@ -14,28 +14,19 @@ holds the same ``Marking`` object.
 
 The successor table and the intern table each keep at most
 :data:`SUCCESSOR_TABLE_CAP` markings, because a net need not be bounded.
-Filling both for all 1,026 reachable markings of the benchmark's
-parallel net took about 383 B per marking, the markings included
-(tracemalloc, CPython 3.11; 420 B when a marking held a tuple of
-``(place, count)`` pairs that the intern table shared, and about 700 B
-with a tuple per pair of its own); at that size full tables hold about
-1.6 MB. Past the cap a marking's successors are computed on every
-lookup and not stored; they are value-equal to what the table would
-hold.
+At about 383 B per marking for both (tracemalloc, CPython 3.11), full
+tables hold about 1.6 MB. Past the cap a marking's successors are
+computed on every lookup and not stored; they are value-equal to what
+the table would hold.
 
 A third table, the step table, holds the alignment steps with no event
 ref that :mod:`streamcc.alignment` builds on this net, one per
 ``(kind, activity, transition, marking_after)`` key, so the stored
-alignments of every case share them: the benchmark's long-traces
-workload holds 4,827 steps of 15 values. ``alignment._shared_step`` is
+alignments of every case share them. ``alignment._shared_step`` is
 the one read and write of the table, and holds its rule for when a
 stored step serves a caller. The table keeps at most
 :data:`STEP_TABLE_CAP` steps; past the cap, steps are built per use,
-with equal values. The parallel-alien workload builds 2,065 distinct
-steps for its 4,827 stored ones. There a sweep of the cap read a peak
-heap of 0.950, 0.919, 0.927 and 1.014 MB at caps 64, 256, 1,024 and
-4,096 (0.965 MB with no table; tracemalloc, CPython 3.11), and a p50
-latency of 7.5, 7.5, 6.5 and 6.2 us (7.0 us with no table).
+with equal values.
 
 A fourth table, the synchronous-step table, makes the extension of
 :mod:`streamcc.alignment` one read: it maps an activity, then a
@@ -45,11 +36,8 @@ first, so a lookup builds no key tuple. It holds a dict for each label
 some transition carries, made with the net, and nothing for any other
 label, so alien labels cannot grow it. ``alignment._sync_step`` is its
 one write, and a stored step serves only under ``_shared_step``'s
-cost rule. One replay of the benchmark's parallel-alien workload
-stores 1,953 entries over its 15 labels, 30 of them None; its stored
-alignments then hold 2,067 step objects for 2,003 step values, where
-they held 2,334 without the table, because the table also keeps the
-steps met after the step table is full. The whole table, all labels
+cost rule. It also keeps the synchronous steps met after the step
+table is full, so those are shared too. The whole table, all labels
 together, keeps at most :data:`SUCCESSOR_TABLE_CAP` entries: the net
 issues one ticket per entry stored, from an ``itertools.count``, and
 stores nothing under a ticket past the cap, so the count costs O(1).
@@ -73,22 +61,17 @@ that refill on use.
 
 Markings are immutable multisets of tokens over place ids, kept in a
 canonical sorted form so they can serve as dictionary keys. The search
-and every table look markings up on every step, about 7 lookups per
-expansion on the benchmark's long-traces workload (see
+and every table look markings up several times per expansion (see
 :mod:`streamcc.alignment`), so a marking is a ``str`` subclass whose
 value encodes its entries: it hashes in C, once, since a ``str`` keeps
 its hash, and a lookup that finds the same object compares nothing. Its
 ``__eq__`` is a Python method, so that a marking never equals a plain
 string; a lookup calls it only when it meets an equal marking that is
-another object, as interning a freshly fired marking does. Dict
-membership, best of 7 ``timeit`` runs on a 2-CPU x86-64 Xeon with
-CPython 3.11, took 25-46 ns for a marking of 1 or 5 entries found by
-identity, and 188-205 ns for an equal copy; a frozen dataclass that
-returned a hash it stored from a Python ``__hash__`` took 74-78 ns and
-305-494 ns. The hash is not pickled: ``str`` hashes are salted per
-process, so an unpickled marking is rebuilt from its entries and hashed
-by the process that loads it, and finds the equal markings that process
-builds (``experiment --jobs`` sends nets and states to workers).
+another object, as interning a freshly fired marking does. The hash
+is not pickled: ``str`` hashes are salted per process, so an unpickled
+marking is rebuilt from its entries and hashed by the process that
+loads it, and finds the equal markings that process builds
+(``experiment --jobs`` sends nets and states to workers).
 """
 
 from __future__ import annotations

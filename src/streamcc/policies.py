@@ -115,8 +115,8 @@ class EventOutcome(NamedTuple):
     """Per-event result reported by an engine.
 
     A frozen named tuple: assigning or deleting a field raises
-    ``dataclasses.FrozenInstanceError``, as the dataclass it used to be
-    did, and it also indexes, iterates and compares like the tuple of its
+    ``dataclasses.FrozenInstanceError``, as for every frozen value in this
+    package, and it also indexes, iterates and compares like the tuple of its
     seven fields. The engine builds it with ``EventOutcome._from_fields``,
     ``tuple.__new__`` over all seven fields, which runs no Python frame.
     """

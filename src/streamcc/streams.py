@@ -14,13 +14,9 @@ header. A logged :class:`Event` is a named tuple built by
 ``EventOutcome`` is. A :class:`StreamEvent` stays a frozen slotted
 dataclass: the engine's callers read its fields on every event, and on
 CPython 3.11 a slot's field read is specialized where a named tuple's is
-not; a prototype with a named-tuple ``StreamEvent`` read the experiment
-benchmark's ``events_per_s`` 1-3% lower in 5 of 5 pairs. ``replay`` and
-``replicate_events`` build it without its generated ``__init__``, by
-``object.__new__`` and its four slot descriptors' ``__set__``: 0.36 us an
-event where the ``__init__`` takes 0.71 us (CPython 3.11.7, one core of a
-2-CPU container). There, on the benchmark's 20,155-event churn log,
-parsing fell from about 60 to 27 ms and replay from 19 to 12 ms.
+not. ``replay`` and ``replicate_events`` build it without its generated
+``__init__``, by ``object.__new__`` and its four slot descriptors'
+``__set__``, which costs about half as much as the ``__init__``.
 """
 
 from __future__ import annotations
@@ -44,8 +40,8 @@ class Event(NamedTuple):
     """One logged activity execution. Every event is distinct via event_id.
 
     A frozen named tuple: assigning or deleting a field raises
-    ``dataclasses.FrozenInstanceError``, as the dataclass it used to be
-    did. The parsers build it with ``Event._from_fields``, ``tuple.__new__``
+    ``dataclasses.FrozenInstanceError``, as for every frozen value in this
+    package. The parsers build it with ``Event._from_fields``, ``tuple.__new__``
     over its four fields, which runs no Python frame.
     """
 

@@ -8,7 +8,8 @@ test. Random nets follow a fixed recipe: an entry transition, a choice
 of two branches (one bypassing), a parallel split/join pair, and one
 loop back to the choice. The CSV oracle is the log parser as it was
 written over ``csv.DictReader``. The lockstep replay holds a lossy
-policy's costs against the baseline's, event by event.
+policy's costs against the baseline's, event by event, and the witness
+walk holds a stored alignment's moves to the net's firing rule.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 from typing import IO
 
 from streamcc import DEFAULT_COST_MODEL, ConformanceEngine, CostModel, PetriNet, Policy, PolicyConfig
-from streamcc.alignment import AlignmentState, MoveKind
+from streamcc.alignment import AlignmentState, MoveKind, PrefixAlignment, fold_move_costs
 from streamcc.errors import ParseError, TimestampError
 from streamcc.petri import Marking
 from streamcc.policies import CaseStore, EventOutcome, SummaryRepository, _forgetting_rank
@@ -211,6 +212,42 @@ def below_baseline(
             cost = process(case_id, activity).effective_cost
             if cost < floor:
                 problems.append((label, index, cost, base))
+    return problems
+
+
+def witness_problems(net: PetriNet, pa: PrefixAlignment) -> list[str]:
+    """What keeps ``pa`` from being a walk of ``net`` from its ``base_marking``; empty for a witness.
+
+    A case's summary plus its retained states align the case's whole
+    prefix, so the retained states must be moves the net allows from the
+    marking the summary reached. Walking from ``pa.base_marking``, each
+    synchronous, model or silent move fires its transition through
+    ``net.successors`` and reaches its ``marking_after``; a synchronous
+    move's activity is its transition's label, a model move's transition
+    is labeled and a silent move's is not; a log move keeps the marking.
+    ``moves_cost`` is the states' costs folded left to right.
+    """
+    problems = []
+    marking = pa.base_marking
+    for index, state in enumerate(pa.states):
+        where = f"state {index} ({state.kind.value} {state.transition or state.activity})"
+        if state.kind is MoveKind.LOG:
+            reached = marking
+        else:
+            reached = net.successors(marking).get(state.transition)
+            if reached is None:
+                problems.append(f"{where}: not enabled at {marking}")
+            label = net.labels.get(state.transition)
+            if state.kind is MoveKind.SYNCHRONOUS:
+                if label != state.activity:
+                    problems.append(f"{where}: the transition is labeled {label!r}")
+            elif (label is None) != (state.kind is MoveKind.SILENT_MODEL):
+                problems.append(f"{where}: the transition's label is {label!r}")
+        if reached is not None and state.marking_after != reached:
+            problems.append(f"{where}: reaches {state.marking_after}, not {reached}")
+        marking = state.marking_after
+    if pa.moves_cost != fold_move_costs(pa.states):
+        problems.append(f"moves_cost {pa.moves_cost!r}, states fold to {fold_move_costs(pa.states)!r}")
     return problems
 
 

@@ -17,6 +17,7 @@ import pytest
 from streamcc import (
     ConformanceEngine,
     CostModel,
+    PetriNet,
     Policy,
     PolicyConfig,
     PrefixAlignment,
@@ -31,8 +32,9 @@ from streamcc import (
     shortest_path_prefix_alignment,
 )
 from streamcc import alignment, policies
-from streamcc.alignment import DEFAULT_COST_MODEL, DEFAULT_SEARCH_BUDGET
+from streamcc.alignment import DEFAULT_COST_MODEL, DEFAULT_SEARCH_BUDGET, AlignmentState, MoveKind
 from streamcc.evaluation import ExperimentConfig, load_experiment_inputs
+from streamcc.petri import Marking
 from streamcc.policies import CaseRecord, CaseStore, _forgetting_rank
 from streamcc.streams import StreamEvent
 
@@ -48,6 +50,7 @@ from oracles import (
     select_forget_victim,
     stored_state_count,
     sync_step,
+    witness_problems,
 )
 
 
@@ -600,3 +603,92 @@ def test_criterion_10_catches_a_summary_without_the_forgotten_moves_cost(data_di
     # only policies with a state limit truncate
     assert {label for label, *_ in problems} <= {config.label for config in bounded if config.w is not None}
     report(f"ACCEPTANCE 10 mutant: {len(problems)} of {35 * len(experiment_events)} policy events below the baseline")
+
+
+# -- criterion 11: every stored alignment is a witness ------------------------
+
+
+def _witness_replay(net, config, events) -> list[tuple[int, str]]:
+    """Process a stream up to the first event whose case's stored alignment is no witness; its problems."""
+    engine = ConformanceEngine(net, config)
+    for event in events:
+        engine.process(event.case_id, event.activity, event.arrival_index)
+        problems = witness_problems(net, engine.store[event.case_id].prefix_alignment)
+        if problems:
+            return [(event.arrival_index, problem) for problem in problems]
+    return []
+
+
+def test_criterion_11_every_stored_alignment_is_a_witness(net):
+    started = time.monotonic()
+    streams = [(net, events) for events in _bound_streams()]
+    streams += [_interleaved_random_net_stream(seed) for seed in range(20)]
+    checked = 0
+    for cost_model in (DEFAULT_COST_MODEL, UNIT_MODEL_COSTS):
+        for stream_net, events in streams:
+            for config in BOUND_CONFIGS:
+                config = replace(config, cost_model=cost_model)
+                assert _witness_replay(stream_net, config, events) == [], config.label
+                checked += len(events)
+    elapsed = time.monotonic() - started
+    assert elapsed < 20
+    report(f"ACCEPTANCE 11 witness: PASS ({checked} stored alignments walked, {elapsed:.1f}s)")
+
+
+def _witness_net_states(**broken) -> tuple:
+    """A net ``p0 -t1(A)-> p1 -tau-> p2`` and a witness on it, with the named states replaced."""
+    witness_net = PetriNet.build(["p0", "p1", "p2"], {"t1": "A", "tau": None},
+                                 [("p0", "t1"), ("t1", "p1"), ("p1", "tau"), ("tau", "p2")], ["p0"], ["p2"])
+    p1, p2 = Marking.of(["p1"]), Marking.of(["p2"])
+    states = {
+        "sync": AlignmentState(MoveKind.SYNCHRONOUS, "A", "t1", None, 0.0, p1),
+        "silent": AlignmentState(MoveKind.SILENT_MODEL, None, "tau", None, 0.0, p2),
+        "log": AlignmentState(MoveKind.LOG, "X", None, None, 1.0, p2),
+    }
+    states.update(broken)
+    return witness_net, tuple(states.values())
+
+
+@pytest.mark.parametrize("broken, expected", [
+    ({}, []),
+    ({"sync": AlignmentState(MoveKind.SYNCHRONOUS, "B", "t1", None, 0.0, Marking.of(["p1"]))},
+     ["state 0 (synchronous t1): the transition is labeled 'A'"]),
+    ({"sync": AlignmentState(MoveKind.SILENT_MODEL, None, "t1", None, 0.0, Marking.of(["p1"]))},
+     ["state 0 (silent_model t1): the transition's label is 'A'"]),
+    ({"silent": AlignmentState(MoveKind.MODEL, None, "tau", None, 1.0, Marking.of(["p2"]))},
+     ["state 1 (model tau): the transition's label is None"]),
+    ({"sync": AlignmentState(MoveKind.SYNCHRONOUS, "A", "t1", None, 0.0, Marking.of(["p2"]))},
+     ["state 0 (synchronous t1): reaches [p2], not [p1]", "state 1 (silent_model tau): not enabled at [p2]"]),
+    ({"log": AlignmentState(MoveKind.LOG, "X", None, None, 1.0, Marking.of(["p1"]))},
+     ["state 2 (log X): reaches [p1], not [p2]"]),
+])
+def test_criterion_11_oracle_names_each_broken_rule(broken, expected):
+    witness_net, states = _witness_net_states(**broken)
+    pa = PrefixAlignment(witness_net.initial_marking, states)
+    assert witness_problems(witness_net, pa) == expected
+    assert witness_problems(witness_net, pa._replace(moves_cost=pa.moves_cost + 1)) == expected + [
+        f"moves_cost {pa.moves_cost + 1!r}, states fold to {pa.moves_cost!r}"
+    ]
+
+
+def test_criterion_11_catches_a_truncation_that_keeps_the_old_base_marking(net, monkeypatch):
+    events = _bound_streams()[0]
+    config = PolicyConfig(Policy.BOUNDED_STATES, w=3)
+    engine = ConformanceEngine(net, config)
+    # under a state limit alone, a summary appears only where an event truncates
+    for event in events:
+        engine.process(event.case_id, event.activity)
+        if engine.store[event.case_id].prefix_alignment.summary is not None:
+            first_truncated = event.arrival_index
+            break
+    truncate = alignment.truncated_alignment
+
+    def keeps_the_old_base_marking(base_marking, states, summary, refs, w):
+        truncated = truncate(base_marking, states, summary, refs, w)
+        return None if truncated is None else truncated._replace(base_marking=base_marking)
+
+    monkeypatch.setattr(alignment, "truncated_alignment", keeps_the_old_base_marking)
+    monkeypatch.setattr(policies, "truncated_alignment", keeps_the_old_base_marking)
+    problems = _witness_replay(net, config, events)
+    assert problems and problems[0][0] == first_truncated
+    report(f"ACCEPTANCE 11 mutant: first problem at event {first_truncated}, the first truncated one: {problems[0][1]}")

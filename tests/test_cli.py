@@ -184,6 +184,19 @@ class TestReplayCommand:
         assert lines[0].split("\t") == ["0", "1", "A", "2021-10-01T12:45:00"]
         assert lines[-1].split("\t")[1:3] == ["1", "C"]
 
+    def test_ids_with_a_tab_a_line_break_or_a_quote_stay_one_field(self, tmp_path, capsys):
+        log = tmp_path / "odd_ids.csv"
+        log.write_text(
+            "case_id,activity,timestamp\n"
+            '"a\tb",A,2021-01-01 08:00\n'
+            '"line\nbreak",B,2021-01-01 08:01\n'
+            'q"x,C,2021-01-01 08:02\n'
+        )
+        assert main(["replay", "--log", str(log)]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out), delimiter="\t"))
+        assert [row[:3] for row in rows] == [["0", "a\tb", "A"], ["1", "line\nbreak", "B"], ["2", 'q"x', "C"]]
+        assert [len(row) for row in rows] == [4, 4, 4]
+
     def test_missing_log(self, capsys):
         assert main(["replay", "--log", "absent.csv"]) == 2
 
