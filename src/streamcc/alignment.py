@@ -31,19 +31,19 @@ prefix. The costs, the net's tables and the heap functions are bound
 once per search, and the loop pushes from three sites: a synchronous
 move, a move that stays at its position (a silent or a model move, which
 differ only in cost and kind rank), and a log move. A popped entry is
-closed with one ``setdefault``, the marking's successor entry is read
-from the net's table once, and the pruning lookahead asks whether a
-marking lets an activity through from a per-search memo, which keeps
+closed with one ``setdefault``, and the pruning lookahead asks whether
+a marking lets an activity through from a per-search memo, which keeps
 for each marking it is asked about the labels it lets through, filled
 from the successor entry on the marking's first lookup. Apart from a
-memo's first lookup of a marking and a marking past the table's cap,
-the one Python function an expansion calls is
-``net.enabled_transitions(marking)``, whose transitions the loop
-iterates: the benchmark's tracer and the tests count expansions by it.
-It reads the stored entry itself, so it costs one frame, not two.
-An expansion looks markings up several times, and each lookup hashes
-in C (see :mod:`streamcc.petri`); a marking's Python ``__eq__`` runs
-only when a lookup meets an equal marking that is another object.
+memo's first lookup of a marking, the one Python function an expansion
+calls is ``net.enabled_transitions(marking)``, the second name of
+``net.successors``: it reads the marking's successor entry once, and the
+loop iterates its transitions and the markings they reach. The
+benchmark's tracer and the tests count expansions by that name, so the
+other readers of the entry call ``successors``. An expansion looks
+markings up several times, and each lookup hashes in C (see
+:mod:`streamcc.petri`); a marking's Python ``__eq__`` runs only when a
+lookup meets an equal marking that is another object.
 """
 
 from __future__ import annotations
@@ -514,10 +514,11 @@ def shortest_path_prefix_alignment(
     search, and without a bound the limit is infinite, so nothing is
     dropped.
 
-    Each expansion closes its entry with one ``setdefault``, calls
-    ``net.enabled_transitions(marking)`` once, reads the marking's
-    successor entry once from the net's table, and pushes from three
-    sites: sync, silent or model, and log (see the module docstring).
+    Each expansion closes its entry with one ``setdefault``, reads the
+    marking's successor entry once, by calling
+    ``net.enabled_transitions(marking)``, the second name of
+    ``net.successors``, and pushes from three sites: sync, silent or
+    model, and log (see the module docstring).
 
     Raises SearchBudgetExceeded once an expansion would exceed
     ``budget`` expansions (a search of E expansions passes with budget
@@ -555,7 +556,6 @@ def shortest_path_prefix_alignment(
     heappush = heapq.heappush
     heappop = heapq.heappop
     enabled_transitions = net.enabled_transitions
-    table_get = net._table.get
     label_of = net.labels.get
     expansions = 0
 
@@ -580,13 +580,8 @@ def shortest_path_prefix_alignment(
         activity = activities[pos]
         forced_here = forced[pos]
         forced_ahead = forced[next_pos]
-        # the successor entry's keys; one call per expansion: bench/ counts expansions by it
-        enabled = enabled_transitions(marking)
-        successors = table_get(marking)
-        if successors is None:  # past the table's cap
-            successors = net.successors(marking)
-        for t in enabled:
-            fired = successors[t]
+        # the successor entry, read once per expansion: bench/ counts expansions by this name
+        for t, fired in enabled_transitions(marking).items():
             label = label_of(t)
             if label is None:
                 cost, rank = silent_cost, _SILENT

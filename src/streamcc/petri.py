@@ -4,13 +4,11 @@ A net's structure is immutable once constructed. Enabledness and firing
 are decided in one place: a per-net successor table, filled the first
 time a marking is looked up, that maps the marking to its enabled
 transitions, each with the marking firing it reaches.
-:meth:`PetriNet.successors` is the one read of that table;
-``enabled_transitions``, ``is_enabled`` and ``fire`` are views of its
-entry, and ``enabled_transitions``, which a search calls once per
-expansion, reads a stored entry itself, calling ``successors`` only for
-a marking the table does not hold. Successors are interned, so while
-the tables have room every caller that reaches a marking by firing
-holds the same ``Marking`` object.
+:meth:`PetriNet.successors` is the one read of that table, and
+``enabled_transitions`` is a second name for it; ``is_enabled`` and
+``fire`` are views of its entry. Successors are interned, so while the
+tables have room every caller that reaches a marking by firing holds
+the same ``Marking`` object.
 
 The successor table and the intern table each keep at most
 :data:`SUCCESSOR_TABLE_CAP` markings, because a net need not be bounded.
@@ -277,9 +275,10 @@ class PetriNet:
     :meth:`successors` is the accessor of the net's successor table,
     filled per marking on first lookup and capped at
     :data:`SUCCESSOR_TABLE_CAP` markings (see the module docstring for
-    its size and thread safety). ``enabled_transitions``, ``is_enabled``
-    and ``fire`` are views of the entry it returns. ``fire`` returns the
-    table's interned marking, so ``net.fire(m, t) is net.fire(m, t)``.
+    its size and thread safety). ``enabled_transitions`` is a second name
+    for it; ``is_enabled`` and ``fire`` are views of the entry it returns.
+    ``fire`` returns the table's interned marking, so
+    ``net.fire(m, t) is net.fire(m, t)``.
     The step table and the synchronous-step table are filled and read by
     :mod:`streamcc.alignment`.
     """
@@ -394,18 +393,6 @@ class PetriNet:
         """
         return transition in self.successors(marking)
 
-    def enabled_transitions(self, marking: Marking) -> tuple[str, ...]:
-        """Transitions with at least one token on every input place, in id order.
-
-        The keys of the marking's successor entry. It reads the table
-        itself and calls :meth:`successors` only when the marking has no
-        entry, so a search expansion, which calls it once, pays one frame.
-        """
-        entry = self._table.get(marking)
-        if entry is None:
-            entry = self.successors(marking)
-        return tuple(entry)
-
     def fire(self, marking: Marking, transition: str) -> Marking:
         """Fire an enabled transition, consuming and producing one token per arc.
 
@@ -420,8 +407,9 @@ class PetriNet:
     def successors(self, marking: Marking) -> dict[str, Marking]:
         """The marking's table entry: enabled transition -> marking it reaches, in id order.
 
-        The one read of the successor table. The entry is shared: callers
-        must not change it.
+        The one read of the successor table, also named
+        ``enabled_transitions``. The entry is shared: callers must not
+        change it.
         """
         entry = self._table.get(marking)
         if entry is not None:
@@ -444,6 +432,10 @@ class PetriNet:
         if len(self._table) < SUCCESSOR_TABLE_CAP:
             self._table[intern(marking)] = entry
         return entry
+
+    # a search calls it by this name, once per expansion, and the
+    # benchmark's tracer counts search expansions by the name
+    enabled_transitions = successors
 
     def _intern(self, marking: Marking) -> Marking:
         """The one stored marking equal to ``marking``, stored now if there is room."""

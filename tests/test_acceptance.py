@@ -510,17 +510,21 @@ def test_criterion_8_apte_stability(net, churn_events):
         for j in range(len(configs))
     }
     baseline = means["baseline"]
-    base_slope = _least_squares_slope(baseline)
-    lines = [f"baseline slope {base_slope:+.2f} us/window"]
-    for label, series in means.items():
-        if label == "baseline":
-            continue
-        slope = _least_squares_slope(series)
-        assert slope <= base_slope, (label, slope, base_slope)
-        for window, (mean, base_mean) in enumerate(zip(series, baseline)):
-            assert mean <= base_mean * 1.1, (label, window, mean, base_mean)
-        worst = max(m / b for m, b in zip(series, baseline))
-        lines.append(f"{label} slope {slope:+.2f}, worst window ratio {worst:.2f}")
+    bounded = [label for label in means if label != "baseline"]
+    slopes = {label: _least_squares_slope(series) for label, series in means.items()}
+    ratios = {label: [m / b for m, b in zip(means[label], baseline)] for label in bounded}
+    # every policy's slope and window ratios, so a failure says which bound broke and by how much
+    measured = f"baseline slope {slopes['baseline']:+.2f} us/window; " + "; ".join(
+        f"{label} slope {slopes[label]:+.2f}, window ratios " + " ".join(f"{r:.2f}" for r in ratios[label])
+        for label in bounded
+    )
+    for label in bounded:
+        assert slopes[label] <= slopes["baseline"], f"{label} is steeper than the baseline: {measured}"
+        for window, (mean, base_mean) in enumerate(zip(means[label], baseline)):
+            assert mean <= base_mean * 1.1, f"{label} window {window} is over 1.1x the baseline's: {measured}"
+    lines = [f"baseline slope {slopes['baseline']:+.2f} us/window"] + [
+        f"{label} slope {slopes[label]:+.2f}, worst window ratio {max(ratios[label]):.2f}" for label in bounded
+    ]
     elapsed = time.monotonic() - started
     report("ACCEPTANCE 8 apte-stability: PASS (" + "; ".join(lines) + f"; {elapsed:.0f}s)")
 
@@ -608,12 +612,28 @@ def test_criterion_10_catches_a_summary_without_the_forgotten_moves_cost(data_di
 # -- criterion 11: every stored alignment is a witness ------------------------
 
 
+# Most retained events the brute force checks a stored alignment's optimality over.
+_OPTIMALITY_EVENTS = 6
+
+
 def _witness_replay(net, config, events) -> list[tuple[int, str]]:
-    """Process a stream up to the first event whose case's stored alignment is no witness; its problems."""
+    """Process a stream up to the first event whose case's stored alignment is no witness; its problems.
+
+    An alignment that keeps at most ``_OPTIMALITY_EVENTS`` events must
+    also be an optimal alignment of them from its ``base_marking``. That
+    holds after a search for any cost model, and after an extension when
+    ``sync_cost <= log_cost``, as it is in both of criterion 11's.
+    """
     engine = ConformanceEngine(net, config)
     for event in events:
         engine.process(event.case_id, event.activity, event.arrival_index)
-        problems = witness_problems(net, engine.store[event.case_id].prefix_alignment)
+        pa = engine.store[event.case_id].prefix_alignment
+        problems = witness_problems(net, pa)
+        activities = pa.log_activities()
+        if len(activities) <= _OPTIMALITY_EVENTS:
+            optimum = brute_force_min_cost(net, pa.base_marking, activities, config.cost_model)
+            if abs(pa.moves_cost - optimum) > 1e-9 * max(1.0, optimum):
+                problems.append(f"moves_cost {pa.moves_cost!r}, optimum {optimum!r} over {activities}")
         if problems:
             return [(event.arrival_index, problem) for problem in problems]
     return []
@@ -633,6 +653,37 @@ def test_criterion_11_every_stored_alignment_is_a_witness(net):
     elapsed = time.monotonic() - started
     assert elapsed < 20
     report(f"ACCEPTANCE 11 witness: PASS ({checked} stored alignments walked, {elapsed:.1f}s)")
+
+
+def test_criterion_11_catches_a_search_that_returns_only_log_moves(monkeypatch):
+    # the all-log-moves alignment is a witness and never below the
+    # baseline; only its cost, where the optimum is cheaper, gives it away
+    search = alignment.shortest_path_prefix_alignment
+    cheaper = []  # per search: whether the optimum is cheaper than all log moves
+
+    def only_log_moves(net, start, trace, cost_model, **kwargs):
+        optimum = search(net, start, trace, cost_model, **kwargs).moves_cost
+        states = tuple(AlignmentState(MoveKind.LOG, a, None, None, cost_model.log_cost, start) for a in trace)
+        all_log = PrefixAlignment(start, states)
+        cheaper.append(optimum < all_log.moves_cost)
+        return all_log
+
+    monkeypatch.setattr(policies, "shortest_path_prefix_alignment", only_log_moves)
+    # no case is evicted or truncated, so each search's result is stored whole
+    config = PolicyConfig(Policy.BOUNDED_CASES, n=100)
+    stream_net, events = _interleaved_random_net_stream(0)
+    engine = ConformanceEngine(stream_net, config)
+    first_cheaper = None
+    for event in events:
+        engine.process(event.case_id, event.activity, event.arrival_index)
+        if any(cheaper):
+            first_cheaper = event.arrival_index
+            break
+    problems = _witness_replay(stream_net, config, events)
+    assert len(problems) == 1 and problems[0][0] == first_cheaper
+    assert problems[0][1].startswith("moves_cost ") and ", optimum " in problems[0][1]
+    report(f"ACCEPTANCE 11 search mutant: first problem at event {first_cheaper}, the first cheaper search: "
+           f"{problems[0][1]}")
 
 
 def _witness_net_states(**broken) -> tuple:

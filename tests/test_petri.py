@@ -205,14 +205,14 @@ class TestMarking:
 
 class TestEnabledAndFire:
     def test_only_entry_enabled_initially(self, branching_net):
-        assert branching_net.enabled_transitions(branching_net.initial_marking) == ("t1",)
+        assert tuple(branching_net.enabled_transitions(branching_net.initial_marking)) == ("t1",)
 
     def test_empty_marking_enables_nothing(self, seq_abc):
-        assert seq_abc.enabled_transitions(Marking.empty()) == ()
+        assert tuple(seq_abc.enabled_transitions(Marking.empty())) == ()
 
     def test_zero_input_transition_always_enabled(self):
         net = _unbounded_net()
-        assert net.enabled_transitions(Marking.empty()) == ("t",)
+        assert tuple(net.enabled_transitions(Marking.empty())) == ("t",)
 
     def test_enabled_in_transition_id_order(self):
         ids = ["t2", "t10", "a", "t1"]
@@ -220,7 +220,7 @@ class TestEnabledAndFire:
             places=["p"], transitions={t: t.upper() for t in ids},
             arcs=[(t, "p") for t in ids], initial={}, final={"p": 1},
         )
-        assert net.enabled_transitions(Marking.empty()) == ("a", "t1", "t10", "t2")
+        assert tuple(net.enabled_transitions(Marking.empty())) == ("a", "t1", "t10", "t2")
 
     def test_seq_abc_enabled_at_q1(self, seq_abc):
         # independent enumeration of the three transitions' input places
@@ -231,7 +231,7 @@ class TestEnabledAndFire:
             if all(marking.as_dict().get(p, 0) >= 1 for p in inputs):
                 expected.add(t)
         assert expected == {"B"}
-        assert seq_abc.enabled_transitions(marking) == ("B",)
+        assert tuple(seq_abc.enabled_transitions(marking)) == ("B",)
 
     def test_fire_entry(self, branching_net):
         after = branching_net.fire(branching_net.initial_marking, "t1")
@@ -253,7 +253,7 @@ class TestEnabledAndFire:
         marking = branching_net.fire(branching_net.initial_marking, "t1")
         marking = branching_net.fire(marking, "t5")
         assert marking == Marking.of({"p4": 1, "p5": 1})
-        assert branching_net.enabled_transitions(marking) == ("t6", "t7")
+        assert tuple(branching_net.enabled_transitions(marking)) == ("t6", "t7")
 
     def test_fire_seq_abc(self, seq_abc):
         assert seq_abc.fire(seq_abc.initial_marking, "A") == Marking.of({"q1": 1})
@@ -309,6 +309,27 @@ class TestSuccessorTable:
             for trace, expected_repr in zip(traces, reprs):
                 assert _search_reprs(net, [trace]) == [expected_repr]
                 assert len(net._table) <= 2 and len(net._interned) <= 2
+
+    def test_search_past_the_cap_computes_each_entry_once(self, monkeypatch):
+        # an entry computed decodes its marking once; an expansion calls enabled_transitions once
+        calls = {"as_dict": 0, "enabled_transitions": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(petri, "SUCCESSOR_TABLE_CAP", 0)
+        net = make_parallel_net(3, 2)
+        monkeypatch.setattr(Marking, "as_dict", counted("as_dict", Marking.as_dict))
+        enabled = counted("enabled_transitions", PetriNet.enabled_transitions)
+        monkeypatch.setattr(PetriNet, "enabled_transitions", enabled)
+        # no upper bound, so the lookahead memo reads no entry
+        shortest_path_prefix_alignment(net, net.initial_marking, ["B11", "B12", "B21", "B22"])
+        assert calls["enabled_transitions"] > 0
+        assert calls["as_dict"] == calls["enabled_transitions"]
 
     def test_fire_returns_one_object_per_marking(self, branching_net):
         start = branching_net.initial_marking
@@ -378,7 +399,7 @@ class TestSuccessorTable:
         assert copy == branching_net and not copy._table and not copy._interned and not copy._steps
         assert set(copy._sync_steps) == set(branching_net._sync_steps)
         assert not any(copy._sync_steps.values())
-        assert copy.enabled_transitions(copy.initial_marking) == ("t1",)
+        assert tuple(copy.enabled_transitions(copy.initial_marking)) == ("t1",)
         # the copy fills its own tables
         assert extend_model_semantics(copy, pa, "A", 0) == extend_model_semantics(branching_net, pa, "A", 0)
         assert len(copy._sync_steps["A"]) == 1
@@ -504,7 +525,7 @@ class TestSuccessorsAccessor:
         assert len(markings) > 1
         for marking in markings:
             entry = net.successors(marking)
-            assert tuple(entry) == net.enabled_transitions(marking)
+            assert net.enabled_transitions(marking) is entry
             for t in sorted(net.transitions):
                 assert net.is_enabled(marking, t) == (t in entry)
                 if t in entry:
@@ -592,7 +613,7 @@ class TestSemanticsMatchArcs:
             for _ in range(15):
                 marked = {p for p, _ in marking.entries}
                 expected = tuple(sorted(t for t in net.transitions if inputs[t] <= marked))
-                enabled = net.enabled_transitions(marking)
+                enabled = tuple(net.enabled_transitions(marking))
                 assert enabled == expected
                 for t in sorted(net.transitions):
                     assert net.is_enabled(marking, t) == (t in enabled)

@@ -299,4 +299,4 @@ def test_pickled_net_fires_like_the_original():
     assert copy == net
     marking = copy.fire(copy.initial_marking, "t0")
     assert marking == net.fire(net.initial_marking, "t0")
-    assert copy.enabled_transitions(marking) == ("t1",)
+    assert tuple(copy.enabled_transitions(marking)) == ("t1",)
